@@ -11,6 +11,7 @@ Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,6 +94,15 @@ class RunConfig:
         return self
 
 
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and inf: comparisons with nan are false,
+    so a non-finite value would slip through every range check."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text!r}")
+    return x
+
+
 def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
     out = []
     for chunk in text.split(","):
@@ -101,7 +111,7 @@ def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
             continue
         try:
             a, b = chunk.split(":")
-            out.append((float(a), float(b)))
+            out.append((_finite(a), _finite(b)))
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a:b pairs, got {chunk!r}") from exc
     return tuple(out)
@@ -116,26 +126,26 @@ def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
 
 # key -> (RunConfig field, converter); converters see (text, key)
 _KEYS = {
-    "geometry.width": ("width", lambda v, k: float(v)),
-    "geometry.height": ("height", lambda v, k: float(v)),
+    "geometry.width": ("width", lambda v, k: _finite(v)),
+    "geometry.height": ("height", lambda v, k: _finite(v)),
     "geometry.nx": ("nx", lambda v, k: int(v)),
     "geometry.ny": ("ny", lambda v, k: int(v)),
     "geometry.refine": ("refine", lambda v, k: int(v)),
     "method": ("method", lambda v, k: v.strip()),
-    "method.alpha": ("alpha", lambda v, k: float(v)),
-    "method.beta": ("beta", lambda v, k: float(v)),
-    "method.eps_cells": ("eps_cells", lambda v, k: float(v)),
-    "method.eta": ("eta", lambda v, k: float(v)),
-    "method.tau": ("tau", lambda v, k: float(v)),
+    "method.alpha": ("alpha", lambda v, k: _finite(v)),
+    "method.beta": ("beta", lambda v, k: _finite(v)),
+    "method.eps_cells": ("eps_cells", lambda v, k: _finite(v)),
+    "method.eta": ("eta", lambda v, k: _finite(v)),
+    "method.tau": ("tau", lambda v, k: _finite(v)),
     "method.max_iters": ("max_iters", lambda v, k: int(v)),
-    "method.target_error": ("target_error", lambda v, k: float(v)),
-    "method.dt": ("dt", lambda v, k: float(v)),
-    "method.eps_clamp": ("eps_clamp", lambda v, k: float(v)),
-    "method.cfl_max": ("cfl_max", lambda v, k: float(v)),
+    "method.target_error": ("target_error", lambda v, k: _finite(v)),
+    "method.dt": ("dt", lambda v, k: _finite(v)),
+    "method.eps_clamp": ("eps_clamp", lambda v, k: _finite(v)),
+    "method.cfl_max": ("cfl_max", lambda v, k: _finite(v)),
     "truth.intervals": ("truth_intervals", _parse_interval_list),
     "init.intervals": ("init_intervals", _parse_interval_list),
-    "init.constant": ("init_constant", lambda v, k: float(v)),
-    "data.noise_level": ("noise_level", lambda v, k: float(v)),
+    "init.constant": ("init_constant", lambda v, k: _finite(v)),
+    "data.noise_level": ("noise_level", lambda v, k: _finite(v)),
     "data.seed": ("seed", lambda v, k: int(v)),
     "output.directory": ("output_dir", lambda v, k: v.strip()),
     "output.snapshots": ("snapshot_iters", _parse_int_list),

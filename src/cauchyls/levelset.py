@@ -88,13 +88,6 @@ def _helmholtz_bands(n: int, h: float) -> np.ndarray:
     return ab
 
 
-def helmholtz_neumann_matrix(n: int, h: float) -> np.ndarray:
-    """Dense symmetric matrix of the same system, for consistency checks."""
-    ab = _helmholtz_bands(n, h)
-    m = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
-    return m
-
-
 def scale_neumann_rhs(rhs: np.ndarray) -> np.ndarray:
     """Half-cell scaling of the right-hand side matching the end rows."""
     out = np.asarray(rhs, dtype=float).copy()

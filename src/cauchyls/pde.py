@@ -306,16 +306,52 @@ class MixedSolver:
 
         u_d = self._dirichlet_values(dirichlet).ravel()[self._constrained]
         rhs = b.ravel()[self._free] - self._A_fd @ u_d
-        x = self._lu.solve(rhs)
-
-        res = np.linalg.norm(self._A_ff @ x - rhs)
-        if res > SOLVER_RTOL * max(np.linalg.norm(rhs), 1.0):
-            raise SolverError(f"linear solve residual {res:.3e} exceeds tolerance")
+        x = self._checked_solve(rhs)
 
         u = np.empty((ny + 1) * (nx + 1))
         u[self._free] = x
         u[self._constrained] = u_d
         return Field(g, u.reshape(ny + 1, nx + 1))
+
+    def solve_unit_loads(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responses to a unit load at each given free node, all data zero.
+
+        nodes holds (i, j) index pairs, as boundary_nodes returns them, and
+        one block solve covers them all. Returns (u, reaction), both of shape
+        (len(nodes), ny+1, nx+1): the nodal solutions, and the reactions
+        A_df u_f they draw at the Dirichlet nodes (zero at free nodes). As the
+        reduced system is symmetric, reaction[k] also gives the negated value
+        at load node k of the solution for unit Dirichlet data at each
+        constrained node.
+        """
+        g = self.grid
+        nodes = np.asarray(nodes)
+        i, j = nodes[:, 0], nodes[:, 1]
+        if self._mask[j, i].any():
+            raise ValueError("unit loads must sit on free nodes")
+        k = len(nodes)
+        b = np.zeros((self._free.size, k))
+        b[np.searchsorted(self._free, j * (g.nx + 1) + i), np.arange(k)] = 1.0
+        x = self._checked_solve(b)
+
+        n_nodes = (g.ny + 1) * (g.nx + 1)
+        u = np.zeros((k, n_nodes))
+        u[:, self._free] = x.T
+        reaction = np.zeros((k, n_nodes))
+        reaction[:, self._constrained] = (self._A_fd.T @ x).T
+        shape = (k, g.ny + 1, g.nx + 1)
+        return u.reshape(shape), reaction.reshape(shape)
+
+    def _checked_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the reduced system for one right-hand side or a block of
+        columns; every column must meet the relative residual bound."""
+        x = self._lu.solve(rhs)
+        res = np.linalg.norm(self._A_ff @ x - rhs, axis=0)
+        bound = SOLVER_RTOL * np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
+        if np.any(res > bound):
+            raise SolverError(f"linear solve residual {np.max(res):.3e} "
+                              "exceeds tolerance")
+        return x
 
 
 def solve_mixed_bvp(spec: BvpSpec) -> Field:
@@ -338,17 +374,22 @@ def neumann_trace(u: Field, a: Coefficient, part: BoundaryPart) -> TraceFn:
     this on parts where u was not given Neumann data; there the imposed data
     is already the exact answer.
     """
-    g = u.grid
-    v = u.values
+    return TraceFn(u.grid, part, conormal_values(u.values, u.grid, a, part))
+
+
+def conormal_values(v: np.ndarray, g: Grid, a: Coefficient,
+                    part: BoundaryPart) -> np.ndarray:
+    """neumann_trace on raw nodal values of shape (..., ny+1, nx+1); leading
+    axes stack several fields and carry through to the result."""
+    def d_in(v0, v1, v2, h):
+        return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
+
     if part is GAMMA1:
-        d_in = (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * g.hy)
-        vals = -a(g.xs, 0.0) * d_in
-    elif part is GAMMA2:
-        d_in = (-3.0 * v[-1, :] + 4.0 * v[-2, :] - v[-3, :]) / (2.0 * g.hy)
-        vals = -a(g.xs, g.height) * d_in
-    else:
-        ys = np.arange(1, g.ny) * g.hy
-        d_l = (-3.0 * v[1:-1, 0] + 4.0 * v[1:-1, 1] - v[1:-1, 2]) / (2.0 * g.hx)
-        d_r = (-3.0 * v[1:-1, -1] + 4.0 * v[1:-1, -2] - v[1:-1, -3]) / (2.0 * g.hx)
-        vals = np.concatenate([-a(0.0, ys) * d_l, -a(g.width, ys) * d_r])
-    return TraceFn(g, part, vals)
+        return -a(g.xs, 0.0) * d_in(v[..., 0, :], v[..., 1, :], v[..., 2, :], g.hy)
+    if part is GAMMA2:
+        return -a(g.xs, g.height) * d_in(v[..., -1, :], v[..., -2, :],
+                                         v[..., -3, :], g.hy)
+    ys = np.arange(1, g.ny) * g.hy
+    d_l = d_in(v[..., 1:-1, 0], v[..., 1:-1, 1], v[..., 1:-1, 2], g.hx)
+    d_r = d_in(v[..., 1:-1, -1], v[..., 1:-1, -2], v[..., 1:-1, -3], g.hx)
+    return np.concatenate([-a(0.0, ys) * d_l, -a(g.width, ys) * d_r], axis=-1)

@@ -64,10 +64,15 @@ def residual_trace(state: LevelSetState, data: CauchyData,
 
 
 def tikhonov_step(state: LevelSetState, data: CauchyData, ctx: OperatorContext,
-                  params: TikhonovParams) -> tuple[LevelSetState, TraceFn]:
-    """One flow step; returns the new state and the residual it was driven by."""
+                  params: TikhonovParams, r: TraceFn | None = None
+                  ) -> tuple[LevelSetState, TraceFn]:
+    """One flow step; returns the new state and the residual it was driven by.
+
+    r is the residual of state when the caller has computed it already.
+    """
     phi, eps = state.phi, state.eps
-    r = residual_trace(state, data, ctx)
+    if r is None:
+        r = residual_trace(state, data, ctx)
     grad = apply_adjoint(ctx, r)
     curv = curvature_term(phi, eps, params.eta, params.beta)
     gate = smoothed_heaviside_deriv(phi.values, eps)
@@ -114,7 +119,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
             break
 
         prev = state.phi.values
-        state, _ = tikhonov_step(state, data, ctx, params)
+        state, _ = tikhonov_step(state, data, ctx, params, r)
         k += 1
         # stagnation is measured on the smoothing output w = alpha * dphi
         w_inf = params.alpha * float(np.max(np.abs(state.phi.values - prev)))

@@ -34,6 +34,16 @@ def test_solve_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["geometry.height = nan",
+                                  "method.alpha = inf",
+                                  "truth.intervals = 0.2:-inf"])
+def test_solve_rejects_non_finite_numbers(tmp_path, capsys, line):
+    cfg = _write_cfg(tmp_path, f"geometry.nx = 16\n{line}\n")
+    assert main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_solve_missing_config_file(capsys):
     assert main(["solve", "/nonexistent/file.cfg"]) == 2
 

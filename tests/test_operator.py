@@ -89,6 +89,48 @@ def test_assembled_matrix_matches_operator(grid16, ctx16):
     assert np.allclose(m[:, 3], col.values, atol=1e-12)
 
 
+def _sparse_matrix(grid, apply, part):
+    """Column-by-column matrix of apply on a fresh context. Its nx + 1
+    applies are exactly the budget before the switch, so all are sparse."""
+    ctx = OperatorContext(grid)
+    basis = zero_trace(grid, part)
+    cols = [apply(ctx, basis.with_values(e)).values for e in np.eye(grid.nx + 1)]
+    assert not ctx.assembled
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("nx", [16, 64])
+@pytest.mark.parametrize("height", [0.5, 1.0])
+def test_assembled_maps_match_sparse_applies(nx, height):
+    grid = build_grid(1.0, height, nx)
+    ctx = OperatorContext(grid)
+    forward = assemble_forward_matrix(ctx)
+    adjoint = ctx.assemble()[1]
+    for dense, apply, part in ((forward, apply_forward, GAMMA2),
+                               (adjoint, apply_adjoint, GAMMA1)):
+        sparse = _sparse_matrix(grid, apply, part)
+        assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
+
+
+def test_context_assembles_after_nx_plus_one_sparse_applies(grid16):
+    ctx = OperatorContext(grid16)
+    q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
+    r = trace_from_function(grid16, GAMMA1, lambda x: x * x)
+    for k in range(grid16.nx + 1):
+        if k % 2:
+            sparse_fwd = apply_forward(ctx, q).values
+        else:
+            sparse_adj = apply_adjoint(ctx, r).values
+        assert ctx.sparse_applies == k + 1
+        assert not ctx.assembled
+    dense_fwd = apply_forward(ctx, q).values
+    assert ctx.assembled
+    dense_adj = apply_adjoint(ctx, r).values
+    assert ctx.sparse_applies == grid16.nx + 1
+    assert np.allclose(dense_fwd, sparse_fwd, rtol=0, atol=1e-13)
+    assert np.allclose(dense_adj, sparse_adj, rtol=0, atol=1e-13)
+
+
 def test_assembly_size_guard():
     g = build_grid(1.0, 0.5, 512)
     with pytest.raises(ValueError):

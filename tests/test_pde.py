@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cauchyls import (GAMMA1, GAMMA2, GAMMA3, BvpSpec, Coefficient, Dirichlet,
-                      Neumann, TraceFn, build_grid, field_from_function,
+                      MixedSolver, Neumann, SolverError, TraceFn,
+                      boundary_nodes, build_grid, field_from_function,
                       neumann_trace, solve_mixed_bvp, trace_from_function,
                       zero_trace)
+from cauchyls import pde
 
 
 def _harmonic_spec(nx: int, height: float = 0.5) -> tuple:
@@ -115,3 +117,35 @@ def test_source_term_enters_with_correct_sign():
     u = solve_mixed_bvp(spec)
     x, y = np.meshgrid(g.xs, g.ys)
     assert np.abs(u.values - (0.5 * y - y ** 2)).max() < 1e-10
+
+
+def _operator_solver(g):
+    return MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
+                                          GAMMA2: "neumann", GAMMA3: "neumann"})
+
+
+def test_unit_load_block_matches_single_solves():
+    g = build_grid(1.0, 0.5, 8)
+    solver = _operator_solver(g)
+    top = boundary_nodes(g, GAMMA2)
+    u, reaction = solver.solve_unit_loads(top[2:5])
+    for k, i in enumerate(range(2, 5)):
+        # a top flux of 1/hx at interior node i is a unit load there
+        q = np.zeros(g.nx + 1)
+        q[i] = 1.0 / g.hx
+        single = solver.solve(neumann={GAMMA2: zero_trace(g, GAMMA2).with_values(q)})
+        assert np.allclose(u[k], single.values, rtol=0, atol=1e-13)
+    # reactions live on the Dirichlet bottom row only
+    assert np.all(reaction[:, 1:, :] == 0.0)
+    with pytest.raises(ValueError):
+        solver.solve_unit_loads(boundary_nodes(g, GAMMA1))
+
+
+def test_block_solve_keeps_the_residual_check(monkeypatch):
+    g = build_grid(1.0, 0.5, 8)
+    solver = _operator_solver(g)
+    monkeypatch.setattr(pde, "SOLVER_RTOL", 0.0)
+    with pytest.raises(SolverError):
+        solver.solve_unit_loads(boundary_nodes(g, GAMMA2))
+    with pytest.raises(SolverError):
+        solver.solve(neumann={GAMMA2: trace_from_function(g, GAMMA2, np.cos)})
