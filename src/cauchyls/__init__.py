@@ -9,8 +9,8 @@ along a potential-flow velocity.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .data import (add_noise, l2_norm_trace, sobolev_dual_norm,
-                   synthesize_cauchy_data, trace_inner, with_noise)
+from .data import (add_noise, l2_norm_trace, synthesize_cauchy_data,
+                   trace_inner, with_noise)
 from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
                    boundary_nodes, build_grid, prolong_trace,
                    quadrature_weights, restrict_trace, trace_from_function,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .experiments import (EXPERIMENT_NAMES, _fmt, resolve_output_dir,
                           run_config, run_experiment, write_run_outputs,
                           SIGMA_HEADER)
 from .grid import build_grid
-from .operator import (MAX_ASSEMBLE_NX, OperatorContext,
+from .operator import (DECAY_FIT_LAST, MAX_ASSEMBLE_NX, OperatorContext,
                        assemble_forward_matrix, decay_slope, singular_values)
 from .pde import SolverError
 
@@ -41,19 +40,16 @@ def cmd_solve(path: str) -> int:
 
 
 def cmd_experiment(name: str) -> int:
-    if name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {name!r}, choose from "
-                          f"{', '.join(EXPERIMENT_NAMES)}")
-    run_experiment(name)
-    print(f"{name} finished")
+    print(run_experiment(name))
     return EXIT_OK
 
 
 def cmd_svd(path: str) -> int:
     cfg = load_config(path)
-    if cfg.nx > MAX_ASSEMBLE_NX:
-        raise ConfigError(f"svd requires geometry.nx <= {MAX_ASSEMBLE_NX}, "
-                          f"got {cfg.nx}")
+    # nx + 1 singular values, and decay_slope fits up to DECAY_FIT_LAST
+    if not DECAY_FIT_LAST - 1 <= cfg.nx <= MAX_ASSEMBLE_NX:
+        raise ConfigError(f"svd requires {DECAY_FIT_LAST - 1} <= geometry.nx "
+                          f"<= {MAX_ASSEMBLE_NX}, got {cfg.nx}")
     grid = build_grid(cfg.width, cfg.height, cfg.nx, cfg.ny)
     ctx = OperatorContext(grid)
     sigma = singular_values(assemble_forward_matrix(ctx))
@@ -96,11 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args.config)
-        if args.command == "experiment":
-            return cmd_experiment(args.name)
-        return cmd_svd(args.config)
+        # a non-finite iterate ends in SolverError; numpy's floating-point
+        # warnings on the way there would only add lines to stderr
+        with np.errstate(all="ignore"):
+            if args.command == "solve":
+                return cmd_solve(args.config)
+            if args.command == "experiment":
+                return cmd_experiment(args.name)
+            return cmd_svd(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .grid import isotropic_ny
 from .operator import MAX_ASSEMBLE_NX
 from .tikhonov import STEP_EXPLICIT, STEP_IMPLICIT, STEP_KINDS
 
@@ -63,8 +64,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("geometry.width and geometry.height must be positive")
-        if self.nx < 4 or (self.ny is not None and self.ny < 4):
-            raise ConfigError("geometry.nx and geometry.ny must be at least 4")
+        ny = self.ny if self.ny is not None else isotropic_ny(
+            self.width, self.height, self.nx)
+        if self.nx < 4 or ny < 4:
+            raise ConfigError(f"geometry.nx and geometry.ny must be at least "
+                              f"4, got nx = {self.nx} and ny = {ny} (unless "
+                              f"set, ny = round(nx * height / width))")
         if self.refine < 1:
             raise ConfigError("geometry.refine must be a positive integer")
         if self.method not in (METHOD_TIKHONOV, METHOD_TRANSPORT):
@@ -108,6 +113,13 @@ class RunConfig:
                 if not 0.0 < a < b < self.width:
                     raise ConfigError(f"{name}: need 0 < a < b < width, "
                                       f"got {a}:{b}")
+        # the initial profile is a signed distance, so its intervals may
+        # neither overlap nor touch; the truth is a union of any intervals
+        ivals = sorted(self.init_intervals)
+        for (a0, b0), (a1, b1) in zip(ivals, ivals[1:]):
+            if b0 >= a1:
+                raise ConfigError(f"init.intervals must be disjoint, got "
+                                  f"{a0}:{b0} and {a1}:{b1}")
         return self
 
 

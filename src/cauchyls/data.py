@@ -9,9 +9,8 @@ exactly level * ||g2||; the Dirichlet datum stays exact.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dst
 
-from .grid import GAMMA1, GAMMA2, GAMMA3, TraceFn, quadrature_weights, restrict_trace
+from .grid import GAMMA1, GAMMA2, TraceFn, quadrature_weights, restrict_trace
 from .operator import CauchyData, OperatorContext, compute_offset_z
 from .pde import neumann_trace
 
@@ -28,27 +27,6 @@ def trace_inner(a: TraceFn, b: TraceFn) -> float:
         raise ValueError("traces live on different parts or grids")
     w = quadrature_weights(a.grid, a.part)
     return float(np.sum(w * a.values * b.values))
-
-
-def sobolev_dual_norm(t: TraceFn, s: float) -> float:
-    """Negative-order Sobolev surrogate via the discrete sine basis.
-
-    Expands the interior nodal values in unit-normalized sine modes and
-    returns sqrt(sum (1 + (k pi / width)^2)^(-s) |coef_k|^2). Endpoint values
-    do not enter, so this is a diagnostic surrogate rather than an exact
-    H^{-s} norm; at s = 0 it reproduces the L2 norm of traces vanishing at
-    the ends. Never exceeds l2_norm_trace(t).
-    """
-    if t.part is GAMMA3:
-        raise ValueError("sine expansion is defined on the horizontal edges")
-    grid = t.grid
-    h, width = grid.hx, grid.width
-    interior = t.values[1:-1]
-    # dst type 1: y_k = 2 sum_i t_i sin(pi k i / nx)
-    coefs = h * np.sqrt(2.0 / width) * 0.5 * dst(interior, type=1)
-    k = np.arange(1, coefs.size + 1)
-    weights = (1.0 + (k * np.pi / width) ** 2) ** (-s)
-    return float(np.sqrt(np.sum(weights * coefs * coefs)))
 
 
 def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,

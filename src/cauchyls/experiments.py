@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, RunConfig
+from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError, RunConfig
 from .data import synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
 from .levelset import init_levelset
@@ -253,58 +253,36 @@ def iterations_to_relative_residual(record: RunRecord, data: CauchyData,
     return None
 
 
-def run_exp1(out_root: Path | None = None) -> tuple[RunRecord, RunSetup]:
-    record, setup = run_config(exp1_config())
-    write_run_outputs(record, setup, _sub(out_root, "exp1"))
-    return record, setup
-
-
-def run_exp2(out_root: Path | None = None):
-    """Both heights; returns (records, setups, iteration counts)."""
-    records, setups, counts = {}, {}, {}
-    for height in (1.0, 0.5):
-        cfg = exp2_config(height)
-        record, setup = run_config(cfg)
-        records[height], setups[height] = record, setup
-        counts[height] = iterations_to_relative_residual(
-            record, setup.data, EXP2_REL_RESIDUAL)
-        write_run_outputs(record, setup,
-                          _sub(out_root, f"exp2_h{height:g}"))
-    comparison = _exp2_comparison(counts)
-    out = _sub(out_root, "exp2_h1") if out_root else resolve_output_dir(
-        exp2_config(1.0))
-    (out.parent / "exp2_comparison.txt").write_text(comparison)
-    return records, setups, counts
-
-
-def _exp2_comparison(counts) -> str:
-    c1, c05 = counts.get(1.0), counts.get(0.5)
-    ratio = "nan"
-    if c1 is not None and c05 not in (None, 0):
-        ratio = f"{c1 / c05:.6g}"
-    return (f"relative_residual_threshold = {EXP2_REL_RESIDUAL}\n"
-            f"iters_height_1.0 = {c1}\n"
-            f"iters_height_0.5 = {c05}\n"
+def run_experiment(name: str) -> str:
+    """Run a built-in experiment, write its outputs, return a summary line."""
+    if name == "exp2":
+        counts = {}
+        for height in (1.0, 0.5):
+            record, setup = run_config(exp2_config(height))
+            out = write_run_outputs(record, setup)
+            counts[height] = iterations_to_relative_residual(
+                record, setup.data, EXP2_REL_RESIDUAL)
+        c1, c05 = counts[1.0], counts[0.5]
+        ratio = f"{c1 / c05:.6g}" if c1 is not None and c05 else "nan"
+        (out.parent / "exp2_comparison.txt").write_text(
+            f"relative_residual_threshold = {EXP2_REL_RESIDUAL}\n"
+            f"iters_height_1.0 = {c1}\niters_height_0.5 = {c05}\n"
             f"ratio = {ratio}\n")
-
-
-def run_exp3(out_root: Path | None = None) -> tuple[RunRecord, RunSetup]:
-    record, setup = run_config(exp3_config())
-    write_run_outputs(record, setup, _sub(out_root, "exp3"))
-    return record, setup
-
-
-def _sub(root: Path | None, name: str) -> Path | None:
-    return None if root is None else Path(root) / name
-
-
-def run_experiment(name: str, out_root: Path | None = None) -> None:
+        return (f"exp2: iters to {EXP2_REL_RESIDUAL:g}*||rhs||: "
+                f"h=0.5 {c05}, h=1.0 {c1}")
+    if name not in EXPERIMENT_NAMES:
+        raise ConfigError(f"unknown experiment {name!r}, "
+                          f"choose from {', '.join(EXPERIMENT_NAMES)}")
+    record, setup = run_config(exp1_config() if name == "exp1"
+                               else exp3_config())
+    write_run_outputs(record, setup)
+    line = (f"{name}: stop {record.stop_reason}@{record.stop_iteration}, "
+            f"residual {record.residuals[-1]:.4g}")
     if name == "exp1":
-        run_exp1(out_root)
-    elif name == "exp2":
-        run_exp2(out_root)
-    elif name == "exp3":
-        run_exp3(out_root)
+        comps = record.components
+        line += f", split at iter {comps.index(2) if 2 in comps else None}"
     else:
-        raise ValueError(f"unknown experiment {name!r}, "
-                         f"choose from {', '.join(EXPERIMENT_NAMES)}")
+        line += f" (tau*delta {setup.cfg.tau * setup.data.delta:.4g})"
+    return line + (f", error {record.errors[-1]:.4f}, "
+                   f"{record.wall_time:.1f}s")
+

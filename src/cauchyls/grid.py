@@ -71,10 +71,15 @@ class Grid:
         return 2 * (self.ny - 1)
 
 
+def isotropic_ny(width: float, height: float, nx: int) -> int:
+    """Row count that makes the cells square: round(nx * height / width)."""
+    return int(round(nx * height / width))
+
+
 def build_grid(width: float, height: float, nx: int, ny: int | None = None) -> Grid:
-    """Construct a grid; ny defaults to the isotropic choice round(nx*height/width)."""
+    """Construct a grid; ny defaults to isotropic_ny(width, height, nx)."""
     if ny is None:
-        ny = int(round(nx * height / width))
+        ny = isotropic_ny(width, height, nx)
     return Grid(width=float(width), height=float(height), nx=int(nx), ny=int(ny))
 
 
@@ -97,6 +102,10 @@ def boundary_nodes(grid: Grid, part: BoundaryPart) -> np.ndarray:
     return np.concatenate([left, right], axis=0)
 
 
+class NonFiniteError(ValueError):
+    """A trace was given inf or nan values."""
+
+
 @dataclass(frozen=True)
 class TraceFn:
     """Nodal values of a scalar function on one boundary part."""
@@ -114,7 +123,7 @@ class TraceFn:
                 f"{self.grid.node_count(self.part)} values, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("trace values must be finite")
+            raise NonFiniteError("trace values must be finite")
 
     @property
     def coords(self) -> np.ndarray:

@@ -24,6 +24,8 @@ MAX_ASSEMBLE_NX = 256
 # load columns per block solve during assembly; as fast as 32 columns, with
 # half the transient (about 4 MB of arrays at nx = 64, height 1)
 ASSEMBLY_BLOCK = 16
+# decay_slope fits log(sigma_k) up to this 1-based position by default
+DECAY_FIT_LAST = 15
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
 
 
-def decay_slope(sigma: np.ndarray, lo: int = 2, hi: int = 15) -> float:
+def decay_slope(sigma: np.ndarray, lo: int = 2, hi: int = DECAY_FIT_LAST) -> float:
     """Least-squares slope of log(sigma_k) over 1-based positions lo..hi."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size < hi:

@@ -1,14 +1,18 @@
-"""Shared iteration history for both reconstruction methods."""
+"""Shared iteration loop and history for both reconstruction methods."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .data import l2_norm_trace
-from .grid import TraceFn
+from .grid import NonFiniteError, TraceFn
 from .levelset import component_count
+from .operator import CauchyData, OperatorContext, apply_forward
+from .pde import SolverError
 
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITERS = "max_iters"
@@ -17,6 +21,11 @@ STOP_STAGNATION = "stagnation"
 
 STOP_REASONS = (STOP_DISCREPANCY, STOP_MAX_ITERS, STOP_TARGET_ERROR,
                 STOP_STAGNATION)
+
+# a step of size at most STAGNATION_TOL counts as stalled, and
+# STAGNATION_STEPS stalled steps in a row stop the run
+STAGNATION_TOL = 1e-14
+STAGNATION_STEPS = 10
 
 
 def observe(q: TraceFn, truth: TraceFn | None) -> tuple[float | None, int]:
@@ -78,3 +87,57 @@ class RunRecord:
         self.final_q = q
         self.wall_time = wall_time
         return self
+
+
+def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
+             indicator: Callable[[TraceFn], TraceFn],
+             step: Callable[[TraceFn, TraceFn, TraceFn], tuple[TraceFn, float]],
+             truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
+    """Iterate a level-set flow phi -> step(phi, q, r) under one stop logic.
+
+    params supplies tau, max_iters and target_error (TikhonovParams and
+    TransportParams both do). indicator(phi) is the flux q of a profile.
+    run_flow forms the residual r = F q - rhs of every iterate, records
+    it, and then stops, in this order of precedence: after STAGNATION_STEPS
+    steps in a row whose size was at most STAGNATION_TOL; for noisy data
+    (delta > 0) at the first residual norm at most params.tau * delta,
+    which requires tau > 1; at params.target_error when a truth flux is
+    supplied; after params.max_iters steps. Otherwise step(phi, q, r)
+    returns the next profile and the size of the move. A step that
+    produces non-finite values raises SolverError naming the iteration.
+    """
+    if data.delta > 0 and not params.tau > 1:
+        raise ValueError("the discrepancy principle requires tau > 1 "
+                         "whenever the data carries noise (delta > 0)")
+    out = RunRecord()
+    t0 = time.perf_counter()
+    phi = phi0
+    stalled = 0
+    k = 0
+    while True:
+        q = indicator(phi)
+        lq = apply_forward(ctx, q)
+        r = lq.with_values(lq.values - data.rhs.values)
+        res_norm = l2_norm_trace(r)
+        err, comps = observe(q, truth)
+        out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
+
+        if stalled >= STAGNATION_STEPS:
+            reason = STOP_STAGNATION
+        elif data.delta > 0 and res_norm <= params.tau * data.delta:
+            reason = STOP_DISCREPANCY
+        elif params.target_error is not None and err is not None \
+                and err <= params.target_error:
+            reason = STOP_TARGET_ERROR
+        elif k >= params.max_iters:
+            reason = STOP_MAX_ITERS
+        else:
+            k += 1
+            try:
+                phi, size = step(phi, q, r)
+            except NonFiniteError as exc:
+                raise SolverError(f"iteration {k}: the level-set step "
+                                  f"produced non-finite values") from exc
+            stalled = stalled + 1 if size <= STAGNATION_TOL else 0
+            continue
+        return out.finish(reason, k, phi, q, time.perf_counter() - t0)

@@ -15,22 +15,16 @@ stalls, down to a floor, so the iterate can end binary.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import record as rec
-from .data import l2_norm_trace
 from .grid import TraceFn
 from .levelset import (LevelSetState, curvature_term, redistance,
                        smoothed_heaviside_deriv, solve_helmholtz_neumann)
 from .operator import CauchyData, OperatorContext, apply_adjoint, apply_forward
-from .record import RunRecord, observe
-
-# step norm below which the flow counts as stalled
-STAGNATION_TOL = 1e-14
-STAGNATION_STEPS = 10
+from .record import RunRecord, run_flow
 
 STEP_EXPLICIT = "explicit"
 STEP_IMPLICIT = "implicit"
@@ -135,64 +129,32 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
                  snapshot_iters=()) -> RunRecord:
     """Iterate until discrepancy, target error, stagnation or the cap.
 
-    With noisy data (delta > 0) the discrepancy principle stops at the first
-    iterate whose residual norm is at most tau * delta; that requires
-    tau > 1. target_error applies only when a truth flux is supplied. With
-    params.eps_min set, the band narrows on each stall (see TikhonovParams);
-    the record's final_eps is the band width the run ended with.
+    The stop rules are record.run_flow's: with noisy data (delta > 0) the
+    discrepancy principle stops at the first iterate whose residual norm is
+    at most tau * delta, which requires tau > 1, and target_error applies
+    only when a truth flux is supplied. Stagnation is measured on the
+    smoothing output alpha * max|dphi|. With params.eps_min set, the band
+    narrows on each stall instead (see TikhonovParams); the record's
+    final_eps is the band width the run ended with.
     """
-    if data.delta > 0 and not params.tau > 1:
-        raise ValueError("the discrepancy principle requires tau > 1 "
-                         "whenever the data carries noise (delta > 0)")
     eps = params.resolve_eps(ctx.grid)
-    state = LevelSetState(phi0, eps)
     narrow_tol = NARROW_TOL_CELLS * ctx.grid.hx
-    out = RunRecord()
-    t0 = time.perf_counter()
-    stalled = 0
-    k = 0
-    while True:
-        r = residual_trace(state, data, ctx)
-        res_norm = l2_norm_trace(r)
-        err, comps = observe(state.q, truth)
-        out.record(k, res_norm, err, comps, state.phi, state.q,
-                   snapshot_iters)
 
-        if data.delta > 0 and res_norm <= params.tau * data.delta:
-            reason = rec.STOP_DISCREPANCY
-            break
-        if params.target_error is not None and err is not None \
-                and err <= params.target_error:
-            reason = rec.STOP_TARGET_ERROR
-            break
-        if k >= params.max_iters:
-            reason = rec.STOP_MAX_ITERS
-            break
+    def indicator(phi: TraceFn) -> TraceFn:
+        return LevelSetState(phi, eps).q
 
-        prev = state.phi.values
-        state, _ = tikhonov_step(state, data, ctx, params, r)
-        k += 1
-        dphi_inf = float(np.max(np.abs(state.phi.values - prev)))
-        if params.eps_min is not None and state.eps > params.eps_min \
+    def step(phi: TraceFn, q: TraceFn, r: TraceFn) -> tuple[TraceFn, float]:
+        nonlocal eps
+        state, _ = tikhonov_step(LevelSetState(phi, eps), data, ctx, params, r)
+        dphi_inf = float(np.max(np.abs(state.phi.values - phi.values)))
+        if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
-            eps = max(NARROW_FACTOR * state.eps, params.eps_min)
-            state = LevelSetState(redistance(state.q, eps), eps)
-            stalled = 0
-            continue
-        # stagnation is measured on the smoothing output w = alpha * dphi
-        w_inf = params.alpha * dphi_inf
-        if w_inf <= STAGNATION_TOL:
-            stalled += 1
-            if stalled >= STAGNATION_STEPS:
-                res_norm = l2_norm_trace(residual_trace(state, data, ctx))
-                err, comps = observe(state.q, truth)
-                out.record(k, res_norm, err, comps, state.phi, state.q,
-                           snapshot_iters)
-                reason = rec.STOP_STAGNATION
-                break
-        else:
-            stalled = 0
+            # a narrowing is a move, so it resets the stall count
+            eps = max(NARROW_FACTOR * eps, params.eps_min)
+            return redistance(state.q, eps), math.inf
+        return state.phi, params.alpha * dphi_inf
 
-    out.final_eps = state.eps
-    return out.finish(reason, k, state.phi, state.q,
-                      time.perf_counter() - t0)
+    out = run_flow(phi0, data, ctx, params, indicator, step, truth,
+                   snapshot_iters)
+    out.final_eps = eps
+    return out

@@ -11,21 +11,16 @@ with Courant-limited sub-stepping, so profile bounds never expand.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from . import record as rec
-from .data import l2_norm_trace
 from .grid import TraceFn
 from .levelset import sharp_indicator
-from .operator import CauchyData, OperatorContext, apply_adjoint, apply_forward
-from .record import RunRecord, observe
+from .operator import CauchyData, OperatorContext, apply_adjoint
+from .record import RunRecord, run_flow
 
-STAGNATION_TOL = 1e-14
-STAGNATION_STEPS = 10
 VELOCITY_FLOOR = 1e-12
 
 
@@ -116,68 +111,32 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     """Iterate the transport flow with the adaptive outer step.
 
     The outer step is min(dt, 0.5 h / max|V|), so fronts move at most half a
-    cell per iteration before sub-stepping even applies. Stopping mirrors
-    the gradient flow: discrepancy for noisy data (tau > 1 required), target
-    error when truth is given, stagnation of the velocity, or the cap. When
-    truth is supplied the record's asymp_gap stream holds the discrete
-    violation of the error-contraction identity d/dt ||q - truth||^2 =
-    -2 ||residual||^2; it is recorded, not asserted.
+    cell per iteration before sub-stepping even applies. Stopping is
+    record.run_flow's, as for the gradient flow: discrepancy for noisy data
+    (tau > 1 required), target error when truth is given, stagnation of the
+    velocity max|V|, or the cap. When truth is supplied the record's
+    asymp_gap stream holds the discrete violation of the error-contraction
+    identity d/dt ||q - truth||^2 = -2 ||residual||^2, that is
+    (e[k+1]^2 - e[k]^2) / dt_k + 2 r[k]^2 for each step k; it is recorded,
+    not asserted.
     """
-    if data.delta > 0 and not params.tau > 1:
-        raise ValueError("the discrepancy principle requires tau > 1 "
-                         "whenever the data carries noise (delta > 0)")
     h = ctx.grid.hx
-    phi = phi0
-    out = RunRecord()
-    if truth is not None:
-        out.asymp_gap = []
-    t0 = time.perf_counter()
-    stalled = 0
-    k = 0
-    while True:
-        q = phi.with_values(sharp_indicator(phi.values))
-        lq = apply_forward(ctx, q)
-        r = lq.with_values(lq.values - data.rhs.values)
-        res_norm = l2_norm_trace(r)
-        err, comps = observe(q, truth)
-        out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
+    dts = []
 
-        if data.delta > 0 and res_norm <= params.tau * data.delta:
-            reason = rec.STOP_DISCREPANCY
-            break
-        if params.target_error is not None and err is not None \
-                and err <= params.target_error:
-            reason = rec.STOP_TARGET_ERROR
-            break
-        if k >= params.max_iters:
-            reason = rec.STOP_MAX_ITERS
-            break
+    def indicator(phi: TraceFn) -> TraceFn:
+        return phi.with_values(sharp_indicator(phi.values))
 
+    def step(phi: TraceFn, q: TraceFn, r: TraceFn) -> tuple[TraceFn, float]:
         v = front_velocity(q, r, ctx, params)
         vmax = float(np.max(np.abs(v.values)))
         dt = min(params.dt, 0.5 * h / max(vmax, VELOCITY_FLOOR))
-        phi = transport_step(phi, v, dt, params.cfl_max)
-        k += 1
+        dts.append(dt)
+        return transport_step(phi, v, dt, params.cfl_max), vmax
 
-        if truth is not None:
-            q_next = sharp_indicator(phi.values)
-            err_next = l2_norm_trace(truth.with_values(q_next - truth.values))
-            out.asymp_gap.append(
-                (err_next ** 2 - err ** 2) / dt + 2.0 * res_norm ** 2)
-
-        if vmax <= STAGNATION_TOL:
-            stalled += 1
-            if stalled >= STAGNATION_STEPS:
-                q = phi.with_values(sharp_indicator(phi.values))
-                lq = apply_forward(ctx, q)
-                r = lq.with_values(lq.values - data.rhs.values)
-                err, comps = observe(q, truth)
-                out.record(k, l2_norm_trace(r), err, comps, phi, q,
-                           snapshot_iters)
-                reason = rec.STOP_STAGNATION
-                break
-        else:
-            stalled = 0
-
-    q = phi.with_values(sharp_indicator(phi.values))
-    return out.finish(reason, k, phi, q, time.perf_counter() - t0)
+    out = run_flow(phi0, data, ctx, params, indicator, step, truth,
+                   snapshot_iters)
+    if out.errors is not None:
+        e, res = out.errors, out.residuals
+        out.asymp_gap = [(e[k + 1] ** 2 - e[k] ** 2) / dt + 2.0 * res[k] ** 2
+                         for k, dt in enumerate(dts)]
+    return out

@@ -44,6 +44,29 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, line):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    ("solve", "init.intervals = 0.2:0.5, 0.4:0.6"),
+    ("solve", "init.intervals = 0.2:0.4, 0.4:0.6"),
+    ("solve", "geometry.height = 0.03"),
+    ("svd", "geometry.nx = 8"),
+])
+def test_inputs_that_would_crash_later_exit_2(tmp_path, capsys, command,
+                                              text):
+    cfg = _write_cfg(tmp_path, f"method.max_iters = 1\n{text}\n")
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_finite_iterate_exits_3(out_root, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "geometry.nx = 16\nmethod.alpha = 1e-310\n"
+                               "method.max_iters = 3\n")
+    assert main(["solve", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: iteration 1") \
+        and err.count("\n") == 1
+
+
 def test_solve_missing_config_file(capsys):
     assert main(["solve", "/nonexistent/file.cfg"]) == 2
 
@@ -73,6 +96,7 @@ def test_unknown_experiment_name(capsys):
 def test_experiment_exp3_end_to_end(out_root, capsys):
     # the noisy run stops by discrepancy after a handful of iterations
     assert main(["experiment", "exp3"]) == 0
+    assert capsys.readouterr().out.startswith("exp3: stop discrepancy@")
     run_dir = out_root / "runs" / "exp3"
     assert (run_dir / "history.csv").is_file()
     summary = (run_dir / "summary.txt").read_text()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cauchyls import (GAMMA1, GAMMA2, OperatorContext, TraceFn, add_noise,
                       apply_forward, build_grid, l2_norm_trace,
-                      sobolev_dual_norm, synthesize_cauchy_data, trace_inner,
+                      synthesize_cauchy_data, trace_inner,
                       trace_from_function, with_noise, zero_trace)
 
 
@@ -33,15 +33,6 @@ def test_trace_inner_rejects_mismatched_parts(grid64):
     b = zero_trace(grid64, GAMMA2)
     with pytest.raises(ValueError):
         trace_inner(a, b)
-
-
-def test_dual_norm_never_exceeds_l2(grid64):
-    t = trace_from_function(grid64, GAMMA1,
-                            lambda x: np.sin(3 * np.pi * x) + 0.2 * x * (1 - x))
-    for s in (0.0, 0.5, 1.0):
-        assert sobolev_dual_norm(t, s) <= l2_norm_trace(t) + 1e-12
-    # higher s weights high modes down harder
-    assert sobolev_dual_norm(t, 1.0) < sobolev_dual_norm(t, 0.5)
 
 
 # -- noise ---------------------------------------------------------------------

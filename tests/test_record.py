@@ -1,10 +1,15 @@
 """Run records and the error/component observation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cauchyls import GAMMA2, build_grid, l2_norm_trace, zero_trace
-from cauchyls.record import STOP_REASONS, RunRecord, observe
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError, apply_forward,
+                      build_grid, l2_norm_trace, zero_trace)
+from cauchyls.record import (STAGNATION_STEPS, STOP_DISCREPANCY,
+                             STOP_MAX_ITERS, STOP_REASONS, STOP_STAGNATION,
+                             STOP_TARGET_ERROR, RunRecord, observe, run_flow)
 
 
 def test_observe_reports_iterate_distance_and_components():
@@ -34,3 +39,57 @@ def test_finish_validates_stop_reason():
         rec.finish("wandered_off", 3, t, t, 0.1)
     for reason in STOP_REASONS:
         assert RunRecord().finish(reason, 1, t, t, 0.0).stop_reason == reason
+
+
+# -- the shared iteration loop -------------------------------------------------
+
+N = STAGNATION_STEPS
+
+
+@pytest.mark.parametrize("stall, delta, target, max_iters, expected", [
+    (True, 0.0, None, 10 * N, STOP_STAGNATION),
+    (True, 1e-6, 0.1, N, STOP_STAGNATION),
+    (False, 1e-6, 0.1, N, STOP_DISCREPANCY),
+    (False, 0.0, 0.1, N, STOP_TARGET_ERROR),
+    (False, 0.0, None, N, STOP_MAX_ITERS),
+])
+def test_run_flow_stop_rules_and_precedence(ctx16, grid16, stall, delta,
+                                            target, max_iters, expected):
+    # the stub profile counts steps; from step N on its flux is the truth,
+    # which fits the data exactly, so every rule that is active holds at
+    # k = N and none holds before
+    truth = zero_trace(grid16, GAMMA2).with_values(
+        ((grid16.xs >= 0.3) & (grid16.xs <= 0.7)).astype(float))
+    zero1 = zero_trace(grid16, GAMMA1)
+    data = CauchyData(g1=zero1, g2=apply_forward(ctx16, truth), delta=delta,
+                      z=zero1)
+
+    def indicator(phi):
+        return truth if phi.values[0] >= N else truth.with_values(
+            np.zeros_like(truth.values))
+
+    def step(phi, q, r):
+        return phi.with_values(phi.values + 1.0), 0.0 if stall else 1.0
+
+    params = SimpleNamespace(tau=1.5, max_iters=max_iters, target_error=target)
+    rec = run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params, indicator,
+                   step, truth=truth)
+    assert rec.stop_reason == expected
+    assert rec.stop_iteration == N
+    assert len(rec.residuals) == len(rec.errors) == rec.stop_iteration + 1
+    assert rec.final_q is truth
+
+
+def test_run_flow_names_the_step_that_breaks_down(ctx16, grid16):
+    zero1 = zero_trace(grid16, GAMMA1)
+    data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
+
+    def step(phi, q, r):
+        # 1 -> 1e308 -> overflow
+        return phi.with_values(phi.values * 1e308), 1.0
+
+    params = SimpleNamespace(tau=1.5, max_iters=5, target_error=None)
+    phi0 = zero_trace(grid16, GAMMA2).with_values(np.ones(grid16.nx + 1))
+    with pytest.raises(SolverError, match="iteration 2"), \
+            np.errstate(over="ignore"):
+        run_flow(phi0, data, ctx16, params, lambda phi: phi, step)
