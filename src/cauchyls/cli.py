@@ -5,8 +5,8 @@ Subcommands:
     experiment <name>     run a built-in experiment (exp1, exp2, exp3)
     svd <config>          assemble the forward matrix and report its spectrum
 
-Exit codes: 0 on success, 2 for configuration or validation failures,
-3 when a linear solve fails.
+Exit codes: 0 on success, 2 for configuration or validation failures and
+unreadable or unwritable paths, 3 when a solve or an iterate breaks down.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ EXIT_SOLVER = 3
 
 def cmd_solve(path: str) -> int:
     cfg = load_config(path)
+    # an unusable output directory fails here, before the run
+    resolve_output_dir(cfg).mkdir(parents=True, exist_ok=True)
     record, setup = run_config(cfg)
     out = write_run_outputs(record, setup)
     print(f"{cfg.method}: stopped at iteration {record.stop_iteration} "
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
             if args.command == "experiment":
                 return cmd_experiment(args.name)
             return cmd_svd(args.config)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
-from .operator import MAX_ASSEMBLE_NX
+from .operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX
 from .tikhonov import STEP_EXPLICIT, STEP_IMPLICIT, STEP_KINDS
 
 
@@ -28,6 +28,16 @@ METHOD_TIKHONOV = "tikhonov"
 METHOD_TRANSPORT = "transport"
 
 Interval = tuple[float, float]
+
+# Cells per side of the synthesis grid, (nx * refine) x (ny * refine), the
+# largest grid of a run. The largest built-in one (the nx = 256 transport
+# benchmark) is 512 x 256, so twice that leaves headroom. At the bound every
+# run stays on the cosine path (MAX_SPECTRAL_NX) and its largest dense matrix
+# holds 1025^2 doubles (8.4 MB); the synthesis is one y-sweep of 1024 rows.
+MAX_FINE_CELLS = MAX_SPECTRAL_NX
+# run_transport caps the outer step at half a cell, so one iteration takes
+# at most ceil(0.5 / cfl_max) upwind substeps; this floor keeps that <= 500
+MIN_CFL_MAX = 1e-3
 
 
 @dataclass(frozen=True)
@@ -64,14 +74,27 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("geometry.width and geometry.height must be positive")
+        if self.refine < 1:
+            raise ConfigError("geometry.refine must be a positive integer")
+        too_big = ConfigError(
+            f"the synthesis grid may have at most {MAX_FINE_CELLS} cells per "
+            f"side: need geometry.nx and ny times geometry.refine <= "
+            f"{MAX_FINE_CELLS}, got nx = {self.nx}, ny = "
+            f"{'round(nx * height / width)' if self.ny is None else self.ny}, "
+            f"refine = {self.refine}")
+        # checked before isotropic_ny, whose float product overflows for a
+        # huge nx or height / width
+        if self.nx * self.refine > MAX_FINE_CELLS or (
+                self.ny is None and self.height > MAX_FINE_CELLS * self.width):
+            raise too_big
         ny = self.ny if self.ny is not None else isotropic_ny(
             self.width, self.height, self.nx)
+        if ny * self.refine > MAX_FINE_CELLS:
+            raise too_big
         if self.nx < 4 or ny < 4:
             raise ConfigError(f"geometry.nx and geometry.ny must be at least "
                               f"4, got nx = {self.nx} and ny = {ny} (unless "
                               f"set, ny = round(nx * height / width))")
-        if self.refine < 1:
-            raise ConfigError("geometry.refine must be a positive integer")
         if self.method not in (METHOD_TIKHONOV, METHOD_TRANSPORT):
             raise ConfigError(f"method must be {METHOD_TIKHONOV} or "
                               f"{METHOD_TRANSPORT}, got {self.method!r}")
@@ -82,6 +105,8 @@ class RunConfig:
             raise ConfigError("method.beta and data.noise_level cannot be negative")
         if self.max_iters < 0:
             raise ConfigError("method.max_iters cannot be negative")
+        if self.seed < 0:
+            raise ConfigError("data.seed cannot be negative")
         if self.noise_level > 0 and not self.tau > 1:
             raise ConfigError("the discrepancy principle requires method.tau > 1 "
                               "when data.noise_level > 0")
@@ -96,8 +121,9 @@ class RunConfig:
                 and not 0 < self.eps_min_cells <= self.eps_cells:
             raise ConfigError("method.eps_min_cells must lie in "
                               "(0, method.eps_cells]")
-        if not 0 < self.cfl_max <= 0.9:
-            raise ConfigError("method.cfl_max must lie in (0, 0.9]")
+        if not MIN_CFL_MAX <= self.cfl_max <= 0.9:
+            raise ConfigError(f"method.cfl_max must lie in [{MIN_CFL_MAX:g}, "
+                              f"0.9]")
         if not 0 < self.eps_clamp <= 1:
             raise ConfigError("method.eps_clamp must lie in (0, 1]")
         if self.target_error is not None:

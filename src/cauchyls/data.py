@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GAMMA1, GAMMA2, TraceFn, quadrature_weights, restrict_trace
-from .operator import CauchyData, OperatorContext, compute_offset_z
-from .pde import neumann_trace
+from .operator import CauchyData, OperatorContext, bottom_flux, compute_offset_z
 
 
 def l2_norm_trace(t: TraceFn) -> float:
@@ -32,7 +31,8 @@ def trace_inner(a: TraceFn, b: TraceFn) -> float:
 def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
                            ctx_fine: OperatorContext,
                            ctx_inv: OperatorContext) -> CauchyData:
-    """Exact Cauchy pair on the inversion grid from a fine-grid forward solve.
+    """Exact Cauchy pair on the inversion grid from the fine grid's bottom
+    flux (operator.bottom_flux: cosine transforms on a spectral context).
 
     true_q and g1_fine live on ctx_fine's grid; the fine grid must be nested
     in the inversion grid (equal grids are allowed for same-grid closure
@@ -45,9 +45,7 @@ def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
     if g1_fine.grid != fine or g1_fine.part is not GAMMA1:
         raise ValueError("Dirichlet datum must live on the fine grid's bottom edge")
 
-    u = ctx_fine.solver.solve(dirichlet={GAMMA1: g1_fine},
-                              neumann={GAMMA2: true_q}, f=ctx_fine.f)
-    g2_fine = neumann_trace(u, ctx_fine.coefficient, GAMMA1)
+    g2_fine = bottom_flux(ctx_fine, true_q, g1_fine)
 
     if fine == inv:
         g1, g2 = g1_fine, g2_fine

@@ -4,14 +4,19 @@ The unknown is the conormal flux q on the top edge. Superposition splits the
 underdetermined boundary-value problem into a linear part driven only by q
 and an affine offset z driven by the known data, so the measured bottom-edge
 flux satisfies (forward map)(q) = g2 - z. All three maps below solve a mixed
-problem with Dirichlet data on the bottom edge and Neumann data elsewhere;
-the context caches that factorization once per grid, and the dense forward
-and adjoint matrices once a run has spent as many solves as they cost.
+problem with Dirichlet data on the bottom edge and Neumann data elsewhere.
+
+With the constant coefficient and no source the discrete problem separates:
+the nodal cosine modes cos(k pi x) diagonalize all three maps, and one
+tridiagonal sweep in y gives their per-mode symbols (CosineModes). Every
+other problem goes through a cached MixedSolver factorization, and the dense
+forward and adjoint matrices are assembled once a run has spent as many
+solves as they cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +24,11 @@ from .grid import (GAMMA1, GAMMA2, GAMMA3, Grid, TraceFn, boundary_nodes,
                    quadrature_weights)
 from .pde import Coefficient, Field, MixedSolver, conormal_values, neumann_trace
 
-# assembled dense matrices are limited to desk-scale widths
+# block-solve assembly is limited to desk-scale widths
 MAX_ASSEMBLE_NX = 256
+# widths up to this take the cosine path; its basis and each dense map hold
+# (nx + 1)^2 doubles, 8.4 MB at the bound, where MixedSolver would need none
+MAX_SPECTRAL_NX = 1024
 # load columns per block solve during assembly; as fast as 32 columns, with
 # half the transient (about 4 MB of arrays at nx = 64, height 1)
 ASSEMBLY_BLOCK = 16
@@ -53,13 +61,88 @@ class CauchyData:
         return self.g2.with_values(self.g2.values - self.z.values)
 
 
-class OperatorContext:
-    """Grid, coefficient and source bundled with a cached factorization.
+class CosineModes:
+    """Nodal cosine modes of a grid and the per-mode symbols of its maps.
 
-    The context owns the forward map and its adjoint. Both start as sparse
-    solves, counted in sparse_applies. Once that count reaches nx + 1, the
-    number of column solves one assembly costs, the next apply assembles both
-    dense matrices and every apply after it is a matvec. Assembly thus never
+    basis[i, k] = cos(k pi i / nx) is the DCT-I matrix; it is symmetric. Its
+    inverse comes from the orthogonality of the modes under the trapezoid
+    rule: with end weights 1/2, sum_i w_i cos(k pi i / nx) cos(l pi i / nx)
+    is nx / 2 for k = l strictly between 0 and nx, nx for k = l in {0, nx}
+    and 0 otherwise.
+
+    On the constant-coefficient problem without a source, mode k separates
+    from the others. Its y-profile over the free rows 1..ny solves
+    T_k = mu_k D_y + K_y, with mu_k = (2 - 2 cos(k pi / nx)) / hx^2 the
+    eigenvalue of MixedSolver's x-stencil over its half-cell weights, D_y
+    the half-cell row weights and K_y the y-stencil. forward, adjoint and
+    offset are the symbols of apply_forward (top flux -> bottom conormal
+    trace), apply_adjoint (bottom Dirichlet -> negated top trace) and
+    compute_offset_z (bottom Dirichlet -> bottom conormal trace).
+    """
+
+    def __init__(self, grid: Grid):
+        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+        k = np.arange(nx + 1)
+        # reduce k i mod 2 nx first, so every angle lies in [0, 2 pi)
+        self.basis = np.cos(np.pi / nx * (np.outer(k, k) % (2 * nx)))
+        self._weights = np.ones(nx + 1)
+        self._weights[[0, -1]] = 0.5
+        self._norms = np.full(nx + 1, nx / 2.0)
+        self._norms[[0, -1]] = nx
+
+        # One top-down elimination of every T_k at once. g is the pivot
+        # left at a row once the rows above it are eliminated, rho the
+        # eliminated right-hand side of the load e_ny; the off-diagonal is
+        # -1/hy. The loop ends at row 1, (g2, rho2) hold row 2.
+        mu = (2.0 - 2.0 * np.cos(np.pi * k / nx)) / (hx * hx)
+        diag = mu * hy + 2.0 / hy
+        g = 0.5 * mu * hy + 1.0 / hy
+        rho = np.ones(nx + 1)
+        for _ in range(ny - 1):
+            g2, rho2 = g, rho
+            rho = rho / (hy * g)
+            g = diag - 1.0 / (hy * hy * g)
+        # A unit top-flux mode loads row ny with 1 (its load q_i seg_i
+        # transforms back to the mode under the half-cell weights), a unit
+        # bottom datum loads row 1 with 1/hy. So x = T^-1 e_ny and
+        # y = T^-1 e_1 / hy on rows 1 and 2; T is symmetric, so x_1 is also
+        # T^-1 e_1 on row ny
+        x1 = rho / g
+        x2 = (rho2 + x1 / hy) / g2
+        y1 = 1.0 / (hy * g)
+        y2 = y1 / (hy * g2)
+        rows = np.array([[np.zeros_like(x1), x1, x2],
+                         [np.ones_like(y1), y1, y2]])
+        self.forward, self.offset = conormal_values(rows, grid, Coefficient(),
+                                                    GAMMA1)
+        self.adjoint = -x1 / hy
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """Mode coefficients of nodal values on a horizontal edge."""
+        return self.basis @ (self._weights * values) / self._norms
+
+    def matrices(self, *symbols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Read-only dense nodal matrices basis diag(s) basis^-1, one per s."""
+        inverse = self.basis * self._weights / self._norms[:, None]
+        out = tuple((self.basis * s) @ inverse for s in symbols)
+        for m in out:
+            m.setflags(write=False)
+        return out
+
+
+class OperatorContext:
+    """Grid, coefficient and source bundled with the maps' cached state.
+
+    The context owns the forward map and its adjoint. With the constant
+    coefficient and no source, which holds for every run a config can
+    describe, and nx <= MAX_SPECTRAL_NX, the context is spectral: both maps
+    are dense products of cosine transforms and per-mode symbols
+    (CosineModes) from the first apply on, and nothing is factorized.
+
+    Otherwise both maps start as sparse solves through a cached MixedSolver,
+    counted in sparse_applies. Once that count reaches nx + 1, the number of
+    column solves one assembly costs, the next apply assembles both dense
+    matrices and every apply after it is a matvec. Assembly thus never
     costs more than the sparse work already done, short runs never pay for
     it, and the count-based switch keeps reruns bit-identical. Widths above
     MAX_ASSEMBLE_NX stay sparse.
@@ -72,10 +155,20 @@ class OperatorContext:
         if f is not None and f.grid != grid:
             raise ValueError("source field lives on a different grid")
         self.f = f
+        self.spectral = (self.coefficient.fn is None and f is None
+                         and grid.nx <= MAX_SPECTRAL_NX)
+        self._modes: CosineModes | None = None
         self._solver: MixedSolver | None = None
         self.sparse_applies = 0
         self._maps: tuple[np.ndarray, np.ndarray] | None = None
+        self._block_maps: tuple[np.ndarray, np.ndarray] | None = None
         self._normal: np.ndarray | None = None
+
+    @property
+    def modes(self) -> CosineModes:
+        if self._modes is None:
+            self._modes = CosineModes(self.grid)
+        return self._modes
 
     @property
     def solver(self) -> MixedSolver:
@@ -91,7 +184,18 @@ class OperatorContext:
         return self._maps is not None
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only dense (forward, adjoint) matrices in the nodal basis.
+        """Read-only dense (forward, adjoint) matrices in the nodal basis:
+        from the cosine symbols on a spectral context, else block_maps()."""
+        if self._maps is None:
+            if self.spectral:
+                m = self.modes
+                self._maps = m.matrices(m.forward, m.adjoint)
+            else:
+                self._maps = self.block_maps()
+        return self._maps
+
+    def block_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only dense (forward, adjoint) matrices from block solves.
 
         One block solve per ASSEMBLY_BLOCK top nodes gives X = A_ff^-1 E^T,
         the responses to unit loads on the top edge. A top flux q loads node
@@ -100,7 +204,7 @@ class OperatorContext:
         E A_ff^-1 A_fd, the map apply_adjoint solves for; A_ff is symmetric,
         so it equals (A_fd^T X)^T, the reactions of the same solves.
         """
-        if self._maps is None:
+        if self._block_maps is None:
             nx = self.grid.nx
             if nx > MAX_ASSEMBLE_NX:
                 raise ValueError(f"assembly limited to nx <= {MAX_ASSEMBLE_NX}, "
@@ -117,8 +221,8 @@ class OperatorContext:
                 adjoint[cols, :] = reaction[:, 0, :]
             forward.setflags(write=False)
             adjoint.setflags(write=False)
-            self._maps = (forward, adjoint)
-        return self._maps
+            self._block_maps = (forward, adjoint)
+        return self._block_maps
 
     def normal_matrix(self) -> np.ndarray:
         """Read-only adjoint @ forward, the Gauss-Newton matrix of the flux
@@ -130,18 +234,35 @@ class OperatorContext:
         return self._normal
 
     def dense_maps(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The assembled maps once nx + 1 sparse applies have paid for them
-        (assembling on the first call past that point), else None."""
-        if self._maps is None and self.sparse_applies > self.grid.nx \
-                and self.grid.nx <= MAX_ASSEMBLE_NX:
+        """The dense maps on a spectral context, or once nx + 1 sparse
+        applies have paid for them (assembling on the first call past that
+        point), else None."""
+        if self._maps is None and (self.spectral or (
+                self.sparse_applies > self.grid.nx
+                and self.grid.nx <= MAX_ASSEMBLE_NX)):
             self.assemble()
         return self._maps
 
 
+def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
+                g1: TraceFn | None = None) -> TraceFn:
+    """Bottom-edge conormal flux of the mixed problem with top flux q, bottom
+    Dirichlet datum g1 (None means zero) and the context's source."""
+    if ctx.spectral:
+        m = ctx.modes
+        hat = np.zeros(ctx.grid.nx + 1)
+        if q is not None:
+            hat += m.forward * m.coefficients(q.values)
+        if g1 is not None:
+            hat += m.offset * m.coefficients(g1.values)
+        return TraceFn(ctx.grid, GAMMA1, m.basis @ hat)
+    u = ctx.solver.solve(dirichlet={GAMMA1: g1}, neumann={GAMMA2: q}, f=ctx.f)
+    return neumann_trace(u, ctx.coefficient, GAMMA1)
+
+
 def compute_offset_z(ctx: OperatorContext, g1: TraceFn) -> TraceFn:
     """Bottom-edge flux produced by the known data alone (zero top flux)."""
-    u = ctx.solver.solve(dirichlet={GAMMA1: g1}, f=ctx.f)
-    return neumann_trace(u, ctx.coefficient, GAMMA1)
+    return bottom_flux(ctx, g1=g1)
 
 
 def apply_forward(ctx: OperatorContext, q: TraceFn) -> TraceFn:
@@ -174,8 +295,9 @@ def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
 
 
 def assemble_forward_matrix(ctx: OperatorContext) -> np.ndarray:
-    """Dense read-only matrix of the forward map in the nodal basis."""
-    return ctx.assemble()[0]
+    """Dense read-only matrix of the forward map in the nodal basis, from
+    block solves on every context (see OperatorContext.block_maps)."""
+    return ctx.block_maps()[0]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared fixtures: grids and operator contexts reused across modules.
 
-OperatorContext caches an LU factorization, so session scope avoids paying
-for it in every test.
+OperatorContext caches its dense maps, and the block-solve assembly behind
+assemble_forward_matrix factorizes once per context, so session scope avoids
+paying for either in every test.
 """
 
 import pytest

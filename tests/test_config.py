@@ -92,6 +92,12 @@ def test_malformed_lines_rejected(line, fragment):
     "method.eps_min_cells = 0",
     "method.eps_cells = 2\nmethod.eps_min_cells = 3",
     "method.step = implicit\ngeometry.nx = 512",
+    "method.cfl_max = 1e-300",
+    "data.seed = -1",
+    "geometry.nx = 1025\ngeometry.refine = 1",
+    "geometry.nx = 16\ngeometry.ny = 600",
+    "geometry.nx = 1" + "0" * 400,
+    "geometry.width = 1e-300\ngeometry.height = 1e300",
 ])
 def test_validation_failures(text):
     with pytest.raises(ConfigError):

@@ -1,11 +1,14 @@
 """Run pipeline, CSV writers, built-in experiment configs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cauchyls import RunConfig
+from cauchyls import MixedSolver, RunConfig
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exp1_config, exp2_config,
-                                  exp3_config, history_csv, indicator_trace,
+                                  exp3_config, execute, history_csv,
+                                  indicator_trace,
                                   iterations_to_relative_residual, prepare,
                                   resolve_output_dir, run_config,
                                   transport_benchmark_config,
@@ -33,6 +36,19 @@ def test_prepare_synthesizes_on_finer_grid():
     from cauchyls import apply_forward
     res = apply_forward(setup.ctx, setup.truth).values - setup.data.rhs.values
     assert np.abs(res).max() > 1e-8
+
+
+@pytest.mark.parametrize("cfg", [
+    exp1_config(), exp2_config(0.5), exp2_config(1.0), exp3_config(),
+    transport_benchmark_config()], ids=["exp1", "exp2_h0.5", "exp2_h1",
+                                        "exp3", "transport"])
+def test_builtin_runs_factorize_nothing(monkeypatch, cfg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("MixedSolver built on a constant-coefficient run")
+
+    monkeypatch.setattr(MixedSolver, "__init__", refuse)
+    record = execute(prepare(replace(cfg, max_iters=min(cfg.max_iters, 40))))
+    assert record.stop_iteration <= 40
 
 
 def test_indicator_trace_values():

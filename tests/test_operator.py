@@ -5,6 +5,10 @@ coefficient, the map from a top-edge cosine flux cos(k pi x) to the bottom
 Neumann trace is multiplication by -1/cosh(k pi a), obtained by separating
 variables. The k = 0 column encodes flux conservation: a unit inflow on top
 leaves through the bottom unchanged for every height.
+
+The discrete oracle: a context given the unit coefficient as a function
+takes the general path, the same five-point operator solved through
+MixedSolver, against which the spectral (cosine-mode) maps are checked.
 """
 
 import numpy as np
@@ -12,12 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, OperatorContext, apply_adjoint,
-                      apply_forward, assemble_forward_matrix, build_grid,
-                      compute_offset_z, decay_slope, l2_norm_trace,
+from cauchyls import (GAMMA1, GAMMA2, Coefficient, OperatorContext,
+                      apply_adjoint, apply_forward, assemble_forward_matrix,
+                      build_grid, compute_offset_z, decay_slope, l2_norm_trace,
                       singular_values, trace_from_function, trace_inner,
                       zero_trace)
-from cauchyls.operator import MAX_ASSEMBLE_NX
+from cauchyls.operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX, bottom_flux
+
+
+def _general(grid) -> OperatorContext:
+    """Context on the general path: the unit coefficient given as a function
+    is the same discrete operator, solved through MixedSolver."""
+    return OperatorContext(grid, Coefficient(fn=lambda x, y: np.ones_like(x)))
 
 
 def test_forward_conserves_unit_flux(ctx64, grid64):
@@ -90,30 +100,67 @@ def test_assembled_matrix_matches_operator(grid16, ctx16):
 
 
 def _sparse_matrix(grid, apply, part):
-    """Column-by-column matrix of apply on a fresh context. Its nx + 1
+    """Column-by-column matrix of apply on a fresh general context. Its nx + 1
     applies are exactly the budget before the switch, so all are sparse."""
-    ctx = OperatorContext(grid)
+    ctx = _general(grid)
     basis = zero_trace(grid, part)
     cols = [apply(ctx, basis.with_values(e)).values for e in np.eye(grid.nx + 1)]
     assert not ctx.assembled
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("nx", [16, 64])
+@pytest.mark.parametrize("nx", [16, 64, 256])
 @pytest.mark.parametrize("height", [0.5, 1.0])
 def test_assembled_maps_match_sparse_applies(nx, height):
     grid = build_grid(1.0, height, nx)
-    ctx = OperatorContext(grid)
+    ctx = _general(grid)
     forward = assemble_forward_matrix(ctx)
     adjoint = ctx.assemble()[1]
-    for dense, apply, part in ((forward, apply_forward, GAMMA2),
-                               (adjoint, apply_adjoint, GAMMA1)):
-        sparse = _sparse_matrix(grid, apply, part)
+    spectral = OperatorContext(grid).assemble()
+    for dense, cosine, apply, part in (
+            (forward, spectral[0], apply_forward, GAMMA2),
+            (adjoint, spectral[1], apply_adjoint, GAMMA1)):
+        # at nx = 256 the block assembly is the reference: its column solves
+        # are the sparse applies, and 2 (nx + 1) of them one by one are slow
+        sparse = dense if nx == 256 else _sparse_matrix(grid, apply, part)
         assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
+        assert np.abs(cosine - sparse).max() <= 1e-12 * np.abs(sparse).max()
+
+
+def test_spectral_context_is_dense_from_the_first_apply(grid16):
+    ctx = OperatorContext(grid16)
+    assert ctx.spectral and not ctx.assembled
+    q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
+    out = apply_forward(ctx, q).values
+    assert ctx.assembled and ctx.sparse_applies == 0
+    assert np.array_equal(out, ctx.assemble()[0] @ q.values)
+
+
+def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
+    # bottom_flux carries both the synthesis (top flux plus Dirichlet datum)
+    # and, with q omitted, compute_offset_z
+    rng = np.random.default_rng(5)
+    q = zero_trace(grid16, GAMMA2).with_values(rng.normal(size=grid16.nx + 1))
+    g1 = zero_trace(grid16, GAMMA1).with_values(rng.normal(size=grid16.nx + 1))
+    for args in ((q, g1), (None, g1), (q, None)):
+        cosine = bottom_flux(OperatorContext(grid16), *args).values
+        sparse = bottom_flux(_general(grid16), *args).values
+        assert np.abs(cosine - sparse).max() <= 1e-12 * np.abs(sparse).max()
+
+
+def test_wide_grid_leaves_the_spectral_path():
+    # a strip four cells deep, wider than the cosine path's dense matrices
+    nx = MAX_SPECTRAL_NX + 8
+    g = build_grid(1.0, 4.0 / nx, nx)
+    ctx = OperatorContext(g)
+    assert not ctx.spectral
+    out = apply_forward(ctx, trace_from_function(g, GAMMA2, np.ones_like))
+    assert ctx.sparse_applies == 1
+    assert np.abs(out.values + 1.0).max() < 1e-12
 
 
 def test_context_assembles_after_nx_plus_one_sparse_applies(grid16):
-    ctx = OperatorContext(grid16)
+    ctx = _general(grid16)
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
     r = trace_from_function(grid16, GAMMA1, lambda x: x * x)
     for k in range(grid16.nx + 1):

@@ -44,6 +44,41 @@ def test_harmonic_solution_second_order_interior_and_trace():
     assert np.log2(t32 / t64) > 1.8
 
 
+def _variable_coefficient_error(nx: int) -> float:
+    """Largest nodal error for u = exp(x + y/2) under a = 2 + sin(pi x) y,
+    with the matching source, Dirichlet data on the bottom and conormal flux
+    data on the top and sides."""
+    g = build_grid(1.0, 0.5, nx)
+    a = Coefficient(fn=lambda x, y: 2.0 + np.sin(np.pi * x) * y)
+
+    def u(x, y):
+        return np.exp(x + 0.5 * y)
+
+    # -div(a grad u) with u_x = u, u_y = u/2, a_x = pi cos(pi x) y and
+    # a_y = sin(pi x)
+    f = field_from_function(g, lambda x, y: -u(x, y) * (
+        np.pi * np.cos(np.pi * x) * y + 0.5 * np.sin(np.pi * x)
+        + 1.25 * a(x, y)))
+    bottom = trace_from_function(g, GAMMA1, lambda x: u(x, 0.0))
+    top = trace_from_function(g, GAMMA2,
+                              lambda x: 0.5 * a(x, g.height) * u(x, g.height))
+    s = np.arange(1, g.ny) * g.hy
+    side = TraceFn(g, GAMMA3, np.concatenate([-a(0.0, s) * u(0.0, s),
+                                              a(1.0, s) * u(1.0, s)]))
+    solver = MixedSolver(g, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
+                                GAMMA3: "neumann"})
+    sol = solver.solve(dirichlet={GAMMA1: bottom},
+                       neumann={GAMMA2: top, GAMMA3: side}, f=f)
+    x, y = np.meshgrid(g.xs, g.ys)
+    return float(np.abs(sol.values - u(x, y)).max())
+
+
+def test_variable_coefficient_solution_second_order():
+    order = np.log2(_variable_coefficient_error(32)
+                    / _variable_coefficient_error(64))
+    assert order >= 1.8
+
+
 def test_quadratic_solution_reproduced_exactly():
     # the 5-point stencil and the 3-point one-sided flux are exact on x^2 - y^2
     g = build_grid(1.0, 0.5, 16)
