@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
-from .operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX
-from .tikhonov import STEP_EXPLICIT, STEP_IMPLICIT, STEP_KINDS
+from .operator import MAX_SPECTRAL_NX
+from .tikhonov import STEP_EXPLICIT, STEP_KINDS
 
 
 class ConfigError(ValueError):
@@ -113,10 +113,6 @@ class RunConfig:
         if self.step not in STEP_KINDS:
             raise ConfigError(f"method.step must be one of "
                               f"{', '.join(STEP_KINDS)}, got {self.step!r}")
-        if self.step == STEP_IMPLICIT and self.nx > MAX_ASSEMBLE_NX:
-            raise ConfigError(f"method.step = {STEP_IMPLICIT} needs the "
-                              f"assembled maps, so geometry.nx <= "
-                              f"{MAX_ASSEMBLE_NX}")
         if self.eps_min_cells is not None \
                 and not 0 < self.eps_min_cells <= self.eps_cells:
             raise ConfigError("method.eps_min_cells must lie in "

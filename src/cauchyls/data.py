@@ -14,10 +14,14 @@ from .grid import GAMMA1, GAMMA2, TraceFn, quadrature_weights, restrict_trace
 from .operator import CauchyData, OperatorContext, bottom_flux, compute_offset_z
 
 
+def weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(sum w v^2): l2_norm_trace on values with quadrature weights w."""
+    return float(np.sqrt(np.sum(w * values * values)))
+
+
 def l2_norm_trace(t: TraceFn) -> float:
     """Trace-weighted L2 norm, trapezoid quadrature with h/2 end weights."""
-    w = quadrature_weights(t.grid, t.part)
-    return float(np.sqrt(np.sum(w * t.values * t.values)))
+    return weighted_norm(t.values, quadrature_weights(t.grid, t.part))
 
 
 def trace_inner(a: TraceFn, b: TraceFn) -> float:

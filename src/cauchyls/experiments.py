@@ -154,6 +154,8 @@ def summary_text(record: RunRecord, setup: RunSetup) -> str:
         "final_error": _fmt(record.errors[-1]) if record.errors else "nan",
         "final_components": record.components[-1],
         "wall_time_s": f"{record.wall_time:.3f}",
+        "iters_per_s": (f"{record.stop_iteration / record.wall_time:.1f}"
+                        if record.wall_time > 0 else "nan"),
     }
     return "".join(f"{k} = {v}\n" for k, v in rows.items())
 

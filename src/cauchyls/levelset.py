@@ -11,10 +11,10 @@ connected-component counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import GAMMA2, Grid, TraceFn
 
@@ -58,62 +58,92 @@ class LevelSetState:
         return self.phi.with_values(smoothed_heaviside(self.phi.values, self.eps))
 
 
+def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """np.gradient(f, h) by slices: centered inside, first-order one-sided
+    differences at the two ends (the same bits as np.gradient)."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (f[1] - f[0]) / h
+    out[-1] = (f[-1] - f[-2]) / h
+    return out
+
+
+def curvature(ramp: np.ndarray, h: float, eta: float, beta: float) -> np.ndarray:
+    """beta * d/dx [ H' / sqrt(H'^2 + eta^2) ] of ramp values H = H_eps(phi)."""
+    g = centered_derivative(ramp, h)
+    n = g / np.sqrt(g * g + eta * eta)
+    return beta * centered_derivative(n, h)
+
+
 def curvature_term(phi: TraceFn, eps: float, eta: float, beta: float) -> TraceFn:
     """Total-variation curvature source beta * d/dx [ H' / sqrt(H'^2 + eta^2) ].
 
-    Derivatives are centered with second-order one-sided ends. eta keeps the
+    Derivatives are centered with first-order one-sided ends. eta keeps the
     normalization away from division by zero on flat stretches.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    h = phi.grid.hx
-    hv = smoothed_heaviside(phi.values, eps)
-    g = np.gradient(hv, h)
-    n = g / np.sqrt(g * g + eta * eta)
-    return phi.with_values(beta * np.gradient(n, h))
+    ramp = smoothed_heaviside(phi.values, eps)
+    return phi.with_values(curvature(ramp, phi.grid.hx, eta, beta))
 
 
-def _helmholtz_bands(n: int, h: float) -> np.ndarray:
-    """Upper banded form of the symmetrized (I - d2/dx2) Neumann system.
+def tridiagonal_solver(d: np.ndarray,
+                       e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of the SPD tridiagonal matrix with diagonal d, off-diagonal e.
 
-    End rows are the centered ghost equations scaled by 1/2, which matches a
-    half end cell and keeps the tridiagonal matrix symmetric positive
-    definite. Callers must scale the end entries of the right-hand side by
-    the same 1/2.
+    LAPACK pttrf factors it once and each call is one pttrs: the two halves
+    of the ptsv behind scipy's solveh_banded, so a call gives its bits
+    without its per-call checks and refactorization.
     """
-    inv_h2 = 1.0 / (h * h)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -inv_h2
-    ab[1, :] = 1.0 + 2.0 * inv_h2
-    ab[1, 0] = ab[1, -1] = 0.5 + inv_h2
-    return ab
+    d, e, info = dpttrf(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return lambda b: dpttrs(d, e, b)[0]
 
 
-def scale_neumann_rhs(rhs: np.ndarray) -> np.ndarray:
-    """Half-cell scaling of the right-hand side matching the end rows."""
-    out = np.asarray(rhs, dtype=float).copy()
+def _half_ends(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out[0] *= 0.5
     out[-1] *= 0.5
     return out
 
 
+class NeumannHelmholtz:
+    """(I - d2/dx2 + coupling) w = rhs on n nodes of spacing h, zero-flux ends.
+
+    End rows are the centered ghost equations scaled by 1/2, which matches a
+    half end cell and keeps the tridiagonal matrix symmetric positive
+    definite; rhs and the rows of coupling get the same scaling. Without
+    coupling, sampled cosines cos(k pi x / width) are exact eigenvectors of
+    the discrete system, and the trapezoid mean of w equals that of rhs
+    exactly. coupling is a dense nodal matrix. The tridiagonal matrix is
+    factored once, its dense form built on the first coupled solve.
+    """
+
+    def __init__(self, n: int, h: float):
+        inv_h2 = 1.0 / (h * h)
+        self._diag = np.full(n, 1.0 + 2.0 * inv_h2)
+        self._diag[[0, -1]] = 0.5 + inv_h2
+        self._off = np.full(n - 1, -inv_h2)
+        self._solve = tridiagonal_solver(self._diag, self._off)
+        self._dense: np.ndarray | None = None
+
+    def solve(self, rhs: np.ndarray,
+              coupling: np.ndarray | None = None) -> np.ndarray:
+        b = _half_ends(rhs)
+        if coupling is None:
+            return self._solve(b)
+        if self._dense is None:
+            self._dense = (np.diag(self._diag) + np.diag(self._off, 1)
+                           + np.diag(self._off, -1))
+        return np.linalg.solve(self._dense + _half_ends(coupling), b)
+
+
 def solve_helmholtz_neumann(rhs: TraceFn,
                             coupling: np.ndarray | None = None) -> TraceFn:
-    """Solve (I - d2/dx2 + coupling) w = rhs on the top edge, zero-flux ends.
-
-    Without coupling, sampled cosines cos(k pi x / width) are exact
-    eigenvectors of the discrete system, and the trapezoid mean of w equals
-    that of rhs exactly. coupling is a dense nodal matrix added to the
-    operator; its rows get the same half-cell end scaling as rhs.
-    """
-    n = rhs.values.size
-    ab = _helmholtz_bands(n, rhs.grid.hx)
-    if coupling is None:
-        w = solveh_banded(ab, scale_neumann_rhs(rhs.values))
-        return rhs.with_values(w)
-    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
-    a += scale_neumann_rhs(coupling)
-    return rhs.with_values(np.linalg.solve(a, scale_neumann_rhs(rhs.values)))
+    """One NeumannHelmholtz solve on the top edge of rhs's grid."""
+    solver = NeumannHelmholtz(rhs.values.size, rhs.grid.hx)
+    return rhs.with_values(solver.solve(rhs.values, coupling))
 
 
 def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
@@ -165,17 +195,22 @@ def redistance(q: TraceFn, eps: float) -> TraceFn:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    x, vals = q.grid.xs, q.values
+    return q.with_values(redistanced(q.values, q.grid.xs, q.grid.hx, eps))
+
+
+def redistanced(vals: np.ndarray, x: np.ndarray, h: float,
+                eps: float) -> np.ndarray:
+    """redistance on the values of q at nodes x with spacing h."""
     inside = vals > 0.5
     cross = np.flatnonzero(inside[1:] != inside[:-1])
     if cross.size == 0:
         phi = np.where(inside, 3.0 * eps, -3.0 * eps)
     else:
         lo, hi = vals[cross], vals[cross + 1]
-        fronts = x[cross] + q.grid.hx * (0.5 - lo) / (hi - lo)
+        fronts = x[cross] + h * (0.5 - lo) / (hi - lo)
         dist = np.abs(x[:, None] - fronts[None, :]).min(axis=1)
         phi = np.where(inside, dist, -dist) - 0.5 * eps
-    return q.with_values(np.clip(phi, -3.0 * eps, 3.0 * eps))
+    return np.clip(phi, -3.0 * eps, 3.0 * eps)
 
 
 def component_count(q: TraceFn | np.ndarray, threshold: float = 0.5) -> int:

@@ -83,8 +83,9 @@ class CosineModes:
     def __init__(self, grid: Grid):
         nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
         k = np.arange(nx + 1)
-        # reduce k i mod 2 nx first, so every angle lies in [0, 2 pi)
-        self.basis = np.cos(np.pi / nx * (np.outer(k, k) % (2 * nx)))
+        # cos(pi m / nx) depends on m = k i mod 2 nx only: index one period
+        table = np.cos(np.pi / nx * np.arange(2 * nx))
+        self.basis = table[np.outer(k, k) % (2 * nx)]
         self._weights = np.ones(nx + 1)
         self._weights[[0, -1]] = 0.5
         self._norms = np.full(nx + 1, nx / 2.0)
@@ -243,6 +244,27 @@ class OperatorContext:
             self.assemble()
         return self._maps
 
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """apply_forward on nodal values, unchecked. The maps are looked up
+        on every call, since the general path switches to them mid-run."""
+        maps = self.dense_maps()
+        if maps is not None:
+            return maps[0] @ values
+        self.sparse_applies += 1
+        u = self.solver.solve(neumann={GAMMA2: TraceFn(self.grid, GAMMA2,
+                                                        values)})
+        return neumann_trace(u, self.coefficient, GAMMA1).values
+
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        """apply_adjoint on nodal values, unchecked, like forward."""
+        maps = self.dense_maps()
+        if maps is not None:
+            return maps[1] @ values
+        self.sparse_applies += 1
+        u = self.solver.solve(dirichlet={GAMMA1: TraceFn(self.grid, GAMMA1,
+                                                          values)})
+        return -u.values[-1, :]
+
 
 def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
                 g1: TraceFn | None = None) -> TraceFn:
@@ -269,12 +291,7 @@ def apply_forward(ctx: OperatorContext, q: TraceFn) -> TraceFn:
     """Bottom-edge flux produced by a top-edge flux q (zero data, zero source)."""
     if q.part is not GAMMA2 or q.grid != ctx.grid:
         raise ValueError("forward map expects a top-edge trace on the context grid")
-    maps = ctx.dense_maps()
-    if maps is not None:
-        return TraceFn(ctx.grid, GAMMA1, maps[0] @ q.values)
-    ctx.sparse_applies += 1
-    u = ctx.solver.solve(neumann={GAMMA2: q})
-    return neumann_trace(u, ctx.coefficient, GAMMA1)
+    return TraceFn(ctx.grid, GAMMA1, ctx.forward(q.values))
 
 
 def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
@@ -286,12 +303,7 @@ def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
     """
     if r.part is not GAMMA1 or r.grid != ctx.grid:
         raise ValueError("adjoint expects a bottom-edge trace on the context grid")
-    maps = ctx.dense_maps()
-    if maps is not None:
-        return TraceFn(ctx.grid, GAMMA2, maps[1] @ r.values)
-    ctx.sparse_applies += 1
-    u = ctx.solver.solve(dirichlet={GAMMA1: r})
-    return TraceFn(ctx.grid, GAMMA2, -u.values[-1, :].copy())
+    return TraceFn(ctx.grid, GAMMA2, ctx.adjoint(r.values))
 
 
 def assemble_forward_matrix(ctx: OperatorContext) -> np.ndarray:

@@ -8,10 +8,10 @@ from typing import Callable
 
 import numpy as np
 
-from .data import l2_norm_trace
-from .grid import NonFiniteError, TraceFn
+from .data import weighted_norm
+from .grid import GAMMA2, NonFiniteError, TraceFn, quadrature_weights
 from .levelset import component_count
-from .operator import CauchyData, OperatorContext, apply_forward
+from .operator import CauchyData, OperatorContext
 from .pde import SolverError
 
 STOP_DISCREPANCY = "discrepancy"
@@ -37,10 +37,17 @@ def observe(q: TraceFn, truth: TraceFn | None) -> tuple[float | None, int]:
     bands. The component count is taken on the mid-level set {q > 1/2},
     which is the set the iterate would round to.
     """
-    err = None
-    if truth is not None:
-        err = l2_norm_trace(truth.with_values(q.values - truth.values))
-    return err, component_count(q.values)
+    if truth is None:
+        return observed(q.values, None, None)
+    w = quadrature_weights(truth.grid, truth.part)
+    return observed(q.values, truth.values, w)
+
+
+def observed(q: np.ndarray, truth: np.ndarray | None,
+             w: np.ndarray | None) -> tuple[float | None, int]:
+    """observe on values, with the truth's quadrature weights w."""
+    err = None if truth is None else weighted_norm(q - truth, w)
+    return err, component_count(q)
 
 
 @dataclass
@@ -68,6 +75,13 @@ class RunRecord:
     def record(self, k: int, residual: float, error: float | None,
                n_components: int, phi: TraceFn, q: TraceFn,
                snapshot_iters=()) -> None:
+        self.append(k, residual, error, n_components, phi.values, q.values,
+                    snapshot_iters)
+
+    def append(self, k: int, residual: float, error: float | None,
+               n_components: int, phi: np.ndarray, q: np.ndarray,
+               snapshot_iters=()) -> None:
+        """record on the values of phi and q."""
         self.residuals.append(residual)
         if error is not None:
             if self.errors is None:
@@ -75,7 +89,7 @@ class RunRecord:
             self.errors.append(error)
         self.components.append(n_components)
         if k in snapshot_iters:
-            self.snapshots[k] = (phi.values.copy(), q.values.copy())
+            self.snapshots[k] = (phi.copy(), q.copy())
 
     def finish(self, reason: str, k: int, phi: TraceFn, q: TraceFn,
                wall_time: float) -> "RunRecord":
@@ -90,37 +104,51 @@ class RunRecord:
 
 
 def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
-             indicator: Callable[[TraceFn], TraceFn],
-             step: Callable[[TraceFn, TraceFn, TraceFn], tuple[TraceFn, float]],
+             indicator: Callable[[np.ndarray], np.ndarray],
+             step: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                            tuple[np.ndarray, float]],
              truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
     """Iterate a level-set flow phi -> step(phi, q, r) under one stop logic.
 
+    The loop works on nodal value arrays. phi0 and truth are top-edge
+    traces on the context grid, checked once here. indicator(phi) maps
+    profile values to flux values q, and step(phi, q, r), with r the values
+    of the residual F q - rhs on the bottom edge, returns the next profile
+    values and the size of the move. Neither needs to validate its input:
+    run_flow checks each new profile for finiteness once, and TraceFns are
+    built only for the record's final_phi and final_q.
+
     params supplies tau, max_iters and target_error (TikhonovParams and
-    TransportParams both do). indicator(phi) is the flux q of a profile.
-    run_flow forms the residual r = F q - rhs of every iterate, records
-    it, and then stops, in this order of precedence: after STAGNATION_STEPS
-    steps in a row whose size was at most STAGNATION_TOL; for noisy data
-    (delta > 0) at the first residual norm at most params.tau * delta,
-    which requires tau > 1; at params.target_error when a truth flux is
-    supplied; after params.max_iters steps. Otherwise step(phi, q, r)
-    returns the next profile and the size of the move. A step that
-    produces non-finite values raises SolverError naming the iteration.
+    TransportParams both do). run_flow records the residual norm of every
+    iterate and then stops, in this order of precedence: after
+    STAGNATION_STEPS steps in a row whose size was at most STAGNATION_TOL;
+    for noisy data (delta > 0) at the first residual norm at most
+    params.tau * delta, which requires tau > 1; at params.target_error when
+    a truth flux is supplied; after params.max_iters steps. A step that
+    produces non-finite values, or raises NonFiniteError, raises
+    SolverError naming the iteration.
     """
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
                          "whenever the data carries noise (delta > 0)")
+    for name, t in (("profile", phi0), ("truth", truth)):
+        if t is not None and (t.part is not GAMMA2 or t.grid != ctx.grid):
+            raise ValueError(f"the {name} must be a top-edge trace on the "
+                             f"context grid")
     out = RunRecord()
     t0 = time.perf_counter()
-    phi = phi0
+    w = quadrature_weights(ctx.grid, GAMMA2)
+    rhs = data.rhs.values
+    target = truth.values if truth is not None else None
+    phi = phi0.values
     stalled = 0
     k = 0
     while True:
         q = indicator(phi)
-        lq = apply_forward(ctx, q)
-        r = lq.with_values(lq.values - data.rhs.values)
-        res_norm = l2_norm_trace(r)
-        err, comps = observe(q, truth)
-        out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
+        r = ctx.forward(q) - rhs
+        res_norm = weighted_norm(r, w)
+        err, comps = observed(q, target, w)
+        out.append(k, res_norm, err, comps, phi, q, snapshot_iters)
 
         if stalled >= STAGNATION_STEPS:
             reason = STOP_STAGNATION
@@ -135,9 +163,12 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             k += 1
             try:
                 phi, size = step(phi, q, r)
+                if not np.isfinite(phi).all():
+                    raise NonFiniteError("profile values must be finite")
             except NonFiniteError as exc:
                 raise SolverError(f"iteration {k}: the level-set step "
                                   f"produced non-finite values") from exc
             stalled = stalled + 1 if size <= STAGNATION_TOL else 0
             continue
-        return out.finish(reason, k, phi, q, time.perf_counter() - t0)
+        return out.finish(reason, k, phi0.with_values(phi),
+                          phi0.with_values(q), time.perf_counter() - t0)

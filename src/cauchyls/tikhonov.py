@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (LevelSetState, curvature_term, redistance,
-                       smoothed_heaviside_deriv, solve_helmholtz_neumann)
+from .levelset import (LevelSetState, NeumannHelmholtz, curvature, redistanced,
+                       smoothed_heaviside, smoothed_heaviside_deriv)
 from .operator import CauchyData, OperatorContext, apply_adjoint, apply_forward
 from .record import RunRecord, run_flow
 
@@ -97,6 +97,29 @@ def residual_trace(state: LevelSetState, data: CauchyData,
     return lq.with_values(lq.values - data.rhs.values)
 
 
+def tikhonov_update(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
+                    eps: float, h: float, ctx: OperatorContext,
+                    params: TikhonovParams,
+                    helmholtz: NeumannHelmholtz) -> np.ndarray:
+    """The profile after one flow step, on values.
+
+    ramp is H_eps(phi), grad the adjoint-applied residual and helmholtz the
+    NeumannHelmholtz of phi's nodes with spacing h.
+    """
+    curv = curvature(ramp, h, params.eta, params.beta)
+    gate = smoothed_heaviside_deriv(phi, eps)
+    drive = gate * (-grad + curv)
+    if params.step == STEP_EXPLICIT:
+        return phi + helmholtz.solve(drive) / params.alpha
+    coupling = gate[:, None] * ctx.normal_matrix() * (gate / params.alpha)
+    dphi = helmholtz.solve(drive, coupling) / params.alpha
+    cap = MAX_STEP_CELLS * h
+    largest = float(np.max(np.abs(dphi)))
+    if largest > cap:
+        dphi *= cap / largest
+    return phi + dphi
+
+
 def tikhonov_step(state: LevelSetState, data: CauchyData, ctx: OperatorContext,
                   params: TikhonovParams, r: TraceFn | None = None
                   ) -> tuple[LevelSetState, TraceFn]:
@@ -107,21 +130,11 @@ def tikhonov_step(state: LevelSetState, data: CauchyData, ctx: OperatorContext,
     phi, eps = state.phi, state.eps
     if r is None:
         r = residual_trace(state, data, ctx)
-    grad = apply_adjoint(ctx, r)
-    curv = curvature_term(phi, eps, params.eta, params.beta)
-    gate = smoothed_heaviside_deriv(phi.values, eps)
-    drive = phi.with_values(gate * (-grad.values + curv.values))
-    if params.step == STEP_EXPLICIT:
-        w = solve_helmholtz_neumann(drive)
-        phi_new = phi.with_values(phi.values + w.values / params.alpha)
-        return LevelSetState(phi_new, eps), r
-    coupling = gate[:, None] * ctx.normal_matrix() * (gate / params.alpha)
-    dphi = solve_helmholtz_neumann(drive, coupling).values / params.alpha
-    cap = MAX_STEP_CELLS * phi.grid.hx
-    largest = float(np.max(np.abs(dphi)))
-    if largest > cap:
-        dphi *= cap / largest
-    return LevelSetState(phi.with_values(phi.values + dphi), eps), r
+    grad = apply_adjoint(ctx, r).values
+    h = phi.grid.hx
+    new = tikhonov_update(phi.values, state.q.values, grad, eps, h, ctx,
+                          params, NeumannHelmholtz(phi.values.size, h))
+    return LevelSetState(phi.with_values(new), eps), r
 
 
 def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -138,21 +151,28 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     final_eps is the band width the run ended with.
     """
     eps = params.resolve_eps(ctx.grid)
-    narrow_tol = NARROW_TOL_CELLS * ctx.grid.hx
+    h = ctx.grid.hx
+    xs = ctx.grid.xs
+    narrow_tol = NARROW_TOL_CELLS * h
+    helmholtz = NeumannHelmholtz(ctx.grid.nx + 1, h)
 
-    def indicator(phi: TraceFn) -> TraceFn:
-        return LevelSetState(phi, eps).q
+    def indicator(phi: np.ndarray) -> np.ndarray:
+        return smoothed_heaviside(phi, eps)
 
-    def step(phi: TraceFn, q: TraceFn, r: TraceFn) -> tuple[TraceFn, float]:
+    def step(phi: np.ndarray, q: np.ndarray,
+             r: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal eps
-        state, _ = tikhonov_step(LevelSetState(phi, eps), data, ctx, params, r)
-        dphi_inf = float(np.max(np.abs(state.phi.values - phi.values)))
+        new = tikhonov_update(phi, q, ctx.adjoint(r), eps, h, ctx, params,
+                              helmholtz)
+        dphi_inf = float(np.max(np.abs(new - phi)))
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
-            # a narrowing is a move, so it resets the stall count
+            # a narrowing is a move, so it resets the stall count; the mid-
+            # level set is taken on the ramp of the band the step used
+            ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
-            return redistance(state.q, eps), math.inf
-        return state.phi, params.alpha * dphi_inf
+            return redistanced(ramp, xs, h, eps), math.inf
+        return new, params.alpha * dphi_inf
 
     out = run_flow(phi0, data, ctx, params, indicator, step, truth,
                    snapshot_iters)

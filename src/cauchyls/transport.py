@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .grid import TraceFn
-from .levelset import sharp_indicator
+from .grid import NonFiniteError, TraceFn
+from .levelset import (centered_derivative, sharp_indicator,
+                       tridiagonal_solver)
 from .operator import CauchyData, OperatorContext, apply_adjoint
 from .record import RunRecord, run_flow
 
@@ -46,32 +47,40 @@ class TransportParams:
             raise ValueError("max_iters cannot be negative")
 
 
+def dirichlet_poisson(n: int, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of -d2/dx2 on the n - 2 interior nodes of spacing h."""
+    return tridiagonal_solver(np.full(n - 2, 2.0 / (h * h)),
+                              np.full(n - 3, -1.0 / (h * h)))
+
+
+def velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
+             poisson: Callable[[np.ndarray], np.ndarray],
+             h: float) -> np.ndarray:
+    """front_velocity on values: grad is the adjoint-applied residual and
+    poisson is dirichlet_poisson on q's nodes."""
+    s = 2.0 * q - 1.0
+    sign = np.where(s >= 0.0, 1.0, -1.0)
+    s = np.where(np.abs(s) < eps_clamp, eps_clamp * sign, s)
+    rhs = 2.0 * grad / s
+    psi = np.zeros(rhs.size)
+    psi[1:-1] = poisson(rhs[1:-1])
+    v = centered_derivative(psi, h)
+    v[0] = v[-1] = 0.0
+    return v
+
+
 def front_velocity(q: TraceFn, residual: TraceFn, ctx: OperatorContext,
                    params: TransportParams) -> TraceFn:
     """Velocity V = psi' with -psi'' = 2 * adjoint(residual) / (2q - 1).
 
     psi vanishes at both ends of the top edge. The denominator is clamped
-    away from zero at eps_clamp, with sign +1 at an exact zero. V is zeroed
-    at the two end nodes.
+    away from zero at eps_clamp, with sign +1 at an exact zero. V is the
+    centered difference of psi inside and zero at the two end nodes.
     """
-    s = 2.0 * q.values - 1.0
-    sign = np.where(s >= 0.0, 1.0, -1.0)
-    s = np.where(np.abs(s) < params.eps_clamp, params.eps_clamp * sign, s)
-    grad = apply_adjoint(ctx, residual)
-    rhs = 2.0 * grad.values / s
-
     h = q.grid.hx
-    n = rhs.size
-    # interior Poisson solve, homogeneous Dirichlet ends
-    ab = np.zeros((2, n - 2))
-    ab[0, 1:] = -1.0 / (h * h)
-    ab[1, :] = 2.0 / (h * h)
-    psi = np.zeros(n)
-    psi[1:-1] = solveh_banded(ab, rhs[1:-1])
-
-    v = np.gradient(psi, h)
-    v[0] = v[-1] = 0.0
-    return q.with_values(v)
+    grad = apply_adjoint(ctx, residual).values
+    poisson = dirichlet_poisson(q.values.size, h)
+    return q.with_values(velocity(q.values, grad, params.eps_clamp, poisson, h))
 
 
 def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarray:
@@ -84,25 +93,31 @@ def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarr
     """
     phi = np.asarray(phi, dtype=float)
     v = np.asarray(v, dtype=float)
+    diff = (phi[1:] - phi[:-1]) / h
     dm = np.empty_like(phi)
     dp = np.empty_like(phi)
-    dm[1:] = (phi[1:] - phi[:-1]) / h
-    dp[:-1] = (phi[1:] - phi[:-1]) / h
+    dm[1:] = diff
+    dp[:-1] = diff
     dm[0] = 0.0   # no upwind neighbor: inflow holds the value
     dp[-1] = 0.0
     return phi - dt * (np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp)
 
 
+def advect(phi: np.ndarray, v: np.ndarray, vmax: float, dt: float,
+           cfl_max: float, h: float) -> np.ndarray:
+    """transport_step on values; vmax is max|v|."""
+    n_sub = max(1, math.ceil(vmax * dt / (cfl_max * h))) if vmax > 0 else 1
+    for _ in range(n_sub):
+        phi = upwind_step(phi, v, dt / n_sub, h)
+    return phi
+
+
 def transport_step(phi: TraceFn, v: TraceFn, dt: float,
                    cfl_max: float) -> TraceFn:
     """Advance phi by dt, sub-stepping so every substep satisfies the bound."""
-    h = phi.grid.hx
     vmax = float(np.max(np.abs(v.values)))
-    n_sub = max(1, math.ceil(vmax * dt / (cfl_max * h))) if vmax > 0 else 1
-    vals = phi.values
-    for _ in range(n_sub):
-        vals = upwind_step(vals, v.values, dt / n_sub, h)
-    return phi.with_values(vals)
+    return phi.with_values(advect(phi.values, v.values, vmax, dt, cfl_max,
+                                  phi.grid.hx))
 
 
 def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -121,19 +136,20 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     not asserted.
     """
     h = ctx.grid.hx
+    poisson = dirichlet_poisson(ctx.grid.nx + 1, h)
     dts = []
 
-    def indicator(phi: TraceFn) -> TraceFn:
-        return phi.with_values(sharp_indicator(phi.values))
-
-    def step(phi: TraceFn, q: TraceFn, r: TraceFn) -> tuple[TraceFn, float]:
-        v = front_velocity(q, r, ctx, params)
-        vmax = float(np.max(np.abs(v.values)))
+    def step(phi: np.ndarray, q: np.ndarray,
+             r: np.ndarray) -> tuple[np.ndarray, float]:
+        v = velocity(q, ctx.adjoint(r), params.eps_clamp, poisson, h)
+        vmax = float(np.max(np.abs(v)))
+        if not math.isfinite(vmax):
+            raise NonFiniteError("front velocity is not finite")
         dt = min(params.dt, 0.5 * h / max(vmax, VELOCITY_FLOOR))
         dts.append(dt)
-        return transport_step(phi, v, dt, params.cfl_max), vmax
+        return advect(phi, v, vmax, dt, params.cfl_max, h), vmax
 
-    out = run_flow(phi0, data, ctx, params, indicator, step, truth,
+    out = run_flow(phi0, data, ctx, params, sharp_indicator, step, truth,
                    snapshot_iters)
     if out.errors is not None:
         e, res = out.errors, out.residuals

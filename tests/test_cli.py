@@ -75,6 +75,15 @@ def test_non_finite_iterate_exits_3(out_root, tmp_path, capsys):
         and err.count("\n") == 1
 
 
+def test_implicit_step_runs_at_nx_512(out_root, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "geometry.nx = 512\nmethod.step = implicit\n"
+                               "method.max_iters = 2\noutput.directory = runs/i\n")
+    assert main(["solve", cfg]) == 0
+    assert "stopped at iteration 2" in capsys.readouterr().out
+    history = (out_root / "runs" / "i" / "history.csv").read_text()
+    assert len(history.splitlines()) == 4
+
+
 def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "geometry.nx = 16\nmethod.max_iters = 1\n"
                                f"output.directory = {tmp_path}/run.cfg/out\n")

@@ -137,6 +137,18 @@ def test_summary_reports_final_band(tmp_path):
     assert f"final_eps = {record.final_eps:.17g}" in summary
 
 
+def test_summary_reports_iteration_rate(tmp_path):
+    record, setup = run_config(_tiny())
+    out = write_run_outputs(record, setup, tmp_path / "run")
+    rows = dict(line.split(" = ") for line in
+                (out / "summary.txt").read_text().splitlines())
+    assert float(rows["iters_per_s"]) == pytest.approx(
+        record.stop_iteration / record.wall_time, abs=0.06)
+    # written next to the wall time
+    keys = list(rows)
+    assert keys.index("iters_per_s") == keys.index("wall_time_s") + 1
+
+
 def test_exp3_shares_exp2_problem():
     base, noisy = exp2_config(0.5), exp3_config()
     assert noisy.truth_intervals == base.truth_intervals

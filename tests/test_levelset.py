@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from cauchyls import (GAMMA2, TraceFn, build_grid, component_count,
                       curvature_term, init_levelset, sharp_indicator,
                       smoothed_heaviside, smoothed_heaviside_deriv,
                       solve_helmholtz_neumann, trace_from_function)
-from cauchyls.levelset import redistance
+from cauchyls.levelset import (NeumannHelmholtz, centered_derivative,
+                               redistance)
 
 
 # -- one-sided ramp projector -------------------------------------------------
@@ -229,3 +231,29 @@ def test_curvature_requires_positive_eta():
     phi = init_levelset(g, ((0.3, 0.6),), 0.1)
     with pytest.raises(ValueError):
         curvature_term(phi, eps=0.1, eta=0.0, beta=1e-3)
+
+
+# -- array kernels that replaced library calls --------------------------------
+
+def test_centered_derivative_is_np_gradient():
+    rng = np.random.default_rng(13)
+    for n, h in [(5, 0.25), (65, 1 / 64), (257, 1 / 256)]:
+        f = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+        assert np.array_equal(centered_derivative(f, h), np.gradient(f, h))
+
+
+def test_factored_helmholtz_is_solveh_banded():
+    # pttrf once + pttrs per solve is the ptsv solveh_banded runs
+    g = build_grid(1.0, 0.5, 64)
+    inv_h2 = 1.0 / g.hx ** 2
+    ab = np.zeros((2, g.nx + 1))
+    ab[0, 1:] = -inv_h2
+    ab[1, :] = 1.0 + 2.0 * inv_h2
+    ab[1, 0] = ab[1, -1] = 0.5 + inv_h2
+    solver = NeumannHelmholtz(g.nx + 1, g.hx)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        rhs = rng.normal(size=g.nx + 1)
+        half = rhs.copy()
+        half[[0, -1]] *= 0.5
+        assert np.array_equal(solver.solve(rhs), solveh_banded(ab, half))
