@@ -21,9 +21,8 @@ from .levelset import (LevelSetState, component_count, curvature_term,
 from .operator import (CauchyData, OperatorContext, apply_adjoint,
                        apply_forward, assemble_forward_matrix, compute_offset_z,
                        decay_slope, singular_values)
-from .pde import (BvpSpec, Coefficient, Dirichlet, Field, MixedSolver, Neumann,
-                  SolverError, field_from_function, neumann_trace,
-                  solve_mixed_bvp)
+from .pde import (Coefficient, Field, MixedSolver, SolverError,
+                  neumann_trace)
 from .record import RunRecord
 from .tikhonov import TikhonovParams, run_tikhonov, tikhonov_step
 from .transport import (TransportParams, front_velocity, run_transport,

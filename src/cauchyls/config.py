@@ -63,7 +63,7 @@ class RunConfig:
     dt: float = 1.0
     eps_clamp: float = 0.1
     cfl_max: float = 0.9
-    truth_intervals: tuple[Interval, ...] | None = ((0.2, 0.4), (0.6, 0.8))
+    truth_intervals: tuple[Interval, ...] = ((0.2, 0.4), (0.6, 0.8))
     init_intervals: tuple[Interval, ...] = ((0.4, 0.6),)
     init_constant: float | None = None
     noise_level: float = 0.0
@@ -122,15 +122,13 @@ class RunConfig:
                               f"0.9]")
         if not 0 < self.eps_clamp <= 1:
             raise ConfigError("method.eps_clamp must lie in (0, 1]")
-        if self.target_error is not None:
-            if self.target_error <= 0:
-                raise ConfigError("method.target_error must be positive")
-            if self.truth_intervals is None:
-                raise ConfigError("method.target_error needs truth.intervals")
+        if self.target_error is not None and self.target_error <= 0:
+            raise ConfigError("method.target_error must be positive")
+        if self.truth_intervals is None:
+            raise ConfigError("truth.intervals is required: the data are "
+                              "synthesized from it")
         for name, ivals in (("truth.intervals", self.truth_intervals),
                             ("init.intervals", self.init_intervals)):
-            if ivals is None:
-                continue
             for a, b in ivals:
                 if not 0.0 < a < b < self.width:
                     raise ConfigError(f"{name}: need 0 < a < b < width, "

@@ -46,7 +46,7 @@ class RunSetup:
     ctx: OperatorContext
     data: CauchyData
     phi0: TraceFn
-    truth: TraceFn | None
+    truth: TraceFn
     eps: float
 
 
@@ -58,8 +58,6 @@ def prepare(cfg: RunConfig) -> RunSetup:
     ctx = OperatorContext(grid)
     ctx_fine = ctx if fine == grid else OperatorContext(fine)
 
-    if cfg.truth_intervals is None:
-        raise ValueError("runs without a truth flux are not supported here")
     true_q_fine = indicator_trace(fine, cfg.truth_intervals)
     data = synthesize_cauchy_data(true_q_fine, zero_trace(fine, GAMMA1),
                                   ctx_fine, ctx)

@@ -9,9 +9,9 @@ problem with Dirichlet data on the bottom edge and Neumann data elsewhere.
 With the constant coefficient and no source the discrete problem separates:
 the nodal cosine modes cos(k pi x) diagonalize all three maps, and one
 tridiagonal sweep in y gives their per-mode symbols (CosineModes). Every
-other problem goes through a cached MixedSolver factorization, and the dense
-forward and adjoint matrices are assembled once a run has spent as many
-solves as they cost.
+other problem goes through a cached MixedSolver factorization: the dense
+forward and adjoint matrices are assembled from block solves on the first
+apply, and grids too wide for that take one sparse solve per apply.
 """
 
 from __future__ import annotations
@@ -134,19 +134,16 @@ class CosineModes:
 class OperatorContext:
     """Grid, coefficient and source bundled with the maps' cached state.
 
-    The context owns the forward map and its adjoint. With the constant
-    coefficient and no source, which holds for every run a config can
-    describe, and nx <= MAX_SPECTRAL_NX, the context is spectral: both maps
-    are dense products of cosine transforms and per-mode symbols
-    (CosineModes) from the first apply on, and nothing is factorized.
+    The context owns the forward map and its adjoint, and chooses how to
+    apply them once, from its input:
 
-    Otherwise both maps start as sparse solves through a cached MixedSolver,
-    counted in sparse_applies. Once that count reaches nx + 1, the number of
-    column solves one assembly costs, the next apply assembles both dense
-    matrices and every apply after it is a matvec. Assembly thus never
-    costs more than the sparse work already done, short runs never pay for
-    it, and the count-based switch keeps reruns bit-identical. Widths above
-    MAX_ASSEMBLE_NX stay sparse.
+    - spectral (the constant coefficient, no source and nx <= MAX_SPECTRAL_NX,
+      which holds for every run a config can describe): dense products of
+      cosine transforms and per-mode symbols (CosineModes); nothing is
+      factorized;
+    - otherwise, up to nx = MAX_ASSEMBLE_NX: dense matrices from block solves
+      through a cached MixedSolver, assembled on the first apply;
+    - wider: one sparse solve through that MixedSolver per apply.
     """
 
     def __init__(self, grid: Grid, coefficient: Coefficient | None = None,
@@ -158,11 +155,10 @@ class OperatorContext:
         self.f = f
         self.spectral = (self.coefficient.fn is None and f is None
                          and grid.nx <= MAX_SPECTRAL_NX)
+        self._dense = self.spectral or grid.nx <= MAX_ASSEMBLE_NX
         self._modes: CosineModes | None = None
         self._solver: MixedSolver | None = None
-        self.sparse_applies = 0
         self._maps: tuple[np.ndarray, np.ndarray] | None = None
-        self._block_maps: tuple[np.ndarray, np.ndarray] | None = None
         self._normal: np.ndarray | None = None
 
     @property
@@ -185,45 +181,40 @@ class OperatorContext:
         return self._maps is not None
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only dense (forward, adjoint) matrices in the nodal basis:
-        from the cosine symbols on a spectral context, else block_maps()."""
-        if self._maps is None:
-            if self.spectral:
-                m = self.modes
-                self._maps = m.matrices(m.forward, m.adjoint)
-            else:
-                self._maps = self.block_maps()
-        return self._maps
+        """Read-only dense (forward, adjoint) matrices in the nodal basis.
 
-    def block_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only dense (forward, adjoint) matrices from block solves.
-
-        One block solve per ASSEMBLY_BLOCK top nodes gives X = A_ff^-1 E^T,
-        the responses to unit loads on the top edge. A top flux q loads node
-        j with q_j times its segment length, so the forward columns are the
+        A spectral context multiplies out its cosine symbols. Otherwise one
+        block solve per ASSEMBLY_BLOCK top nodes gives X = A_ff^-1 E^T, the
+        responses to unit loads on the top edge. A top flux q loads node j
+        with q_j times its segment length, so the forward columns are the
         bottom conormal traces of X times those lengths. The adjoint is
         E A_ff^-1 A_fd, the map apply_adjoint solves for; A_ff is symmetric,
         so it equals (A_fd^T X)^T, the reactions of the same solves.
         """
-        if self._block_maps is None:
-            nx = self.grid.nx
-            if nx > MAX_ASSEMBLE_NX:
-                raise ValueError(f"assembly limited to nx <= {MAX_ASSEMBLE_NX}, "
-                                 f"got {nx}")
-            top = boundary_nodes(self.grid, GAMMA2)
-            seg = quadrature_weights(self.grid, GAMMA2)
-            forward = np.empty((nx + 1, nx + 1))
-            adjoint = np.empty((nx + 1, nx + 1))
-            for lo in range(0, nx + 1, ASSEMBLY_BLOCK):
-                cols = slice(lo, lo + ASSEMBLY_BLOCK)
-                u, reaction = self.solver.solve_unit_loads(top[cols])
-                flux = conormal_values(u, self.grid, self.coefficient, GAMMA1)
-                forward[:, cols] = (seg[cols, None] * flux).T
-                adjoint[cols, :] = reaction[:, 0, :]
-            forward.setflags(write=False)
-            adjoint.setflags(write=False)
-            self._block_maps = (forward, adjoint)
-        return self._block_maps
+        if self._maps is not None:
+            return self._maps
+        if self.spectral:
+            m = self.modes
+            self._maps = m.matrices(m.forward, m.adjoint)
+            return self._maps
+        nx = self.grid.nx
+        if nx > MAX_ASSEMBLE_NX:
+            raise ValueError(f"assembly limited to nx <= {MAX_ASSEMBLE_NX}, "
+                             f"got {nx}")
+        top = boundary_nodes(self.grid, GAMMA2)
+        seg = quadrature_weights(self.grid, GAMMA2)
+        forward = np.empty((nx + 1, nx + 1))
+        adjoint = np.empty((nx + 1, nx + 1))
+        for lo in range(0, nx + 1, ASSEMBLY_BLOCK):
+            cols = slice(lo, lo + ASSEMBLY_BLOCK)
+            u, reaction = self.solver.solve_unit_loads(top[cols])
+            flux = conormal_values(u, self.grid, self.coefficient, GAMMA1)
+            forward[:, cols] = (seg[cols, None] * flux).T
+            adjoint[cols, :] = reaction[:, 0, :]
+        forward.setflags(write=False)
+        adjoint.setflags(write=False)
+        self._maps = (forward, adjoint)
+        return self._maps
 
     def normal_matrix(self) -> np.ndarray:
         """Read-only adjoint @ forward, the Gauss-Newton matrix of the flux
@@ -234,33 +225,18 @@ class OperatorContext:
             self._normal.setflags(write=False)
         return self._normal
 
-    def dense_maps(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The dense maps on a spectral context, or once nx + 1 sparse
-        applies have paid for them (assembling on the first call past that
-        point), else None."""
-        if self._maps is None and (self.spectral or (
-                self.sparse_applies > self.grid.nx
-                and self.grid.nx <= MAX_ASSEMBLE_NX)):
-            self.assemble()
-        return self._maps
-
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """apply_forward on nodal values, unchecked. The maps are looked up
-        on every call, since the general path switches to them mid-run."""
-        maps = self.dense_maps()
-        if maps is not None:
-            return maps[0] @ values
-        self.sparse_applies += 1
+        """apply_forward on nodal values, unchecked."""
+        if self._dense:
+            return self.assemble()[0] @ values
         u = self.solver.solve(neumann={GAMMA2: TraceFn(self.grid, GAMMA2,
                                                         values)})
         return neumann_trace(u, self.coefficient, GAMMA1).values
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
         """apply_adjoint on nodal values, unchecked, like forward."""
-        maps = self.dense_maps()
-        if maps is not None:
-            return maps[1] @ values
-        self.sparse_applies += 1
+        if self._dense:
+            return self.assemble()[1] @ values
         u = self.solver.solve(dirichlet={GAMMA1: TraceFn(self.grid, GAMMA1,
                                                           values)})
         return -u.values[-1, :]
@@ -307,9 +283,8 @@ def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
 
 
 def assemble_forward_matrix(ctx: OperatorContext) -> np.ndarray:
-    """Dense read-only matrix of the forward map in the nodal basis, from
-    block solves on every context (see OperatorContext.block_maps)."""
-    return ctx.block_maps()[0]
+    """Dense read-only matrix of the forward map in the nodal basis."""
+    return ctx.assemble()[0]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -71,45 +71,6 @@ class Field:
             raise ValueError("field values must be finite")
 
 
-def field_from_function(grid: Grid, fn: Callable) -> Field:
-    x, y = np.meshgrid(grid.xs, grid.ys)
-    return Field(grid, np.asarray(fn(x, y), dtype=float))
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    trace: TraceFn | None = None  # None means homogeneous
-
-
-@dataclass(frozen=True)
-class Neumann:
-    trace: TraceFn | None = None
-
-
-@dataclass(frozen=True)
-class BvpSpec:
-    """A full boundary-value problem: operator data plus one condition per part."""
-
-    grid: Grid
-    coefficient: Coefficient
-    f: Field | None
-    bcs: Mapping[BoundaryPart, Dirichlet | Neumann]
-
-    def __post_init__(self):
-        parts = set(self.bcs)
-        if parts != {GAMMA1, GAMMA2, GAMMA3}:
-            raise ValueError("every boundary part needs exactly one condition")
-        if not any(isinstance(bc, Dirichlet) for bc in self.bcs.values()):
-            raise ValueError("at least one part must be Dirichlet, "
-                             "an all-Neumann problem is singular")
-        if self.f is not None and self.f.grid != self.grid:
-            raise ValueError("source field lives on a different grid")
-        for part, bc in self.bcs.items():
-            if bc.trace is not None and (bc.trace.grid != self.grid
-                                         or bc.trace.part is not part):
-                raise ValueError(f"boundary data for {part.value} mismatched")
-
-
 # geometric edges and the part whose condition applies there
 _EDGES = {
     "bottom": GAMMA1,
@@ -150,15 +111,21 @@ def _extrapolate_corner(side_vals: np.ndarray) -> float:
 class MixedSolver:
     """Assembled and factorized system for one boundary-condition pattern.
 
-    The pattern maps each part to "dirichlet" or "neumann". Boundary data and
-    sources are supplied per solve, so one factorization is reused across
-    arbitrarily many right-hand sides.
+    The pattern maps every part to "dirichlet" or "neumann", at least one of
+    them Dirichlet. Boundary data and sources are supplied per solve, so one
+    factorization is reused across arbitrarily many right-hand sides.
     """
 
     def __init__(self, grid: Grid, coefficient: Coefficient,
                  pattern: Mapping[BoundaryPart, str]):
-        if not any(kind == "dirichlet" for kind in pattern.values()):
-            raise SolverError("all-Neumann pattern gives a singular system")
+        kinds = set(pattern.values())
+        if set(pattern) != {GAMMA1, GAMMA2, GAMMA3} \
+                or not kinds <= {"dirichlet", "neumann"}:
+            raise ValueError("every boundary part needs a dirichlet or "
+                             "neumann condition")
+        if "dirichlet" not in kinds:
+            raise ValueError("at least one part must be Dirichlet, "
+                             "an all-Neumann problem is singular")
         self.grid = grid
         self.coefficient = coefficient
         self.pattern = dict(pattern)
@@ -352,18 +319,6 @@ class MixedSolver:
             raise SolverError(f"linear solve residual {np.max(res):.3e} "
                               "exceeds tolerance")
         return x
-
-
-def solve_mixed_bvp(spec: BvpSpec) -> Field:
-    """One-shot solve of a mixed boundary-value problem."""
-    pattern = {
-        part: "dirichlet" if isinstance(bc, Dirichlet) else "neumann"
-        for part, bc in spec.bcs.items()
-    }
-    solver = MixedSolver(spec.grid, spec.coefficient, pattern)
-    dirichlet = {p: bc.trace for p, bc in spec.bcs.items() if isinstance(bc, Dirichlet)}
-    neumann = {p: bc.trace for p, bc in spec.bcs.items() if isinstance(bc, Neumann)}
-    return solver.solve(dirichlet=dirichlet, neumann=neumann, f=spec.f)
 
 
 def neumann_trace(u: Field, a: Coefficient, part: BoundaryPart) -> TraceFn:

@@ -11,14 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, GAMMA2, GAMMA3, BvpSpec, Coefficient, Dirichlet,
-                      Neumann, OperatorContext, TraceFn, add_noise,
-                      apply_adjoint, apply_forward, assemble_forward_matrix,
-                      build_grid, decay_slope, l2_norm_trace, neumann_trace,
-                      prolong_trace, restrict_trace, singular_values,
-                      smoothed_heaviside, smoothed_heaviside_deriv,
-                      solve_helmholtz_neumann, solve_mixed_bvp, trace_inner,
-                      trace_from_function, upwind_step, zero_trace)
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
+                      OperatorContext, TraceFn, add_noise, apply_adjoint,
+                      apply_forward, assemble_forward_matrix, build_grid,
+                      decay_slope, l2_norm_trace, neumann_trace, prolong_trace,
+                      restrict_trace, singular_values, smoothed_heaviside,
+                      smoothed_heaviside_deriv, solve_helmholtz_neumann,
+                      trace_inner, trace_from_function, upwind_step,
+                      zero_trace)
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exp1_config, exp2_config,
                                   exp3_config, history_csv,
                                   iterations_to_relative_residual, run_config,
@@ -39,13 +39,14 @@ def _manufactured_errors(nx: int, height: float = 0.5) -> tuple[float, float]:
         lambda x: np.pi * np.sin(np.pi * x) * np.cosh(np.pi * height))
     side = trace_from_function(g, GAMMA3,
                                lambda s: -np.pi * np.sinh(np.pi * s))
-    spec = BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                   bcs={GAMMA1: Dirichlet(zero_trace(g, GAMMA1)),
-                        GAMMA2: Neumann(top), GAMMA3: Neumann(side)})
-    u = solve_mixed_bvp(spec)
+    solver = MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
+                                            GAMMA2: "neumann",
+                                            GAMMA3: "neumann"})
+    u = solver.solve(dirichlet={GAMMA1: zero_trace(g, GAMMA1)},
+                     neumann={GAMMA2: top, GAMMA3: side})
     x, y = np.meshgrid(g.xs, g.ys)
     interior = np.abs(u.values - np.sin(np.pi * x) * np.sinh(np.pi * y)).max()
-    flux = neumann_trace(u, spec.coefficient, GAMMA1)
+    flux = neumann_trace(u, Coefficient(), GAMMA1)
     trace_err = np.abs(flux.values + np.pi * np.sin(np.pi * g.xs)).max()
     return interior, trace_err
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cauchyls import MixedSolver
 from cauchyls.cli import main
+from cauchyls.config import MAX_FINE_CELLS
 from cauchyls.experiments import OUTPUT_ROOT_ENV
 
 
@@ -109,8 +111,26 @@ def test_svd_writes_spectrum(out_root, tmp_path, capsys):
 
 
 def test_svd_size_guard(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "geometry.nx = 512\n")
+    # the config's grid bound is the only width limit svd has
+    cfg = _write_cfg(tmp_path, f"geometry.nx = {MAX_FINE_CELLS + 1}\n"
+                               "geometry.refine = 1\n")
     assert main(["svd", cfg]) == 2
+    assert "synthesis grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("height", [0.5, 1.0])
+def test_svd_factorizes_nothing(monkeypatch, out_root, tmp_path, height):
+    # every config is on the cosine path, so the spectrum comes from the
+    # per-mode symbols
+    def refuse(*args, **kwargs):
+        raise AssertionError("MixedSolver built for the svd subcommand")
+
+    monkeypatch.setattr(MixedSolver, "__init__", refuse)
+    cfg = _write_cfg(tmp_path, f"geometry.nx = 64\ngeometry.height = {height}"
+                               "\noutput.directory = runs/s\n")
+    assert main(["svd", cfg]) == 0
+    sigma_lines = (out_root / "runs" / "s" / "sigma.csv").read_text().splitlines()
+    assert len(sigma_lines) == 66
 
 
 def test_unknown_experiment_name(capsys):

@@ -117,6 +117,12 @@ def test_target_error_needs_truth():
     assert parse_config("method.target_error = 0.05\ntruth.intervals =\n")
 
 
+def test_validation_requires_a_truth():
+    # the data are synthesized from the truth flux
+    with pytest.raises(ConfigError, match="truth.intervals"):
+        RunConfig(truth_intervals=None).validate()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.cfg")

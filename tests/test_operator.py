@@ -6,9 +6,10 @@ Neumann trace is multiplication by -1/cosh(k pi a), obtained by separating
 variables. The k = 0 column encodes flux conservation: a unit inflow on top
 leaves through the bottom unchanged for every height.
 
-The discrete oracle: a context given the unit coefficient as a function
-takes the general path, the same five-point operator solved through
-MixedSolver, against which the spectral (cosine-mode) maps are checked.
+The discrete oracle: the same five-point operator solved through
+MixedSolver, one column at a time, against which the spectral (cosine-mode)
+maps and the block-assembled maps of the general path are checked. A context
+given the unit coefficient as a function takes that general path.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, Coefficient, OperatorContext,
-                      apply_adjoint, apply_forward, assemble_forward_matrix,
-                      build_grid, compute_offset_z, decay_slope, l2_norm_trace,
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
+                      OperatorContext, TraceFn, apply_adjoint, apply_forward,
+                      assemble_forward_matrix, build_grid, compute_offset_z,
+                      decay_slope, l2_norm_trace, neumann_trace,
                       singular_values, trace_from_function, trace_inner,
                       zero_trace)
 from cauchyls.operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX, bottom_flux
@@ -26,7 +28,7 @@ from cauchyls.operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX, bottom_flux
 
 def _general(grid) -> OperatorContext:
     """Context on the general path: the unit coefficient given as a function
-    is the same discrete operator, solved through MixedSolver."""
+    is the same discrete operator, assembled from MixedSolver block solves."""
     return OperatorContext(grid, Coefficient(fn=lambda x, y: np.ones_like(x)))
 
 
@@ -99,13 +101,21 @@ def test_assembled_matrix_matches_operator(grid16, ctx16):
     assert np.allclose(m[:, 3], col.values, atol=1e-12)
 
 
-def _sparse_matrix(grid, apply, part):
-    """Column-by-column matrix of apply on a fresh general context. Its nx + 1
-    applies are exactly the budget before the switch, so all are sparse."""
-    ctx = _general(grid)
-    basis = zero_trace(grid, part)
-    cols = [apply(ctx, basis.with_values(e)).values for e in np.eye(grid.nx + 1)]
-    assert not ctx.assembled
+def _column_solves(grid, part):
+    """Column-by-column matrix of the forward map (part GAMMA2, top flux ->
+    bottom conormal trace) or the adjoint (part GAMMA1, bottom Dirichlet
+    datum -> negated top trace), one MixedSolver solve per unit column."""
+    solver = MixedSolver(grid, Coefficient(), {GAMMA1: "dirichlet",
+                                               GAMMA2: "neumann",
+                                               GAMMA3: "neumann"})
+    cols = []
+    for e in np.eye(grid.nx + 1):
+        if part is GAMMA2:
+            u = solver.solve(neumann={GAMMA2: TraceFn(grid, GAMMA2, e)})
+            cols.append(neumann_trace(u, Coefficient(), GAMMA1).values)
+        else:
+            u = solver.solve(dirichlet={GAMMA1: TraceFn(grid, GAMMA1, e)})
+            cols.append(-u.values[-1, :])
     return np.column_stack(cols)
 
 
@@ -117,23 +127,24 @@ def test_assembled_maps_match_sparse_applies(nx, height):
     forward = assemble_forward_matrix(ctx)
     adjoint = ctx.assemble()[1]
     spectral = OperatorContext(grid).assemble()
-    for dense, cosine, apply, part in (
-            (forward, spectral[0], apply_forward, GAMMA2),
-            (adjoint, spectral[1], apply_adjoint, GAMMA1)):
-        # at nx = 256 the block assembly is the reference: its column solves
-        # are the sparse applies, and 2 (nx + 1) of them one by one are slow
-        sparse = dense if nx == 256 else _sparse_matrix(grid, apply, part)
+    for dense, cosine, part in ((forward, spectral[0], GAMMA2),
+                                (adjoint, spectral[1], GAMMA1)):
+        # at nx = 256 the block assembly is the reference: its block solves
+        # are the column solves, and 2 (nx + 1) of them one by one are slow
+        sparse = dense if nx == 256 else _column_solves(grid, part)
         assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
         assert np.abs(cosine - sparse).max() <= 1e-12 * np.abs(sparse).max()
 
 
 def test_spectral_context_is_dense_from_the_first_apply(grid16):
-    ctx = OperatorContext(grid16)
-    assert ctx.spectral and not ctx.assembled
+    # and so is a general context narrow enough to assemble
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
-    out = apply_forward(ctx, q).values
-    assert ctx.assembled and ctx.sparse_applies == 0
-    assert np.array_equal(out, ctx.assemble()[0] @ q.values)
+    for ctx, spectral in ((OperatorContext(grid16), True),
+                          (_general(grid16), False)):
+        assert ctx.spectral is spectral and not ctx.assembled
+        out = apply_forward(ctx, q).values
+        assert ctx.assembled
+        assert np.array_equal(out, ctx.assemble()[0] @ q.values)
 
 
 def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
@@ -155,27 +166,11 @@ def test_wide_grid_leaves_the_spectral_path():
     ctx = OperatorContext(g)
     assert not ctx.spectral
     out = apply_forward(ctx, trace_from_function(g, GAMMA2, np.ones_like))
-    assert ctx.sparse_applies == 1
     assert np.abs(out.values + 1.0).max() < 1e-12
-
-
-def test_context_assembles_after_nx_plus_one_sparse_applies(grid16):
-    ctx = _general(grid16)
-    q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
-    r = trace_from_function(grid16, GAMMA1, lambda x: x * x)
-    for k in range(grid16.nx + 1):
-        if k % 2:
-            sparse_fwd = apply_forward(ctx, q).values
-        else:
-            sparse_adj = apply_adjoint(ctx, r).values
-        assert ctx.sparse_applies == k + 1
-        assert not ctx.assembled
-    dense_fwd = apply_forward(ctx, q).values
-    assert ctx.assembled
-    dense_adj = apply_adjoint(ctx, r).values
-    assert ctx.sparse_applies == grid16.nx + 1
-    assert np.allclose(dense_fwd, sparse_fwd, rtol=0, atol=1e-13)
-    assert np.allclose(dense_adj, sparse_adj, rtol=0, atol=1e-13)
+    back = apply_adjoint(ctx, trace_from_function(g, GAMMA1, np.ones_like))
+    assert np.abs(back.values + 1.0).max() < 1e-10
+    # too wide to assemble: both applies were sparse solves
+    assert not ctx.assembled
 
 
 def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
@@ -190,7 +185,7 @@ def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
 def test_assembly_size_guard():
     g = build_grid(1.0, 0.5, 512)
     with pytest.raises(ValueError):
-        assemble_forward_matrix(OperatorContext(g))
+        assemble_forward_matrix(_general(g))
     assert MAX_ASSEMBLE_NX < 512
 
 

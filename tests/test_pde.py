@@ -3,35 +3,32 @@
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, GAMMA2, GAMMA3, BvpSpec, Coefficient, Dirichlet,
-                      MixedSolver, Neumann, SolverError, TraceFn,
-                      boundary_nodes, build_grid, field_from_function,
-                      neumann_trace, solve_mixed_bvp, trace_from_function,
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, Field,
+                      MixedSolver, SolverError, TraceFn, boundary_nodes,
+                      build_grid, neumann_trace, trace_from_function,
                       zero_trace)
 from cauchyls import pde
 
 
-def _harmonic_spec(nx: int, height: float = 0.5) -> tuple:
+def _operator_solver(g):
+    """Dirichlet bottom, Neumann top and sides: the forward map's pattern."""
+    return MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
+                                          GAMMA2: "neumann", GAMMA3: "neumann"})
+
+
+def _harmonic_errors(nx: int, height: float = 0.5) -> tuple[float, float]:
     """sin(pi x) sinh(pi y): harmonic, zero on the bottom edge."""
     g = build_grid(1.0, height, nx)
     top = trace_from_function(
         g, GAMMA2, lambda x: np.pi * np.sin(np.pi * x) * np.cosh(np.pi * height))
     # both vertical sides share the same outward flux -pi sinh(pi y)
     side = trace_from_function(g, GAMMA3, lambda s: -np.pi * np.sinh(np.pi * s))
-    spec = BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                   bcs={GAMMA1: Dirichlet(zero_trace(g, GAMMA1)),
-                        GAMMA2: Neumann(top),
-                        GAMMA3: Neumann(side)})
-    return g, spec
-
-
-def _harmonic_errors(nx: int) -> tuple[float, float]:
-    g, spec = _harmonic_spec(nx)
-    u = solve_mixed_bvp(spec)
+    u = _operator_solver(g).solve(dirichlet={GAMMA1: zero_trace(g, GAMMA1)},
+                                  neumann={GAMMA2: top, GAMMA3: side})
     x, y = np.meshgrid(g.xs, g.ys)
     exact = np.sin(np.pi * x) * np.sinh(np.pi * y)
     interior = np.abs(u.values - exact).max()
-    flux = neumann_trace(u, spec.coefficient, GAMMA1)
+    flux = neumann_trace(u, Coefficient(), GAMMA1)
     exact_flux = -np.pi * np.sin(np.pi * g.xs)
     trace_err = np.abs(flux.values - exact_flux).max()
     return interior, trace_err
@@ -56,9 +53,9 @@ def _variable_coefficient_error(nx: int) -> float:
 
     # -div(a grad u) with u_x = u, u_y = u/2, a_x = pi cos(pi x) y and
     # a_y = sin(pi x)
-    f = field_from_function(g, lambda x, y: -u(x, y) * (
-        np.pi * np.cos(np.pi * x) * y + 0.5 * np.sin(np.pi * x)
-        + 1.25 * a(x, y)))
+    x, y = np.meshgrid(g.xs, g.ys)
+    f = Field(g, -u(x, y) * (np.pi * np.cos(np.pi * x) * y
+                             + 0.5 * np.sin(np.pi * x) + 1.25 * a(x, y)))
     bottom = trace_from_function(g, GAMMA1, lambda x: u(x, 0.0))
     top = trace_from_function(g, GAMMA2,
                               lambda x: 0.5 * a(x, g.height) * u(x, g.height))
@@ -69,7 +66,6 @@ def _variable_coefficient_error(nx: int) -> float:
                                 GAMMA3: "neumann"})
     sol = solver.solve(dirichlet={GAMMA1: bottom},
                        neumann={GAMMA2: top, GAMMA3: side}, f=f)
-    x, y = np.meshgrid(g.xs, g.ys)
     return float(np.abs(sol.values - u(x, y)).max())
 
 
@@ -88,17 +84,15 @@ def test_quadratic_solution_reproduced_exactly():
     ny_side = g.ny - 1
     side = TraceFn(g, GAMMA3, np.concatenate([np.zeros(ny_side),
                                               np.full(ny_side, 2.0)]))
-    spec = BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                   bcs={GAMMA1: Dirichlet(bottom), GAMMA2: Neumann(top),
-                        GAMMA3: Neumann(side)})
-    u = solve_mixed_bvp(spec)
+    u = _operator_solver(g).solve(dirichlet={GAMMA1: bottom},
+                                  neumann={GAMMA2: top, GAMMA3: side})
     x, y = np.meshgrid(g.xs, g.ys)
     assert np.abs(u.values - (x ** 2 - y ** 2)).max() < 1e-10
 
 
 def test_neumann_trace_of_linear_field():
     g = build_grid(1.0, 0.5, 8)
-    u = field_from_function(g, lambda x, y: y)
+    u = Field(g, np.meshgrid(g.xs, g.ys)[1])
     a = Coefficient()
     assert np.allclose(neumann_trace(u, a, GAMMA1).values, -1.0)
     assert np.allclose(neumann_trace(u, a, GAMMA2).values, 1.0)
@@ -106,18 +100,18 @@ def test_neumann_trace_of_linear_field():
 
 def test_spec_requires_every_part():
     g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError):
-        BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                bcs={GAMMA1: Dirichlet(zero_trace(g, GAMMA1))})
+    with pytest.raises(ValueError, match="every boundary part"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet"})
+    with pytest.raises(ValueError, match="every boundary part"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
+                                       GAMMA2: "robin", GAMMA3: "neumann"})
 
 
 def test_all_neumann_problem_rejected():
     g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError):
-        BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                bcs={GAMMA1: Neumann(zero_trace(g, GAMMA1)),
-                     GAMMA2: Neumann(zero_trace(g, GAMMA2)),
-                     GAMMA3: Neumann(zero_trace(g, GAMMA3))})
+    with pytest.raises(ValueError, match="all-Neumann"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "neumann", GAMMA2: "neumann",
+                                       GAMMA3: "neumann"})
 
 
 def test_corner_incompatible_dirichlet_still_solves():
@@ -125,11 +119,7 @@ def test_corner_incompatible_dirichlet_still_solves():
     # problem stays well posed and finite
     g = build_grid(1.0, 0.5, 16)
     bottom = trace_from_function(g, GAMMA1, lambda x: x)
-    spec = BvpSpec(grid=g, coefficient=Coefficient(), f=None,
-                   bcs={GAMMA1: Dirichlet(bottom),
-                        GAMMA2: Neumann(zero_trace(g, GAMMA2)),
-                        GAMMA3: Neumann(zero_trace(g, GAMMA3))})
-    u = solve_mixed_bvp(spec)
+    u = _operator_solver(g).solve(dirichlet={GAMMA1: bottom})
     assert np.all(np.isfinite(u.values))
     # the solution obeys the discrete maximum principle for harmonic data
     assert u.values.max() <= 1.0 + 1e-8
@@ -140,23 +130,14 @@ def test_source_term_enters_with_correct_sign():
     # -u'' = 2 in 1D cross-section: u = y(height - y) + linear parts; check
     # against a manufactured polynomial with f = 2
     g = build_grid(1.0, 0.5, 16)
-    f = field_from_function(g, lambda x, y: 2.0 * np.ones_like(x))
+    f = Field(g, np.full((g.ny + 1, g.nx + 1), 2.0))
     top = trace_from_function(
         g, GAMMA2, lambda x: -np.ones_like(x) * g.height * 2 + 0.5)
 
     # u = 0.5 y - y^2 satisfies -u'' = 2, u(x, 0) = 0, a du/dy|top = 0.5 - 2h
-    spec = BvpSpec(grid=g, coefficient=Coefficient(), f=f,
-                   bcs={GAMMA1: Dirichlet(zero_trace(g, GAMMA1)),
-                        GAMMA2: Neumann(top),
-                        GAMMA3: Neumann(zero_trace(g, GAMMA3))})
-    u = solve_mixed_bvp(spec)
+    u = _operator_solver(g).solve(neumann={GAMMA2: top}, f=f)
     x, y = np.meshgrid(g.xs, g.ys)
     assert np.abs(u.values - (0.5 * y - y ** 2)).max() < 1e-10
-
-
-def _operator_solver(g):
-    return MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
-                                          GAMMA2: "neumann", GAMMA3: "neumann"})
 
 
 def test_unit_load_block_matches_single_solves():
