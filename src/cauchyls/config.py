@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
-from .operator import MAX_SPECTRAL_NX
 from .tikhonov import STEP_EXPLICIT, STEP_KINDS
 
 
@@ -31,10 +30,11 @@ Interval = tuple[float, float]
 
 # Cells per side of the synthesis grid, (nx * refine) x (ny * refine), the
 # largest grid of a run. The largest built-in one (the nx = 256 transport
-# benchmark) is 512 x 256, so twice that leaves headroom. At the bound every
-# run stays on the cosine path (MAX_SPECTRAL_NX) and its largest dense matrix
-# holds 1025^2 doubles (8.4 MB); the synthesis is one y-sweep of 1024 rows.
-MAX_FINE_CELLS = MAX_SPECTRAL_NX
+# benchmark) is 512 x 256, so twice that leaves headroom. Every run takes
+# the cosine path, and at the bound its largest dense matrix (and the DCT-I
+# basis) holds 1025^2 doubles (8.4 MB); the synthesis is one y-sweep of
+# 1024 rows.
+MAX_FINE_CELLS = 1024
 # run_transport caps the outer step at half a cell, so one iteration takes
 # at most ceil(0.5 / cfl_max) upwind substeps; this floor keeps that <= 500
 MIN_CFL_MAX = 1e-3

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError, RunConfig
-from .data import synthesize_cauchy_data, with_noise
+from .data import l2_norm_trace, synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
 from .levelset import init_levelset
 from .operator import CauchyData, OperatorContext
@@ -244,8 +244,6 @@ def transport_benchmark_config() -> RunConfig:
 def iterations_to_relative_residual(record: RunRecord, data: CauchyData,
                                     rel: float) -> int | None:
     """First recorded iteration with residual <= rel * ||rhs||, if any."""
-    from .data import l2_norm_trace
-
     threshold = rel * l2_norm_trace(data.rhs)
     for k, res in enumerate(record.residuals):
         if res <= threshold:

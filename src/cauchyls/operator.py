@@ -9,9 +9,9 @@ problem with Dirichlet data on the bottom edge and Neumann data elsewhere.
 With the constant coefficient and no source the discrete problem separates:
 the nodal cosine modes cos(k pi x) diagonalize all three maps, and one
 tridiagonal sweep in y gives their per-mode symbols (CosineModes). Every
-other problem goes through a cached MixedSolver factorization: the dense
-forward and adjoint matrices are assembled from block solves on the first
-apply, and grids too wide for that take one sparse solve per apply.
+other problem goes through a cached MixedSolver factorization, from which
+the dense forward and adjoint matrices are assembled by block solves on the
+first apply. Either way every apply is a dense matvec.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from .grid import (GAMMA1, GAMMA2, GAMMA3, Grid, TraceFn, boundary_nodes,
                    quadrature_weights)
 from .pde import Coefficient, Field, MixedSolver, conormal_values, neumann_trace
 
-# block-solve assembly is limited to desk-scale widths
-MAX_ASSEMBLE_NX = 256
-# widths up to this take the cosine path; its basis and each dense map hold
-# (nx + 1)^2 doubles, 8.4 MB at the bound, where MixedSolver would need none
-MAX_SPECTRAL_NX = 1024
 # load columns per block solve during assembly; as fast as 32 columns, with
 # half the transient (about 4 MB of arrays at nx = 64, height 1)
 ASSEMBLY_BLOCK = 16
@@ -134,16 +129,14 @@ class CosineModes:
 class OperatorContext:
     """Grid, coefficient and source bundled with the maps' cached state.
 
-    The context owns the forward map and its adjoint, and chooses how to
-    apply them once, from its input:
+    The context owns the forward map and its adjoint as dense matrices,
+    built on the first apply, and chooses how to build them once, from its
+    input:
 
-    - spectral (the constant coefficient, no source and nx <= MAX_SPECTRAL_NX,
-      which holds for every run a config can describe): dense products of
-      cosine transforms and per-mode symbols (CosineModes); nothing is
-      factorized;
-    - otherwise, up to nx = MAX_ASSEMBLE_NX: dense matrices from block solves
-      through a cached MixedSolver, assembled on the first apply;
-    - wider: one sparse solve through that MixedSolver per apply.
+    - spectral (the constant coefficient and no source, which holds for
+      every run a config can describe): products of cosine transforms and
+      per-mode symbols (CosineModes); nothing is factorized;
+    - otherwise: block solves through a cached MixedSolver.
     """
 
     def __init__(self, grid: Grid, coefficient: Coefficient | None = None,
@@ -153,9 +146,7 @@ class OperatorContext:
         if f is not None and f.grid != grid:
             raise ValueError("source field lives on a different grid")
         self.f = f
-        self.spectral = (self.coefficient.fn is None and f is None
-                         and grid.nx <= MAX_SPECTRAL_NX)
-        self._dense = self.spectral or grid.nx <= MAX_ASSEMBLE_NX
+        self.spectral = self.coefficient.fn is None and f is None
         self._modes: CosineModes | None = None
         self._solver: MixedSolver | None = None
         self._maps: tuple[np.ndarray, np.ndarray] | None = None
@@ -188,8 +179,9 @@ class OperatorContext:
         responses to unit loads on the top edge. A top flux q loads node j
         with q_j times its segment length, so the forward columns are the
         bottom conormal traces of X times those lengths. The adjoint is
-        E A_ff^-1 A_fd, the map apply_adjoint solves for; A_ff is symmetric,
-        so it equals (A_fd^T X)^T, the reactions of the same solves.
+        E A_ff^-1 A_fd, bottom Dirichlet data to the negated top trace of
+        the solution; A_ff is symmetric, so it equals (A_fd^T X)^T, the
+        reactions of the same solves.
         """
         if self._maps is not None:
             return self._maps
@@ -198,9 +190,6 @@ class OperatorContext:
             self._maps = m.matrices(m.forward, m.adjoint)
             return self._maps
         nx = self.grid.nx
-        if nx > MAX_ASSEMBLE_NX:
-            raise ValueError(f"assembly limited to nx <= {MAX_ASSEMBLE_NX}, "
-                             f"got {nx}")
         top = boundary_nodes(self.grid, GAMMA2)
         seg = quadrature_weights(self.grid, GAMMA2)
         forward = np.empty((nx + 1, nx + 1))
@@ -227,19 +216,11 @@ class OperatorContext:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """apply_forward on nodal values, unchecked."""
-        if self._dense:
-            return self.assemble()[0] @ values
-        u = self.solver.solve(neumann={GAMMA2: TraceFn(self.grid, GAMMA2,
-                                                        values)})
-        return neumann_trace(u, self.coefficient, GAMMA1).values
+        return self.assemble()[0] @ values
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
         """apply_adjoint on nodal values, unchecked, like forward."""
-        if self._dense:
-            return self.assemble()[1] @ values
-        u = self.solver.solve(dirichlet={GAMMA1: TraceFn(self.grid, GAMMA1,
-                                                          values)})
-        return -u.values[-1, :]
+        return self.assemble()[1] @ values
 
 
 def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,

@@ -1,13 +1,15 @@
 """Mixed Dirichlet/Neumann finite-difference solver on the strip.
 
 Discretizes -div(a grad u) = f with the five-point scheme and coefficients
-averaged at cell faces. Neumann conditions enter through centered ghost
-elimination written in control-volume (half-cell) form: the equation at a
-boundary node is the interior stencil restricted to the clipped cell, with
-the prescribed conormal flux integrated over the boundary segment the node
-owns. Scaling each equation by its cell fraction keeps the reduced system
-symmetric positive definite, so a single sparse factorization serves every
-right-hand side with the same boundary-condition pattern.
+averaged at cell faces, for the one boundary pattern of the Cauchy problem:
+Dirichlet data on the bottom edge, Neumann data on the top edge and the
+sides. Neumann conditions enter through centered ghost elimination written
+in control-volume (half-cell) form: the equation at a boundary node is the
+interior stencil restricted to the clipped cell, with the prescribed
+conormal flux integrated over the boundary segment the node owns. Scaling
+each equation by its cell fraction keeps the reduced system symmetric
+positive definite, so a single sparse factorization serves every
+right-hand side.
 """
 
 from __future__ import annotations
@@ -71,36 +73,22 @@ class Field:
             raise ValueError("field values must be finite")
 
 
-# geometric edges and the part whose condition applies there
-_EDGES = {
-    "bottom": GAMMA1,
-    "top": GAMMA2,
-    "left": GAMMA3,
-    "right": GAMMA3,
-}
-
-
-def _edge_data(grid: Grid, edge: str, trace: TraceFn | None) -> np.ndarray:
-    """Nodal boundary values along a full geometric edge, corners included.
+def _side_data(grid: Grid, trace: TraceFn) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal side flux along the left and right edges, corners included.
 
     Side traces carry no corner nodes; the closure values there are filled by
-    quadratic extrapolation (constant extension costs half an order at
-    Neumann-Neumann corners) and only matter when the corner itself is not
-    Dirichlet-constrained.
+    quadratic extrapolation (constant extension costs half an order at the
+    Neumann-Neumann top corners). The bottom corners are Dirichlet nodes,
+    where the value is never read.
     """
-    n = grid.nx + 1 if edge in ("bottom", "top") else grid.ny + 1
-    out = np.zeros(n)
-    if trace is None:
-        return out
-    if edge in ("bottom", "top"):
-        out[:] = trace.values
-        return out
     ny = grid.ny
-    side = trace.values[: ny - 1] if edge == "left" else trace.values[ny - 1 :]
-    out[1:ny] = side
-    out[0] = _extrapolate_corner(side)
-    out[ny] = _extrapolate_corner(side[::-1])
-    return out
+    edges = (np.empty(ny + 1), np.empty(ny + 1))
+    for out, side in zip(edges, (trace.values[: ny - 1],
+                                 trace.values[ny - 1 :])):
+        out[1:ny] = side
+        out[0] = _extrapolate_corner(side)
+        out[ny] = _extrapolate_corner(side[::-1])
+    return edges
 
 
 def _extrapolate_corner(side_vals: np.ndarray) -> float:
@@ -108,27 +96,41 @@ def _extrapolate_corner(side_vals: np.ndarray) -> float:
     return 3.0 * side_vals[0] - 3.0 * side_vals[1] + side_vals[2]
 
 
-class MixedSolver:
-    """Assembled and factorized system for one boundary-condition pattern.
+# the Cauchy problem's pattern, the only one MixedSolver assembles
+_PATTERN = {GAMMA1: "dirichlet", GAMMA2: "neumann", GAMMA3: "neumann"}
 
-    The pattern maps every part to "dirichlet" or "neumann", at least one of
-    them Dirichlet. Boundary data and sources are supplied per solve, so one
-    factorization is reused across arbitrarily many right-hand sides.
+
+def _traces(grid: Grid, data: Mapping[BoundaryPart, TraceFn | None] | None,
+            parts: tuple[BoundaryPart, ...]) -> dict:
+    """Check boundary data against the grid and the parts that carry it."""
+    data = dict(data or {})
+    for key, t in data.items():
+        if key not in parts:
+            raise ValueError(f"no such condition on {key.value} "
+                             "in the Cauchy pattern")
+        if t is not None and (t.part is not key or t.grid != grid):
+            raise ValueError(f"{key.value} data must be a {key.value} trace "
+                             "on the solver's grid")
+    return data
+
+
+class MixedSolver:
+    """Assembled and factorized system of the Cauchy problem's pattern.
+
+    Dirichlet data on GAMMA1, Neumann data on GAMMA2 and GAMMA3; pattern
+    must name exactly that. Boundary data and sources are supplied per
+    solve, so one factorization is reused across arbitrarily many
+    right-hand sides.
     """
 
     def __init__(self, grid: Grid, coefficient: Coefficient,
                  pattern: Mapping[BoundaryPart, str]):
-        kinds = set(pattern.values())
-        if set(pattern) != {GAMMA1, GAMMA2, GAMMA3} \
-                or not kinds <= {"dirichlet", "neumann"}:
-            raise ValueError("every boundary part needs a dirichlet or "
-                             "neumann condition")
-        if "dirichlet" not in kinds:
-            raise ValueError("at least one part must be Dirichlet, "
-                             "an all-Neumann problem is singular")
+        if dict(pattern) != _PATTERN:
+            raise ValueError("MixedSolver solves the Cauchy pattern only: "
+                             "dirichlet on gamma1, neumann on gamma2 and "
+                             "gamma3")
         self.grid = grid
         self.coefficient = coefficient
-        self.pattern = dict(pattern)
         self._build()
 
     # -- assembly -----------------------------------------------------------
@@ -187,98 +189,54 @@ class MixedSolver:
             shape=(n_nodes, n_nodes),
         ).tocsr()
 
-        # Dirichlet constraints: a node is constrained when it lies on the
-        # closure of any Dirichlet edge, regardless of which part owns it.
-        mask = np.zeros((ny + 1, nx + 1), dtype=bool)
-        if self.pattern[GAMMA1] == "dirichlet":
-            mask[0, :] = True
-        if self.pattern[GAMMA2] == "dirichlet":
-            mask[ny, :] = True
-        if self.pattern[GAMMA3] == "dirichlet":
-            mask[:, 0] = True
-            mask[:, nx] = True
-
-        flat_mask = mask.ravel()
-        self._mask = mask
-        self._free = np.flatnonzero(~flat_mask)
-        self._constrained = np.flatnonzero(flat_mask)
-        A_ff = A[self._free][:, self._free].tocsc()
-        self._A_fd = A[self._free][:, self._constrained].tocsr()
+        # the bottom row, corners included, is Dirichlet-constrained; the
+        # rows above it are free
+        n_bottom = nx + 1
+        A_ff = A[n_bottom:, n_bottom:].tocsc()
+        self._A_fd = A[n_bottom:, :n_bottom].tocsr()
         self._lu = splu(A_ff)
         self._A_ff = A_ff
 
         # cached geometry for right-hand side construction
-        self._wx, self._wy = wx, wy
         self._area = (wy[:, None] * hy) * (wx[None, :] * hx)
-        self._seg = {
-            "bottom": wx * hx, "top": wx * hx,
-            "left": wy * hy, "right": wy * hy,
-        }
+        self._seg_x = wx * hx
+        self._seg_y = wy * hy
 
     # -- right-hand side and solve ------------------------------------------
-
-    def _dirichlet_values(self, data: Mapping[BoundaryPart, TraceFn | None]):
-        g = self.grid
-        nx, ny = g.nx, g.ny
-        vals = np.zeros((ny + 1, nx + 1))
-        if self.pattern[GAMMA1] == "dirichlet":
-            t = data.get(GAMMA1)
-            vals[0, :] = 0.0 if t is None else t.values
-        if self.pattern[GAMMA2] == "dirichlet":
-            t = data.get(GAMMA2)
-            vals[ny, :] = 0.0 if t is None else t.values
-        if self.pattern[GAMMA3] == "dirichlet":
-            t = data.get(GAMMA3)
-            side_l = np.zeros(ny - 1) if t is None else t.values[: ny - 1]
-            side_r = np.zeros(ny - 1) if t is None else t.values[ny - 1 :]
-            vals[1:ny, 0] = side_l
-            vals[1:ny, nx] = side_r
-            # corners shared with a Neumann horizontal edge take the side
-            # data's closure value
-            if self.pattern[GAMMA1] != "dirichlet":
-                vals[0, 0] = _extrapolate_corner(side_l)
-                vals[0, nx] = _extrapolate_corner(side_r)
-            if self.pattern[GAMMA2] != "dirichlet":
-                vals[ny, 0] = _extrapolate_corner(side_l[::-1])
-                vals[ny, nx] = _extrapolate_corner(side_r[::-1])
-        return vals
 
     def solve(self,
               dirichlet: Mapping[BoundaryPart, TraceFn | None] | None = None,
               neumann: Mapping[BoundaryPart, TraceFn | None] | None = None,
               f: Field | None = None) -> Field:
-        """Solve for the given boundary data; missing traces mean zero."""
+        """Solve for the given boundary data; missing traces mean zero.
+
+        dirichlet may hold GAMMA1 and neumann GAMMA2 and GAMMA3, each a
+        trace of its own part on the solver's grid; f lives on that grid.
+        """
         g = self.grid
         nx, ny = g.nx, g.ny
-        dirichlet = dirichlet or {}
-        neumann = neumann or {}
+        dirichlet = _traces(g, dirichlet, (GAMMA1,))
+        neumann = _traces(g, neumann, (GAMMA2, GAMMA3))
+        if f is not None and f.grid != g:
+            raise ValueError("source field lives on a different grid")
 
         b = np.zeros((ny + 1, nx + 1))
         if f is not None:
             b += f.values * self._area
+        top = neumann.get(GAMMA2)
+        if top is not None:
+            b[ny, :] += top.values * self._seg_x
+        side = neumann.get(GAMMA3)
+        if side is not None:
+            left, right = _side_data(g, side)
+            b[:, 0] += left * self._seg_y
+            b[:, nx] += right * self._seg_y
 
-        for edge, part in _EDGES.items():
-            if self.pattern[part] != "neumann":
-                continue
-            q = _edge_data(g, edge, neumann.get(part))
-            seg = self._seg[edge]
-            if edge == "bottom":
-                b[0, :] += q * seg
-            elif edge == "top":
-                b[ny, :] += q * seg
-            elif edge == "left":
-                b[:, 0] += q * seg
-            else:
-                b[:, nx] += q * seg
-
-        u_d = self._dirichlet_values(dirichlet).ravel()[self._constrained]
-        rhs = b.ravel()[self._free] - self._A_fd @ u_d
+        bottom = dirichlet.get(GAMMA1)
+        u_d = np.zeros(nx + 1) if bottom is None else bottom.values
+        rhs = b[1:].ravel() - self._A_fd @ u_d
         x = self._checked_solve(rhs)
-
-        u = np.empty((ny + 1) * (nx + 1))
-        u[self._free] = x
-        u[self._constrained] = u_d
-        return Field(g, u.reshape(ny + 1, nx + 1))
+        return Field(g, np.vstack([u_d, x.reshape(ny, nx + 1)]))
 
     def solve_unit_loads(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Responses to a unit load at each given free node, all data zero.
@@ -294,20 +252,18 @@ class MixedSolver:
         g = self.grid
         nodes = np.asarray(nodes)
         i, j = nodes[:, 0], nodes[:, 1]
-        if self._mask[j, i].any():
+        if np.any(j == 0):
             raise ValueError("unit loads must sit on free nodes")
         k = len(nodes)
-        b = np.zeros((self._free.size, k))
-        b[np.searchsorted(self._free, j * (g.nx + 1) + i), np.arange(k)] = 1.0
+        b = np.zeros((g.ny * (g.nx + 1), k))
+        b[(j - 1) * (g.nx + 1) + i, np.arange(k)] = 1.0
         x = self._checked_solve(b)
 
-        n_nodes = (g.ny + 1) * (g.nx + 1)
-        u = np.zeros((k, n_nodes))
-        u[:, self._free] = x.T
-        reaction = np.zeros((k, n_nodes))
-        reaction[:, self._constrained] = (self._A_fd.T @ x).T
-        shape = (k, g.ny + 1, g.nx + 1)
-        return u.reshape(shape), reaction.reshape(shape)
+        u = np.zeros((k, g.ny + 1, g.nx + 1))
+        u[:, 1:, :] = x.T.reshape(k, g.ny, g.nx + 1)
+        reaction = np.zeros_like(u)
+        reaction[:, 0, :] = (self._A_fd.T @ x).T
+        return u, reaction
 
     def _checked_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the reduced system for one right-hand side or a block of

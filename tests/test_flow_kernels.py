@@ -141,7 +141,7 @@ def test_transport_loop_matches_trace_reference():
                              + 2.0 * res[k] ** 2 for k, dt in enumerate(dts)]
 
 
-def test_general_path_switches_to_dense_maps_mid_run():
+def test_general_path_run_matches_spectral_run():
     # The same discrete operator through MixedSolver: the general context
     # assembles its dense maps from block solves on the first apply, inside
     # the loop, where the spectral context multiplies out its symbols.

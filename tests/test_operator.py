@@ -9,7 +9,9 @@ leaves through the bottom unchanged for every height.
 The discrete oracle: the same five-point operator solved through
 MixedSolver, one column at a time, against which the spectral (cosine-mode)
 maps and the block-assembled maps of the general path are checked. A context
-given the unit coefficient as a function takes that general path.
+given the unit coefficient as a function takes that general path, and so
+does one with a genuinely variable coefficient, which only the column
+solves can check.
 """
 
 import numpy as np
@@ -17,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
-                      OperatorContext, TraceFn, apply_adjoint, apply_forward,
-                      assemble_forward_matrix, build_grid, compute_offset_z,
-                      decay_slope, l2_norm_trace, neumann_trace,
-                      singular_values, trace_from_function, trace_inner,
-                      zero_trace)
-from cauchyls.operator import MAX_ASSEMBLE_NX, MAX_SPECTRAL_NX, bottom_flux
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, Field,
+                      MixedSolver, OperatorContext, TraceFn, apply_adjoint,
+                      apply_forward, assemble_forward_matrix, build_grid,
+                      compute_offset_z, decay_slope, l2_norm_trace,
+                      neumann_trace, singular_values, trace_from_function,
+                      trace_inner, zero_trace)
+from cauchyls.operator import bottom_flux
 
 
 def _general(grid) -> OperatorContext:
@@ -101,18 +103,18 @@ def test_assembled_matrix_matches_operator(grid16, ctx16):
     assert np.allclose(m[:, 3], col.values, atol=1e-12)
 
 
-def _column_solves(grid, part):
+def _column_solves(grid, part, coefficient=Coefficient()):
     """Column-by-column matrix of the forward map (part GAMMA2, top flux ->
     bottom conormal trace) or the adjoint (part GAMMA1, bottom Dirichlet
     datum -> negated top trace), one MixedSolver solve per unit column."""
-    solver = MixedSolver(grid, Coefficient(), {GAMMA1: "dirichlet",
-                                               GAMMA2: "neumann",
-                                               GAMMA3: "neumann"})
+    solver = MixedSolver(grid, coefficient, {GAMMA1: "dirichlet",
+                                             GAMMA2: "neumann",
+                                             GAMMA3: "neumann"})
     cols = []
     for e in np.eye(grid.nx + 1):
         if part is GAMMA2:
             u = solver.solve(neumann={GAMMA2: TraceFn(grid, GAMMA2, e)})
-            cols.append(neumann_trace(u, Coefficient(), GAMMA1).values)
+            cols.append(neumann_trace(u, coefficient, GAMMA1).values)
         else:
             u = solver.solve(dirichlet={GAMMA1: TraceFn(grid, GAMMA1, e)})
             cols.append(-u.values[-1, :])
@@ -121,7 +123,7 @@ def _column_solves(grid, part):
 
 @pytest.mark.parametrize("nx", [16, 64, 256])
 @pytest.mark.parametrize("height", [0.5, 1.0])
-def test_assembled_maps_match_sparse_applies(nx, height):
+def test_assembled_maps_match_column_solves(nx, height):
     grid = build_grid(1.0, height, nx)
     ctx = _general(grid)
     forward = assemble_forward_matrix(ctx)
@@ -131,13 +133,13 @@ def test_assembled_maps_match_sparse_applies(nx, height):
                                 (adjoint, spectral[1], GAMMA1)):
         # at nx = 256 the block assembly is the reference: its block solves
         # are the column solves, and 2 (nx + 1) of them one by one are slow
-        sparse = dense if nx == 256 else _column_solves(grid, part)
-        assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
-        assert np.abs(cosine - sparse).max() <= 1e-12 * np.abs(sparse).max()
+        columns = dense if nx == 256 else _column_solves(grid, part)
+        assert np.abs(dense - columns).max() <= 1e-12 * np.abs(columns).max()
+        assert np.abs(cosine - columns).max() <= 1e-12 * np.abs(columns).max()
 
 
 def test_spectral_context_is_dense_from_the_first_apply(grid16):
-    # and so is a general context narrow enough to assemble
+    # and so is a general context
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
     for ctx, spectral in ((OperatorContext(grid16), True),
                           (_general(grid16), False)):
@@ -145,6 +147,37 @@ def test_spectral_context_is_dense_from_the_first_apply(grid16):
         out = apply_forward(ctx, q).values
         assert ctx.assembled
         assert np.array_equal(out, ctx.assemble()[0] @ q.values)
+
+
+def _variable_coefficient():
+    return Coefficient(fn=lambda x, y: 2.0 + np.sin(np.pi * x) * y)
+
+
+@pytest.mark.parametrize("nx", [16, 64])
+def test_variable_coefficient_maps_match_column_solves(nx):
+    # a(x, 0) enters the forward map's conormal trace, and the adjoint is
+    # the reactions of a non-constant operator
+    grid = build_grid(1.0, 0.5, nx)
+    a = _variable_coefficient()
+    ctx = OperatorContext(grid, a)
+    assert not ctx.spectral
+    for dense, part in zip(ctx.assemble(), (GAMMA2, GAMMA1)):
+        columns = _column_solves(grid, part, a)
+        assert np.abs(dense - columns).max() <= 1e-12 * np.abs(columns).max()
+
+
+def test_variable_coefficient_flux_with_source_matches_direct_solve(grid16):
+    a = _variable_coefficient()
+    x, y = np.meshgrid(grid16.xs, grid16.ys)
+    f = Field(grid16, np.exp(x) * (1.0 + y))
+    ctx = OperatorContext(grid16, a, f)
+    q = trace_from_function(grid16, GAMMA2, lambda s: np.cos(np.pi * s))
+    g1 = trace_from_function(grid16, GAMMA1, lambda s: s * s)
+    u = MixedSolver(grid16, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
+                                GAMMA3: "neumann"}).solve(
+        dirichlet={GAMMA1: g1}, neumann={GAMMA2: q}, f=f)
+    direct = neumann_trace(u, a, GAMMA1).values
+    assert np.array_equal(bottom_flux(ctx, q, g1).values, direct)
 
 
 def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
@@ -155,22 +188,20 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
     g1 = zero_trace(grid16, GAMMA1).with_values(rng.normal(size=grid16.nx + 1))
     for args in ((q, g1), (None, g1), (q, None)):
         cosine = bottom_flux(OperatorContext(grid16), *args).values
-        sparse = bottom_flux(_general(grid16), *args).values
-        assert np.abs(cosine - sparse).max() <= 1e-12 * np.abs(sparse).max()
+        general = bottom_flux(_general(grid16), *args).values
+        assert np.abs(cosine - general).max() <= 1e-12 * np.abs(general).max()
 
 
-def test_wide_grid_leaves_the_spectral_path():
-    # a strip four cells deep, wider than the cosine path's dense matrices
-    nx = MAX_SPECTRAL_NX + 8
+def test_wide_grid_stays_spectral():
+    # a strip four cells deep, wider than any config can describe
+    nx = 1032
     g = build_grid(1.0, 4.0 / nx, nx)
     ctx = OperatorContext(g)
-    assert not ctx.spectral
+    assert ctx.spectral
     out = apply_forward(ctx, trace_from_function(g, GAMMA2, np.ones_like))
     assert np.abs(out.values + 1.0).max() < 1e-12
     back = apply_adjoint(ctx, trace_from_function(g, GAMMA1, np.ones_like))
     assert np.abs(back.values + 1.0).max() < 1e-10
-    # too wide to assemble: both applies were sparse solves
-    assert not ctx.assembled
 
 
 def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
@@ -180,13 +211,6 @@ def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
     assert np.array_equal(normal, adjoint @ forward)
     assert ctx.normal_matrix() is normal
     assert not normal.flags.writeable
-
-
-def test_assembly_size_guard():
-    g = build_grid(1.0, 0.5, 512)
-    with pytest.raises(ValueError):
-        assemble_forward_matrix(_general(g))
-    assert MAX_ASSEMBLE_NX < 512
 
 
 def test_singular_values_sorted_descending(ctx16):

@@ -98,20 +98,42 @@ def test_neumann_trace_of_linear_field():
     assert np.allclose(neumann_trace(u, a, GAMMA2).values, 1.0)
 
 
-def test_spec_requires_every_part():
+def test_only_the_cauchy_pattern_is_accepted():
     g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError, match="every boundary part"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet"})
-    with pytest.raises(ValueError, match="every boundary part"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
-                                       GAMMA2: "robin", GAMMA3: "neumann"})
+    for pattern in (
+            {GAMMA1: "dirichlet"},
+            {GAMMA1: "dirichlet", GAMMA2: "robin", GAMMA3: "neumann"},
+            {GAMMA1: "neumann", GAMMA2: "neumann", GAMMA3: "neumann"},
+            {GAMMA1: "dirichlet", GAMMA2: "dirichlet", GAMMA3: "neumann"}):
+        with pytest.raises(ValueError, match="Cauchy pattern"):
+            MixedSolver(g, Coefficient(), pattern)
 
 
-def test_all_neumann_problem_rejected():
-    g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError, match="all-Neumann"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "neumann", GAMMA2: "neumann",
-                                       GAMMA3: "neumann"})
+def test_solve_rejects_misplaced_data():
+    g = build_grid(1.0, 0.5, 16)
+    solver = _operator_solver(g)
+    shallow = build_grid(1.0, 0.25, 16)
+    bottom = trace_from_function(g, GAMMA1, np.cos)
+    top = trace_from_function(g, GAMMA2, np.cos)
+    source = Field(shallow, np.ones((shallow.ny + 1, shallow.nx + 1)))
+    for kwargs in (
+            # a trace whose part is not its key
+            {"neumann": {GAMMA2: bottom}},
+            {"dirichlet": {GAMMA1: top}},
+            # a trace on another grid of the same width
+            {"neumann": {GAMMA2: trace_from_function(shallow, GAMMA2,
+                                                     np.cos)}},
+            # a key the pattern does not carry
+            {"neumann": {GAMMA1: bottom}},
+            {"dirichlet": {GAMMA2: top}},
+            # a source on another grid
+            {"f": source}):
+        with pytest.raises(ValueError):
+            solver.solve(**kwargs)
+    # None still means zero data
+    assert np.array_equal(solver.solve(dirichlet={GAMMA1: None},
+                                       neumann={GAMMA2: None}).values,
+                          solver.solve().values)
 
 
 def test_corner_incompatible_dirichlet_still_solves():
