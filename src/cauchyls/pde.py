@@ -126,9 +126,18 @@ class MixedSolver:
     def __init__(self, grid: Grid, coefficient: Coefficient,
                  pattern: Mapping[BoundaryPart, str]):
         if dict(pattern) != _PATTERN:
-            raise ValueError("MixedSolver solves the Cauchy pattern only: "
-                             "dirichlet on gamma1, neumann on gamma2 and "
-                             "gamma3")
+            kinds = set(pattern.values())
+            if set(pattern) != set(_PATTERN) \
+                    or not kinds <= {"dirichlet", "neumann"}:
+                reason = ("every boundary part needs a dirichlet or neumann "
+                          "condition")
+            elif "dirichlet" not in kinds:
+                reason = "an all-Neumann problem is singular"
+            else:
+                reason = "this pattern is not assembled"
+            raise ValueError(f"{reason}; MixedSolver solves the Cauchy "
+                             "pattern only: dirichlet on gamma1, neumann on "
+                             "gamma2 and gamma3")
         self.grid = grid
         self.coefficient = coefficient
         self._build()

@@ -98,6 +98,22 @@ def test_neumann_trace_of_linear_field():
     assert np.allclose(neumann_trace(u, a, GAMMA2).values, 1.0)
 
 
+def test_spec_requires_every_part():
+    g = build_grid(1.0, 0.5, 8)
+    with pytest.raises(ValueError, match="every boundary part"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet"})
+    with pytest.raises(ValueError, match="every boundary part"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
+                                       GAMMA2: "robin", GAMMA3: "neumann"})
+
+
+def test_all_neumann_problem_rejected():
+    g = build_grid(1.0, 0.5, 8)
+    with pytest.raises(ValueError, match="all-Neumann"):
+        MixedSolver(g, Coefficient(), {GAMMA1: "neumann", GAMMA2: "neumann",
+                                       GAMMA3: "neumann"})
+
+
 def test_only_the_cauchy_pattern_is_accepted():
     g = build_grid(1.0, 0.5, 8)
     for pattern in (
