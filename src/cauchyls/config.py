@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .grid import isotropic_ny
 from .tikhonov import STEP_EXPLICIT, STEP_KINDS
+from .transport import MIN_CFL_MAX
 
 
 class ConfigError(ValueError):
@@ -35,9 +36,6 @@ Interval = tuple[float, float]
 # basis) holds 1025^2 doubles (8.4 MB); the synthesis is one y-sweep of
 # 1024 rows.
 MAX_FINE_CELLS = 1024
-# run_transport caps the outer step at half a cell, so one iteration takes
-# at most ceil(0.5 / cfl_max) upwind substeps; this floor keeps that <= 500
-MIN_CFL_MAX = 1e-3
 
 
 @dataclass(frozen=True)

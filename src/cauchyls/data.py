@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GAMMA1, GAMMA2, TraceFn, quadrature_weights, restrict_trace
+from .grid import TraceFn, quadrature_weights, restrict_trace
 from .operator import CauchyData, OperatorContext, bottom_flux, compute_offset_z
 
 
@@ -40,15 +40,11 @@ def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
 
     true_q and g1_fine live on ctx_fine's grid; the fine grid must be nested
     in the inversion grid (equal grids are allowed for same-grid closure
-    tests). The offset z is computed on the inversion grid from the injected
-    Dirichlet datum and ctx_inv's own source.
+    tests); bottom_flux rejects them otherwise. The offset z is computed on
+    the inversion grid from the injected Dirichlet datum and ctx_inv's own
+    source.
     """
     fine, inv = ctx_fine.grid, ctx_inv.grid
-    if true_q.grid != fine or true_q.part is not GAMMA2:
-        raise ValueError("truth flux must live on the fine grid's top edge")
-    if g1_fine.grid != fine or g1_fine.part is not GAMMA1:
-        raise ValueError("Dirichlet datum must live on the fine grid's bottom edge")
-
     g2_fine = bottom_flux(ctx_fine, true_q, g1_fine)
 
     if fine == inv:

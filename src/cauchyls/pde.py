@@ -1,15 +1,19 @@
-"""Mixed Dirichlet/Neumann finite-difference solver on the strip.
+"""Mixed Dirichlet/Neumann finite-volume solver on the strip.
 
-Discretizes -div(a grad u) = f with the five-point scheme and coefficients
-averaged at cell faces, for the one boundary pattern of the Cauchy problem:
-Dirichlet data on the bottom edge, Neumann data on the top edge and the
-sides. Neumann conditions enter through centered ghost elimination written
-in control-volume (half-cell) form: the equation at a boundary node is the
-interior stencil restricted to the clipped cell, with the prescribed
-conormal flux integrated over the boundary segment the node owns. Scaling
-each equation by its cell fraction keeps the reduced system symmetric
-positive definite, so a single sparse factorization serves every
-right-hand side.
+Discretizes -div(a grad u) = f for the one boundary pattern of the Cauchy
+problem: Dirichlet data on the bottom edge, Neumann data on the top edge and
+the sides. Each node owns its cell clipped to the strip (half cells on
+edges, quarter cells at corners) and exchanges a flux with each neighbour
+through the face between them, so the stiffness matrix is the weighted
+graph Laplacian A = Dx^T Cx Dx + Dy^T Cy Dy: Dx and Dy difference nodal
+values across the vertical and horizontal faces, and Cx and Cy hold each
+face's conductance, its averaged coefficient times its length over the node
+spacing. Neumann data enters as the prescribed conormal flux integrated over
+the boundary segment a node owns. In this form A is symmetric and conserves
+flux (A maps constants to zero). u^T A u sums positive conductances times
+squared differences, so it vanishes only for constant u; with the Dirichlet
+bottom rows and columns removed the system is symmetric positive definite,
+and one sparse factorization serves every right-hand side.
 """
 
 from __future__ import annotations
@@ -73,27 +77,22 @@ class Field:
             raise ValueError("field values must be finite")
 
 
-def _side_data(grid: Grid, trace: TraceFn) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal side flux along the left and right edges, corners included.
+def _side_data(grid: Grid, trace: TraceFn) -> np.ndarray:
+    """Nodal side flux along the left (row 0) and right (row 1) edges,
+    corners included.
 
     Side traces carry no corner nodes; the closure values there are filled by
-    quadratic extrapolation (constant extension costs half an order at the
-    Neumann-Neumann top corners). The bottom corners are Dirichlet nodes,
-    where the value is never read.
+    quadratic extrapolation from the three nearest side values (constant
+    extension costs half an order at the Neumann-Neumann top corners). The
+    bottom corners are Dirichlet nodes, where the value is never read.
     """
     ny = grid.ny
-    edges = (np.empty(ny + 1), np.empty(ny + 1))
-    for out, side in zip(edges, (trace.values[: ny - 1],
-                                 trace.values[ny - 1 :])):
-        out[1:ny] = side
-        out[0] = _extrapolate_corner(side)
-        out[ny] = _extrapolate_corner(side[::-1])
-    return edges
-
-
-def _extrapolate_corner(side_vals: np.ndarray) -> float:
-    """Quadratic extrapolation to the corner from the three nearest side values."""
-    return 3.0 * side_vals[0] - 3.0 * side_vals[1] + side_vals[2]
+    side = trace.values.reshape(2, ny - 1)
+    out = np.empty((2, ny + 1))
+    out[:, 1:ny] = side
+    out[:, 0] = 3.0 * side[:, 0] - 3.0 * side[:, 1] + side[:, 2]
+    out[:, ny] = 3.0 * side[:, -1] - 3.0 * side[:, -2] + side[:, -3]
+    return out
 
 
 # the Cauchy problem's pattern, the only one MixedSolver assembles
@@ -147,69 +146,40 @@ class MixedSolver:
     def _build(self):
         g, a = self.grid, self.coefficient
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-        n_nodes = (nx + 1) * (ny + 1)
 
-        def nid(i, j):
-            return j * (nx + 1) + i
+        # cell sides each node owns: half cells on edges, quarter cells at
+        # corners
+        sx = np.full(nx + 1, hx)
+        sx[0] = sx[-1] = 0.5 * hx
+        sy = np.full(ny + 1, hy)
+        sy[0] = sy[-1] = 0.5 * hy
 
-        # cell fractions: half cells on edges, quarter cells at corners
-        wx = np.ones(nx + 1)
-        wx[0] = wx[-1] = 0.5
-        wy = np.ones(ny + 1)
-        wy[0] = wy[-1] = 0.5
-
-        # face-averaged coefficients
+        # face conductances, the coefficient at the face midpoint times the
+        # face length over the node spacing: (ny+1, nx) vertical faces and
+        # (ny, nx+1) horizontal ones, ravelled in face order
         xf = (np.arange(nx) + 0.5) * hx
-        ax = a(xf[None, :], g.ys[:, None])          # (ny+1, nx) vertical faces
         yf = (np.arange(ny) + 0.5) * hy
-        ay = a(g.xs[None, :], yf[:, None])          # (ny, nx+1) horizontal faces
+        cx = (a(xf[None, :], g.ys[:, None]) * sy[:, None] / hx).ravel()
+        cy = (a(g.xs[None, :], yf[:, None]) * sx[None, :] / hy).ravel()
 
-        rows, cols, data = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            data.append(v)
-
-        # x-direction fluxes through faces between (i, j) and (i+1, j)
-        jj, ii = np.meshgrid(np.arange(ny + 1), np.arange(nx), indexing="ij")
-        cxy = ax * (wy[:, None] * hy) / hx
-        left = nid(ii, jj).ravel()
-        right = nid(ii + 1, jj).ravel()
-        cvals = cxy.ravel()
-        add(left, right, -cvals)
-        add(right, left, -cvals)
-        add(left, left, cvals)
-        add(right, right, cvals)
-
-        # y-direction fluxes through faces between (i, j) and (i, j+1)
-        jj, ii = np.meshgrid(np.arange(ny), np.arange(nx + 1), indexing="ij")
-        cyy = ay * (wx[None, :] * hx) / hy
-        lower = nid(ii, jj).ravel()
-        upper = nid(ii, jj + 1).ravel()
-        cvals = cyy.ravel()
-        add(lower, upper, -cvals)
-        add(upper, lower, -cvals)
-        add(lower, lower, cvals)
-        add(upper, upper, cvals)
-
-        A = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_nodes, n_nodes),
-        ).tocsr()
+        # n x (n+1) forward differences from nodes (order j * (nx+1) + i)
+        # to faces
+        dx = sp.kron(sp.identity(ny + 1),
+                     sp.diags([-1.0, 1.0], [0, 1], shape=(nx, nx + 1)))
+        dy = sp.kron(sp.diags([-1.0, 1.0], [0, 1], shape=(ny, ny + 1)),
+                     sp.identity(nx + 1))
+        A = (dx.T @ sp.diags(cx) @ dx + dy.T @ sp.diags(cy) @ dy).tocsr()
 
         # the bottom row, corners included, is Dirichlet-constrained; the
         # rows above it are free
         n_bottom = nx + 1
-        A_ff = A[n_bottom:, n_bottom:].tocsc()
+        self._A_ff = A[n_bottom:, n_bottom:].tocsc()
         self._A_fd = A[n_bottom:, :n_bottom].tocsr()
-        self._lu = splu(A_ff)
-        self._A_ff = A_ff
+        self._lu = splu(self._A_ff)
 
         # cached geometry for right-hand side construction
-        self._area = (wy[:, None] * hy) * (wx[None, :] * hx)
-        self._seg_x = wx * hx
-        self._seg_y = wy * hy
+        self._area = sy[:, None] * sx[None, :]
+        self._seg_x, self._seg_y = sx, sy
 
     # -- right-hand side and solve ------------------------------------------
 
@@ -237,9 +207,7 @@ class MixedSolver:
             b[ny, :] += top.values * self._seg_x
         side = neumann.get(GAMMA3)
         if side is not None:
-            left, right = _side_data(g, side)
-            b[:, 0] += left * self._seg_y
-            b[:, nx] += right * self._seg_y
+            b[:, [0, nx]] += (_side_data(g, side) * self._seg_y).T
 
         bottom = dirichlet.get(GAMMA1)
         u_d = np.zeros(nx + 1) if bottom is None else bottom.values
@@ -251,12 +219,12 @@ class MixedSolver:
         """Responses to a unit load at each given free node, all data zero.
 
         nodes holds (i, j) index pairs, as boundary_nodes returns them, and
-        one block solve covers them all. Returns (u, reaction), both of shape
-        (len(nodes), ny+1, nx+1): the nodal solutions, and the reactions
-        A_df u_f they draw at the Dirichlet nodes (zero at free nodes). As the
-        reduced system is symmetric, reaction[k] also gives the negated value
-        at load node k of the solution for unit Dirichlet data at each
-        constrained node.
+        one block solve covers them all. Returns (u, reaction): the nodal
+        solutions, of shape (len(nodes), ny+1, nx+1), and the reactions
+        A_df u_f they draw at the bottom (Dirichlet) nodes, of shape
+        (len(nodes), nx+1). As the reduced system is symmetric, reaction[k]
+        also gives the negated value at load node k of the solution for unit
+        Dirichlet data at each bottom node.
         """
         g = self.grid
         nodes = np.asarray(nodes)
@@ -270,9 +238,7 @@ class MixedSolver:
 
         u = np.zeros((k, g.ny + 1, g.nx + 1))
         u[:, 1:, :] = x.T.reshape(k, g.ny, g.nx + 1)
-        reaction = np.zeros_like(u)
-        reaction[:, 0, :] = (self._A_fd.T @ x).T
-        return u, reaction
+        return u, (self._A_fd.T @ x).T
 
     def _checked_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the reduced system for one right-hand side or a block of
@@ -287,12 +253,14 @@ class MixedSolver:
 
 
 def neumann_trace(u: Field, a: Coefficient, part: BoundaryPart) -> TraceFn:
-    """Outward conormal derivative a*du/dnu on a part, one-sided 3-point formula.
+    """Outward conormal derivative a*du/dnu on the bottom (GAMMA1) or top
+    (GAMMA2) edge, one-sided 3-point formula.
 
     The derivative is differenced along the inward normal and negated, so the
-    result is second-order consistent at every node of the part. Only call
+    result is second-order consistent at every node of the edge. Only call
     this on parts where u was not given Neumann data; there the imposed data
-    is already the exact answer.
+    is already the exact answer. The side walls (GAMMA3) are Neumann parts
+    of the Cauchy pattern, so they raise ValueError.
     """
     return TraceFn(u.grid, part, conormal_values(u.values, u.grid, a, part))
 
@@ -309,7 +277,5 @@ def conormal_values(v: np.ndarray, g: Grid, a: Coefficient,
     if part is GAMMA2:
         return -a(g.xs, g.height) * d_in(v[..., -1, :], v[..., -2, :],
                                          v[..., -3, :], g.hy)
-    ys = np.arange(1, g.ny) * g.hy
-    d_l = d_in(v[..., 1:-1, 0], v[..., 1:-1, 1], v[..., 1:-1, 2], g.hx)
-    d_r = d_in(v[..., 1:-1, -1], v[..., 1:-1, -2], v[..., 1:-1, -3], g.hx)
-    return np.concatenate([-a(0.0, ys) * d_l, -a(g.width, ys) * d_r], axis=-1)
+    raise ValueError(f"no conormal trace on {part.value}: the side walls "
+                     "carry Neumann data, which is already the trace")

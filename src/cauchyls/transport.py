@@ -23,6 +23,9 @@ from .operator import CauchyData, OperatorContext, apply_adjoint
 from .record import RunRecord, run_flow
 
 VELOCITY_FLOOR = 1e-12
+# run_transport caps the outer step at half a cell, so one iteration takes
+# at most ceil(0.5 / cfl_max) upwind substeps; this floor keeps that <= 500
+MIN_CFL_MAX = 1e-3
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class TransportParams:
             raise ValueError("dt must be positive")
         if not 0 < self.eps_clamp <= 1:
             raise ValueError("eps_clamp must lie in (0, 1]")
-        if not 0 < self.cfl_max <= 0.9:
-            raise ValueError("cfl_max must lie in (0, 0.9]")
+        if not MIN_CFL_MAX <= self.cfl_max <= 0.9:
+            raise ValueError(f"cfl_max must lie in [{MIN_CFL_MAX:g}, 0.9]")
         if self.max_iters < 0:
             raise ValueError("max_iters cannot be negative")
 

@@ -192,6 +192,25 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
         assert np.abs(cosine - general).max() <= 1e-12 * np.abs(general).max()
 
 
+@pytest.mark.parametrize("spectral", [True, False])
+def test_bottom_flux_rejects_misplaced_traces(grid16, spectral):
+    # both paths check q and g1 against the context grid at entry
+    ctx = OperatorContext(grid16) if spectral else _general(grid16)
+    assert ctx.spectral is spectral
+    shallow = build_grid(1.0, 0.25, 16)
+    top = trace_from_function(grid16, GAMMA2, np.cos)
+    bottom = trace_from_function(grid16, GAMMA1, np.cos)
+    with pytest.raises(ValueError):
+        compute_offset_z(ctx, top)
+    with pytest.raises(ValueError):
+        compute_offset_z(ctx, trace_from_function(shallow, GAMMA1, np.cos))
+    with pytest.raises(ValueError):
+        bottom_flux(ctx, q=bottom)
+    with pytest.raises(ValueError):
+        bottom_flux(ctx, q=trace_from_function(shallow, GAMMA2, np.cos))
+    assert np.all(np.isfinite(bottom_flux(ctx, top, bottom).values))
+
+
 def test_wide_grid_stays_spectral():
     # a strip four cells deep, wider than any config can describe
     nx = 1032

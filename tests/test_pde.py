@@ -98,6 +98,40 @@ def test_neumann_trace_of_linear_field():
     assert np.allclose(neumann_trace(u, a, GAMMA2).values, 1.0)
 
 
+def test_neumann_trace_refuses_the_side_walls():
+    g = build_grid(1.0, 0.5, 8)
+    u = Field(g, np.meshgrid(g.xs, g.ys)[0])
+    with pytest.raises(ValueError, match="side walls"):
+        neumann_trace(u, Coefficient(), GAMMA3)
+
+
+def test_assembled_system_is_symmetric_and_conservative():
+    g = build_grid(1.0, 0.5, 16)
+    a = Coefficient(fn=lambda x, y: 2.0 + np.sin(np.pi * x) * y)
+    solver = MixedSolver(g, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
+                                GAMMA3: "neumann"})
+    # Green's symmetry: the response at top node l to a unit load at top
+    # node k equals the response at k to a load at l
+    top = boundary_nodes(g, GAMMA2)
+    u, _ = solver.solve_unit_loads(top)
+    green = u[:, top[:, 1], top[:, 0]]
+    assert np.abs(green - green.T).max() <= 1e-12 * np.abs(green).max()
+    # no flux is lost: constant Dirichlet data with zero Neumann data and no
+    # source gives back the constant
+    ones = trace_from_function(g, GAMMA1, np.ones_like)
+    field = solver.solve(dirichlet={GAMMA1: ones}).values
+    assert np.abs(field - 1.0).max() <= 1e-12
+
+
+def test_coefficient_below_its_bound_is_rejected():
+    g = build_grid(1.0, 0.5, 8)
+    pattern = {GAMMA1: "dirichlet", GAMMA2: "neumann", GAMMA3: "neumann"}
+    with pytest.raises(ValueError, match="ellipticity"):
+        MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x), pattern)
+    MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x, alpha=0.5),
+                pattern)
+
+
 def test_spec_requires_every_part():
     g = build_grid(1.0, 0.5, 8)
     with pytest.raises(ValueError, match="every boundary part"):
@@ -189,8 +223,8 @@ def test_unit_load_block_matches_single_solves():
         q[i] = 1.0 / g.hx
         single = solver.solve(neumann={GAMMA2: zero_trace(g, GAMMA2).with_values(q)})
         assert np.allclose(u[k], single.values, rtol=0, atol=1e-13)
-    # reactions live on the Dirichlet bottom row only
-    assert np.all(reaction[:, 1:, :] == 0.0)
+    # reactions are given on the Dirichlet bottom row only
+    assert reaction.shape == (3, g.nx + 1)
     with pytest.raises(ValueError):
         solver.solve_unit_loads(boundary_nodes(g, GAMMA1))
 

@@ -30,6 +30,10 @@ def test_params_validation():
         TransportParams(eps_clamp=1.5)
     with pytest.raises(ValueError):
         TransportParams(cfl_max=0.95)
+    # below the floor one iteration could take ceil(0.5 / cfl_max) substeps;
+    # only constructed here, never run
+    with pytest.raises(ValueError):
+        TransportParams(cfl_max=1e-9)
 
 
 def test_upwind_shifts_ramp_one_node():
