@@ -12,9 +12,8 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .data import (add_noise, l2_norm_trace, synthesize_cauchy_data,
                    trace_inner, with_noise)
 from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
-                   boundary_nodes, build_grid, prolong_trace,
-                   quadrature_weights, restrict_trace, trace_from_function,
-                   zero_trace)
+                   build_grid, prolong_trace, quadrature_weights,
+                   restrict_trace, trace_from_function, zero_trace)
 from .levelset import (LevelSetState, component_count, curvature_term,
                        init_levelset, sharp_indicator, smoothed_heaviside,
                        smoothed_heaviside_deriv, solve_helmholtz_neumann)

@@ -12,7 +12,7 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
@@ -31,9 +31,9 @@ Interval = tuple[float, float]
 
 # Cells per side of the synthesis grid, (nx * refine) x (ny * refine), the
 # largest grid of a run. The largest built-in one (the nx = 256 transport
-# benchmark) is 512 x 256, so twice that leaves headroom. Every run takes
-# the cosine path, and at the bound its largest dense matrix (and the DCT-I
-# basis) holds 1025^2 doubles (8.4 MB); the synthesis is one y-sweep of
+# benchmark) is 512 x 256, so twice that leaves headroom. The maps come
+# from cosine symbols; at the bound the largest dense matrix (and the DCT-I
+# basis) holds 1025^2 doubles (8.4 MB), and the synthesis is one y-sweep of
 # 1024 rows.
 MAX_FINE_CELLS = 1024
 
@@ -105,6 +105,9 @@ class RunConfig:
             raise ConfigError("method.max_iters cannot be negative")
         if self.seed < 0:
             raise ConfigError("data.seed cannot be negative")
+        if any(k < 0 for k in self.snapshot_iters):
+            raise ConfigError("output.snapshots cannot hold negative "
+                              "iterations")
         if self.noise_level > 0 and not self.tau > 1:
             raise ConfigError("the discrepancy principle requires method.tau > 1 "
                               "when data.noise_level > 0")

@@ -36,13 +36,12 @@ def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
                            ctx_fine: OperatorContext,
                            ctx_inv: OperatorContext) -> CauchyData:
     """Exact Cauchy pair on the inversion grid from the fine grid's bottom
-    flux (operator.bottom_flux: cosine transforms on a spectral context).
+    flux (operator.bottom_flux: cosine transforms, no dense maps).
 
     true_q and g1_fine live on ctx_fine's grid; the fine grid must be nested
     in the inversion grid (equal grids are allowed for same-grid closure
     tests); bottom_flux rejects them otherwise. The offset z is computed on
-    the inversion grid from the injected Dirichlet datum and ctx_inv's own
-    source.
+    the inversion grid from the injected Dirichlet datum.
     """
     fine, inv = ctx_fine.grid, ctx_inv.grid
     g2_fine = bottom_flux(ctx_fine, true_q, g1_fine)

@@ -83,25 +83,6 @@ def build_grid(width: float, height: float, nx: int, ny: int | None = None) -> G
     return Grid(width=float(width), height=float(height), nx=int(nx), ny=int(ny))
 
 
-def boundary_nodes(grid: Grid, part: BoundaryPart) -> np.ndarray:
-    """(i, j) index pairs of the nodes owned by a boundary part.
-
-    Horizontal parts own their corners and are ordered by increasing x.
-    The sides exclude all four corners; ordering is left side bottom to top,
-    then right side bottom to top.
-    """
-    if part is GAMMA1:
-        i = np.arange(grid.nx + 1)
-        return np.stack([i, np.zeros_like(i)], axis=1)
-    if part is GAMMA2:
-        i = np.arange(grid.nx + 1)
-        return np.stack([i, np.full_like(i, grid.ny)], axis=1)
-    j = np.arange(1, grid.ny)
-    left = np.stack([np.zeros_like(j), j], axis=1)
-    right = np.stack([np.full_like(j, grid.nx), j], axis=1)
-    return np.concatenate([left, right], axis=0)
-
-
 class NonFiniteError(ValueError):
     """A trace was given inf or nan values."""
 

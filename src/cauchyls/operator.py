@@ -6,12 +6,12 @@ and an affine offset z driven by the known data, so the measured bottom-edge
 flux satisfies (forward map)(q) = g2 - z. All three maps below solve a mixed
 problem with Dirichlet data on the bottom edge and Neumann data elsewhere.
 
-With the constant coefficient and no source the discrete problem separates:
-the nodal cosine modes cos(k pi x) diagonalize all three maps, and one
-tridiagonal sweep in y gives their per-mode symbols (CosineModes). Every
-other problem goes through a cached MixedSolver factorization, from which
-the dense forward and adjoint matrices are assembled by block solves on the
-first apply. Either way every apply is a dense matvec.
+The paper's problem has the constant coefficient and no source, so the
+discrete problem separates: the nodal cosine modes cos(k pi x) diagonalize
+all three maps, and one tridiagonal sweep in y gives their per-mode symbols
+(CosineModes). The dense forward and adjoint matrices are products of
+cosine transforms and those symbols, built on the first apply, so every
+apply is a dense matvec.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
-                   boundary_nodes, quadrature_weights)
-from .pde import Coefficient, Field, MixedSolver, conormal_values, neumann_trace
+from .grid import GAMMA1, GAMMA2, BoundaryPart, Grid, TraceFn
+from .pde import Coefficient, conormal_values
 
-# load columns per block solve during assembly: at nx = 64, height 1, about
-# 2.7 MB of transient arrays, half what 32 columns take, at 5-20% more time
-ASSEMBLY_BLOCK = 16
 # decay_slope fits log(sigma_k) up to this 1-based position by default
 DECAY_FIT_LAST = 15
 
@@ -127,28 +123,16 @@ class CosineModes:
 
 
 class OperatorContext:
-    """Grid, coefficient and source bundled with the maps' cached state.
+    """Grid bundled with the maps' cached state.
 
-    The context owns the forward map and its adjoint as dense matrices,
-    built on the first apply, and chooses how to build them once, from its
-    input:
-
-    - spectral (the constant coefficient and no source, which holds for
-      every run a config can describe): products of cosine transforms and
-      per-mode symbols (CosineModes); nothing is factorized;
-    - otherwise: block solves through a cached MixedSolver.
+    The context owns the forward map and its adjoint as dense matrices:
+    products of cosine transforms and per-mode symbols (CosineModes), built
+    on the first apply. Nothing is factorized.
     """
 
-    def __init__(self, grid: Grid, coefficient: Coefficient | None = None,
-                 f: Field | None = None):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.coefficient = coefficient if coefficient is not None else Coefficient()
-        if f is not None and f.grid != grid:
-            raise ValueError("source field lives on a different grid")
-        self.f = f
-        self.spectral = self.coefficient.fn is None and f is None
         self._modes: CosineModes | None = None
-        self._solver: MixedSolver | None = None
         self._maps: tuple[np.ndarray, np.ndarray] | None = None
         self._normal: np.ndarray | None = None
 
@@ -159,49 +143,15 @@ class OperatorContext:
         return self._modes
 
     @property
-    def solver(self) -> MixedSolver:
-        if self._solver is None:
-            self._solver = MixedSolver(
-                self.grid, self.coefficient,
-                {GAMMA1: "dirichlet", GAMMA2: "neumann", GAMMA3: "neumann"},
-            )
-        return self._solver
-
-    @property
     def assembled(self) -> bool:
         return self._maps is not None
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only dense (forward, adjoint) matrices in the nodal basis.
-
-        A spectral context multiplies out its cosine symbols. Otherwise one
-        block solve per ASSEMBLY_BLOCK top nodes gives X = A_ff^-1 E^T, the
-        responses to unit loads on the top edge. A top flux q loads node j
-        with q_j times its segment length, so the forward columns are the
-        bottom conormal traces of X times those lengths. The adjoint is
-        E A_ff^-1 A_fd, bottom Dirichlet data to the negated top trace of
-        the solution; A_ff is symmetric, so it equals (A_fd^T X)^T, the
-        reactions of the same solves.
-        """
-        if self._maps is not None:
-            return self._maps
-        if self.spectral:
+        """Read-only dense (forward, adjoint) matrices in the nodal basis,
+        multiplied out from the cosine symbols."""
+        if self._maps is None:
             m = self.modes
             self._maps = m.matrices(m.forward, m.adjoint)
-            return self._maps
-        nx = self.grid.nx
-        top = boundary_nodes(self.grid, GAMMA2)
-        seg = quadrature_weights(self.grid, GAMMA2)
-        forward = np.empty((nx + 1, nx + 1))
-        adjoint = np.empty((nx + 1, nx + 1))
-        for lo in range(0, nx + 1, ASSEMBLY_BLOCK):
-            cols = slice(lo, lo + ASSEMBLY_BLOCK)
-            u, adjoint[cols, :] = self.solver.solve_unit_loads(top[cols])
-            flux = conormal_values(u, self.grid, self.coefficient, GAMMA1)
-            forward[:, cols] = (seg[cols, None] * flux).T
-        forward.setflags(write=False)
-        adjoint.setflags(write=False)
-        self._maps = (forward, adjoint)
         return self._maps
 
     def normal_matrix(self) -> np.ndarray:
@@ -231,20 +181,17 @@ def _check_trace(ctx: OperatorContext, t: TraceFn | None,
 
 def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
                 g1: TraceFn | None = None) -> TraceFn:
-    """Bottom-edge conormal flux of the mixed problem with top flux q, bottom
-    Dirichlet datum g1 (None means zero) and the context's source."""
+    """Bottom-edge conormal flux of the mixed problem with top flux q and
+    bottom Dirichlet datum g1 (None means zero), through the cosine symbols."""
     _check_trace(ctx, q, GAMMA2)
     _check_trace(ctx, g1, GAMMA1)
-    if ctx.spectral:
-        m = ctx.modes
-        hat = np.zeros(ctx.grid.nx + 1)
-        if q is not None:
-            hat += m.forward * m.coefficients(q.values)
-        if g1 is not None:
-            hat += m.offset * m.coefficients(g1.values)
-        return TraceFn(ctx.grid, GAMMA1, m.basis @ hat)
-    u = ctx.solver.solve(dirichlet={GAMMA1: g1}, neumann={GAMMA2: q}, f=ctx.f)
-    return neumann_trace(u, ctx.coefficient, GAMMA1)
+    m = ctx.modes
+    hat = np.zeros(ctx.grid.nx + 1)
+    if q is not None:
+        hat += m.forward * m.coefficients(q.values)
+    if g1 is not None:
+        hat += m.offset * m.coefficients(g1.values)
+    return TraceFn(ctx.grid, GAMMA1, m.basis @ hat)
 
 
 def compute_offset_z(ctx: OperatorContext, g1: TraceFn) -> TraceFn:

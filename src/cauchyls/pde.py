@@ -39,8 +39,9 @@ class SolverError(RuntimeError):
 class Coefficient:
     """Scalar diffusion coefficient a(x, y) with ellipticity bound alpha.
 
-    fn=None means the constant coefficient 1. The bound is validated at
-    every evaluation point used by the assembly.
+    fn=None means the constant coefficient 1, which must meet the bound
+    itself; otherwise the bound is validated at every evaluation point used
+    by the assembly.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -49,6 +50,8 @@ class Coefficient:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("ellipticity bound alpha must be positive")
+        if self.fn is None and 1.0 < self.alpha - 1e-14:
+            raise ValueError("coefficient drops below its ellipticity bound")
 
     def __call__(self, x, y) -> np.ndarray:
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
@@ -215,39 +218,13 @@ class MixedSolver:
         x = self._checked_solve(rhs)
         return Field(g, np.vstack([u_d, x.reshape(ny, nx + 1)]))
 
-    def solve_unit_loads(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Responses to a unit load at each given free node, all data zero.
-
-        nodes holds (i, j) index pairs, as boundary_nodes returns them, and
-        one block solve covers them all. Returns (u, reaction): the nodal
-        solutions, of shape (len(nodes), ny+1, nx+1), and the reactions
-        A_df u_f they draw at the bottom (Dirichlet) nodes, of shape
-        (len(nodes), nx+1). As the reduced system is symmetric, reaction[k]
-        also gives the negated value at load node k of the solution for unit
-        Dirichlet data at each bottom node.
-        """
-        g = self.grid
-        nodes = np.asarray(nodes)
-        i, j = nodes[:, 0], nodes[:, 1]
-        if np.any(j == 0):
-            raise ValueError("unit loads must sit on free nodes")
-        k = len(nodes)
-        b = np.zeros((g.ny * (g.nx + 1), k))
-        b[(j - 1) * (g.nx + 1) + i, np.arange(k)] = 1.0
-        x = self._checked_solve(b)
-
-        u = np.zeros((k, g.ny + 1, g.nx + 1))
-        u[:, 1:, :] = x.T.reshape(k, g.ny, g.nx + 1)
-        return u, (self._A_fd.T @ x).T
-
     def _checked_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the reduced system for one right-hand side or a block of
-        columns; every column must meet the relative residual bound."""
+        """Solve the reduced system for one right-hand side, which must meet
+        the relative residual bound."""
         x = self._lu.solve(rhs)
-        res = np.linalg.norm(self._A_ff @ x - rhs, axis=0)
-        bound = SOLVER_RTOL * np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
-        if np.any(res > bound):
-            raise SolverError(f"linear solve residual {np.max(res):.3e} "
+        res = np.linalg.norm(self._A_ff @ x - rhs)
+        if res > SOLVER_RTOL * max(np.linalg.norm(rhs), 1.0):
+            raise SolverError(f"linear solve residual {res:.3e} "
                               "exceeds tolerance")
         return x
 

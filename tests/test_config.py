@@ -93,6 +93,7 @@ def test_malformed_lines_rejected(line, fragment):
     "method.eps_cells = 2\nmethod.eps_min_cells = 3",
     "method.cfl_max = 1e-300",
     "data.seed = -1",
+    "output.snapshots = 0, -3",
     "geometry.nx = 1025\ngeometry.refine = 1",
     "geometry.nx = 16\ngeometry.ny = 600",
     "geometry.nx = 1" + "0" * 400,

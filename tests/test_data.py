@@ -92,6 +92,8 @@ def test_finer_grid_synthesis_keeps_discretization_gap(ctx64, grid64):
     res = apply_forward(ctx64, _truth(grid64)).values - data.rhs.values
     gap = np.abs(res).max()
     assert 1e-8 < gap < 1e-2
+    # synthesis reads the fine grid's symbols only, never its dense maps
+    assert not ctx_fine.assembled
 
 
 def test_with_noise_only_touches_g2(ctx64, grid64):

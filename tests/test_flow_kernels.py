@@ -12,13 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, CauchyData, Coefficient, OperatorContext,
-                      apply_forward, build_grid, front_velocity,
-                      init_levelset, l2_norm_trace, run_tikhonov,
-                      run_transport, sharp_indicator, tikhonov_step,
-                      transport_step, zero_trace)
-from cauchyls.experiments import (exp1_config, exp2_config, execute,
-                                  indicator_trace, prepare,
+from cauchyls import (apply_forward, front_velocity, l2_norm_trace,
+                      sharp_indicator, tikhonov_step, transport_step)
+from cauchyls.experiments import (exp1_config, exp2_config, execute, prepare,
                                   transport_benchmark_config)
 from cauchyls.levelset import LevelSetState, redistance
 from cauchyls.record import STOP_MAX_ITERS, RunRecord, observe
@@ -139,37 +135,3 @@ def test_transport_loop_matches_trace_reference():
     e, res = ref.errors, ref.residuals
     assert rec.asymp_gap == [(e[k + 1] ** 2 - e[k] ** 2) / dt
                              + 2.0 * res[k] ** 2 for k, dt in enumerate(dts)]
-
-
-def test_general_path_run_matches_spectral_run():
-    # The same discrete operator through MixedSolver: the general context
-    # assembles its dense maps from block solves on the first apply, inside
-    # the loop, where the spectral context multiplies out its symbols.
-    grid = build_grid(1.0, 0.5, 16)
-    truth = indicator_trace(grid, ((0.3, 0.7),))
-    spectral = OperatorContext(grid)
-    zero1 = zero_trace(grid, GAMMA1)
-    data = CauchyData(g1=zero1, g2=apply_forward(spectral, truth), delta=0.0,
-                      z=zero1)
-    eps = 4 * grid.hx
-    runs = [
-        (run_tikhonov, TikhonovParams(alpha=100.0, eps=eps, max_iters=60),
-         (0.45, 0.55)),
-        # this seed reaches the truth at iteration 65
-        (run_transport, TransportParams(dt=0.5, max_iters=100,
-                                        target_error=5e-3), (0.4, 0.9)),
-    ]
-    for run, params, seed in runs:
-        phi0 = init_levelset(grid, (seed,), eps)
-        general = OperatorContext(grid, Coefficient(fn=lambda x, y:
-                                                    np.ones_like(x)))
-        assert not general.spectral
-        want = run(phi0, data, spectral, params, truth=truth)
-        got = run(phi0, data, general, params, truth=truth)
-        assert general.assembled
-        assert (got.stop_reason, got.stop_iteration) == \
-            (want.stop_reason, want.stop_iteration)
-        # relative to the run's residual scale: at the truth the spectral
-        # residual is exactly 0 and the general one rounding noise
-        np.testing.assert_allclose(got.residuals, want.residuals, rtol=1e-10,
-                                   atol=1e-10 * max(want.residuals))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, GAMMA3, TraceFn, boundary_nodes,
-                      build_grid, prolong_trace, quadrature_weights,
-                      restrict_trace, trace_from_function, zero_trace)
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, TraceFn, build_grid,
+                      prolong_trace, quadrature_weights, restrict_trace,
+                      trace_from_function, zero_trace)
 
 
 def test_build_grid_derives_ny_from_height():
@@ -20,22 +20,9 @@ def test_build_grid_derives_ny_from_height():
 def test_boundary_node_counts():
     g = build_grid(1.0, 0.5, 16)
     # horizontal edges own the corners, sides exclude them
-    assert boundary_nodes(g, GAMMA1).shape == (17, 2)
-    assert boundary_nodes(g, GAMMA2).shape == (17, 2)
-    assert boundary_nodes(g, GAMMA3).shape == (2 * (g.ny - 1), 2)
-
-
-def test_boundary_nodes_rows_and_ordering():
-    g = build_grid(1.0, 0.5, 8)
-    bottom = boundary_nodes(g, GAMMA1)
-    top = boundary_nodes(g, GAMMA2)
-    assert np.all(bottom[:, 1] == 0)
-    assert np.all(top[:, 1] == g.ny)
-    assert np.all(np.diff(bottom[:, 0]) == 1)
-    sides = boundary_nodes(g, GAMMA3)
-    left, right = sides[: g.ny - 1], sides[g.ny - 1:]
-    assert np.all(left[:, 0] == 0) and np.all(right[:, 0] == g.nx)
-    assert np.all(np.diff(left[:, 1]) == 1)
+    assert g.node_count(GAMMA1) == 17
+    assert g.node_count(GAMMA2) == 17
+    assert g.node_count(GAMMA3) == 2 * (g.ny - 1)
 
 
 def test_quadrature_integrates_constant_to_edge_length():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, Field,
-                      MixedSolver, SolverError, TraceFn, boundary_nodes,
-                      build_grid, neumann_trace, trace_from_function,
+                      MixedSolver, SolverError, TraceFn, build_grid,
+                      neumann_trace, quadrature_weights, trace_from_function,
                       zero_trace)
 from cauchyls import pde
 
@@ -111,10 +111,12 @@ def test_assembled_system_is_symmetric_and_conservative():
     solver = MixedSolver(g, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
                                 GAMMA3: "neumann"})
     # Green's symmetry: the response at top node l to a unit load at top
-    # node k equals the response at k to a load at l
-    top = boundary_nodes(g, GAMMA2)
-    u, _ = solver.solve_unit_loads(top)
-    green = u[:, top[:, 1], top[:, 0]]
+    # node k equals the response at k to a load at l. A top flux e_k / seg_k
+    # loads node k with exactly 1
+    seg = quadrature_weights(g, GAMMA2)
+    green = np.array([
+        solver.solve(neumann={GAMMA2: TraceFn(g, GAMMA2, e / seg)}).values[-1]
+        for e in np.eye(g.nx + 1)])
     assert np.abs(green - green.T).max() <= 1e-12 * np.abs(green).max()
     # no flux is lost: constant Dirichlet data with zero Neumann data and no
     # source gives back the constant
@@ -128,6 +130,9 @@ def test_coefficient_below_its_bound_is_rejected():
     pattern = {GAMMA1: "dirichlet", GAMMA2: "neumann", GAMMA3: "neumann"}
     with pytest.raises(ValueError, match="ellipticity"):
         MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x), pattern)
+    # the constant coefficient 1 is held to the bound as well
+    with pytest.raises(ValueError, match="ellipticity"):
+        MixedSolver(g, Coefficient(alpha=2.0), pattern)
     MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x, alpha=0.5),
                 pattern)
 
@@ -212,28 +217,9 @@ def test_source_term_enters_with_correct_sign():
     assert np.abs(u.values - (0.5 * y - y ** 2)).max() < 1e-10
 
 
-def test_unit_load_block_matches_single_solves():
-    g = build_grid(1.0, 0.5, 8)
-    solver = _operator_solver(g)
-    top = boundary_nodes(g, GAMMA2)
-    u, reaction = solver.solve_unit_loads(top[2:5])
-    for k, i in enumerate(range(2, 5)):
-        # a top flux of 1/hx at interior node i is a unit load there
-        q = np.zeros(g.nx + 1)
-        q[i] = 1.0 / g.hx
-        single = solver.solve(neumann={GAMMA2: zero_trace(g, GAMMA2).with_values(q)})
-        assert np.allclose(u[k], single.values, rtol=0, atol=1e-13)
-    # reactions are given on the Dirichlet bottom row only
-    assert reaction.shape == (3, g.nx + 1)
-    with pytest.raises(ValueError):
-        solver.solve_unit_loads(boundary_nodes(g, GAMMA1))
-
-
 def test_block_solve_keeps_the_residual_check(monkeypatch):
     g = build_grid(1.0, 0.5, 8)
     solver = _operator_solver(g)
     monkeypatch.setattr(pde, "SOLVER_RTOL", 0.0)
-    with pytest.raises(SolverError):
-        solver.solve_unit_loads(boundary_nodes(g, GAMMA2))
     with pytest.raises(SolverError):
         solver.solve(neumann={GAMMA2: trace_from_function(g, GAMMA2, np.cos)})
