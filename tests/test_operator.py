@@ -159,8 +159,14 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
         assert np.abs(cosine - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
-def test_bottom_flux_rejects_misplaced_traces(ctx16, grid16):
-    # q and g1 are checked against the context grid at entry
+@pytest.mark.parametrize("assembled", [True, False])
+def test_bottom_flux_rejects_misplaced_traces(grid16, assembled):
+    # q and g1 are checked against the context grid at entry, whether or not
+    # the dense maps have been built yet
+    ctx16 = OperatorContext(grid16)
+    if assembled:
+        ctx16.assemble()
+    assert ctx16.assembled is assembled
     shallow = build_grid(1.0, 0.25, 16)
     top = trace_from_function(grid16, GAMMA2, np.cos)
     bottom = trace_from_function(grid16, GAMMA1, np.cos)
