@@ -14,8 +14,8 @@ from .data import (add_noise, l2_norm_trace, synthesize_cauchy_data,
 from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
                    build_grid, prolong_trace, quadrature_weights,
                    restrict_trace, trace_from_function, zero_trace)
-from .levelset import (LevelSetState, component_count, curvature_term,
-                       init_levelset, sharp_indicator, smoothed_heaviside,
+from .levelset import (component_count, curvature_term, init_levelset,
+                       sharp_indicator, smoothed_heaviside,
                        smoothed_heaviside_deriv, solve_helmholtz_neumann)
 from .operator import (CauchyData, OperatorContext, apply_adjoint,
                        apply_forward, assemble_forward_matrix, compute_offset_z,

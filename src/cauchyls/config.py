@@ -229,4 +229,9 @@ def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {p} ({exc.reason} "
+                          f"at byte {exc.start})") from exc
+    return parse_config(text)

@@ -10,7 +10,6 @@ connected-component counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,24 +39,6 @@ def sharp_indicator(t: np.ndarray) -> np.ndarray:
     return (np.asarray(t, dtype=float) >= 0.0).astype(float)
 
 
-@dataclass(frozen=True)
-class LevelSetState:
-    """Profile phi on the top edge together with its smoothing width."""
-
-    phi: TraceFn
-    eps: float
-
-    def __post_init__(self):
-        if self.phi.part is not GAMMA2:
-            raise ValueError("level-set profile lives on the top edge")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-
-    @property
-    def q(self) -> TraceFn:
-        return self.phi.with_values(smoothed_heaviside(self.phi.values, self.eps))
-
-
 def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
     """np.gradient(f, h) by slices: centered inside, first-order one-sided
     differences at the two ends (the same bits as np.gradient)."""
@@ -68,23 +49,17 @@ def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def curvature(ramp: np.ndarray, h: float, eta: float, beta: float) -> np.ndarray:
-    """beta * d/dx [ H' / sqrt(H'^2 + eta^2) ] of ramp values H = H_eps(phi)."""
+def curvature_term(ramp: np.ndarray, h: float, eta: float,
+                   beta: float) -> np.ndarray:
+    """Total-variation curvature source beta * d/dx [ H' / sqrt(H'^2 + eta^2) ]
+    of ramp values H = H_eps(phi) at nodes of spacing h.
+
+    Derivatives are centered with first-order one-sided ends. eta > 0 keeps
+    the normalization away from division by zero on flat stretches.
+    """
     g = centered_derivative(ramp, h)
     n = g / np.sqrt(g * g + eta * eta)
     return beta * centered_derivative(n, h)
-
-
-def curvature_term(phi: TraceFn, eps: float, eta: float, beta: float) -> TraceFn:
-    """Total-variation curvature source beta * d/dx [ H' / sqrt(H'^2 + eta^2) ].
-
-    Derivatives are centered with first-order one-sided ends. eta keeps the
-    normalization away from division by zero on flat stretches.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    ramp = smoothed_heaviside(phi.values, eps)
-    return phi.with_values(curvature(ramp, phi.grid.hx, eta, beta))
 
 
 def tridiagonal_solver(d: np.ndarray,
@@ -184,8 +159,10 @@ def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
     return TraceFn(grid, GAMMA2, np.clip(phi, -3.0 * eps, 3.0 * eps))
 
 
-def redistance(q: TraceFn, eps: float) -> TraceFn:
-    """Profile for band width eps whose mid-level set {q > 1/2} is q's own.
+def redistance(vals: np.ndarray, x: np.ndarray, h: float,
+               eps: float) -> np.ndarray:
+    """Profile for band width eps whose mid-level set {q > 1/2} is q's own,
+    from the values of q at nodes x with spacing h.
 
     The fronts sit where the piecewise-linear interpolant of q crosses 1/2;
     the side walls are not fronts. The new profile is the signed distance to
@@ -195,12 +172,6 @@ def redistance(q: TraceFn, eps: float) -> TraceFn:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return q.with_values(redistanced(q.values, q.grid.xs, q.grid.hx, eps))
-
-
-def redistanced(vals: np.ndarray, x: np.ndarray, h: float,
-                eps: float) -> np.ndarray:
-    """redistance on the values of q at nodes x with spacing h."""
     inside = vals > 0.5
     cross = np.flatnonzero(inside[1:] != inside[:-1])
     if cross.size == 0:
@@ -213,10 +184,9 @@ def redistanced(vals: np.ndarray, x: np.ndarray, h: float,
     return np.clip(phi, -3.0 * eps, 3.0 * eps)
 
 
-def component_count(q: TraceFn | np.ndarray, threshold: float = 0.5) -> int:
+def component_count(q: np.ndarray, threshold: float = 0.5) -> int:
     """Number of maximal runs of nodes with q > threshold."""
-    vals = q.values if isinstance(q, TraceFn) else np.asarray(q, dtype=float)
-    above = vals > threshold
+    above = np.asarray(q, dtype=float) > threshold
     if not above.any():
         return 0
     return int(np.sum(above[1:] & ~above[:-1]) + int(above[0]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GAMMA1, GAMMA2, BoundaryPart, Grid, TraceFn
-from .pde import Coefficient, conormal_values
+from .pde import Coefficient, SolverError, conormal_values
 
 # decay_slope fits log(sigma_k) up to this 1-based position by default
 DECAY_FIT_LAST = 15
@@ -108,6 +108,11 @@ class CosineModes:
         self.forward, self.offset = conormal_values(rows, grid, Coefficient(),
                                                     GAMMA1)
         self.adjoint = -x1 / hy
+        # 1/hy^2 overflows on a strip too thin for its rows (hy < ~1e-160)
+        if not all(np.isfinite(s).all()
+                   for s in (self.forward, self.offset, self.adjoint)):
+            raise SolverError(f"the cosine symbols of the {nx} x {ny} grid "
+                              f"are not finite (hy = {hy:g})")
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of nodal values on a horizontal edge."""

@@ -59,6 +59,9 @@ class Coefficient:
             return np.ones_like(x)
         vals = np.asarray(self.fn(x, y), dtype=float)
         vals = np.broadcast_to(vals, x.shape).copy()
+        # nan compares false with the bound, so it is rejected on its own
+        if not np.isfinite(vals).all():
+            raise ValueError("coefficient values must be finite")
         if np.any(vals < self.alpha - 1e-14):
             raise ValueError("coefficient drops below its ellipticity bound")
         return vals

@@ -28,24 +28,17 @@ STAGNATION_TOL = 1e-14
 STAGNATION_STEPS = 10
 
 
-def observe(q: TraceFn, truth: TraceFn | None) -> tuple[float | None, int]:
+def observe(q: np.ndarray, truth: np.ndarray | None,
+            w: np.ndarray | None) -> tuple[float | None, int]:
     """Iterate error and component count of the reconstruction set.
 
-    The error is the L2 distance between the flux iterate itself and the
-    truth flux; for a sharp iterate that coincides with the misclassified
-    mass, for the ramp iterate it additionally carries the transition
-    bands. The component count is taken on the mid-level set {q > 1/2},
-    which is the set the iterate would round to.
+    The error is the L2 distance, under the truth's quadrature weights w,
+    between the flux iterate itself and the truth flux; for a sharp iterate
+    that coincides with the misclassified mass, for the ramp iterate it
+    additionally carries the transition bands. The component count is taken
+    on the mid-level set {q > 1/2}, which is the set the iterate would
+    round to.
     """
-    if truth is None:
-        return observed(q.values, None, None)
-    w = quadrature_weights(truth.grid, truth.part)
-    return observed(q.values, truth.values, w)
-
-
-def observed(q: np.ndarray, truth: np.ndarray | None,
-             w: np.ndarray | None) -> tuple[float | None, int]:
-    """observe on values, with the truth's quadrature weights w."""
     err = None if truth is None else weighted_norm(q - truth, w)
     return err, component_count(q)
 
@@ -73,15 +66,9 @@ class RunRecord:
     final_eps: float | None = None
 
     def record(self, k: int, residual: float, error: float | None,
-               n_components: int, phi: TraceFn, q: TraceFn,
-               snapshot_iters=()) -> None:
-        self.append(k, residual, error, n_components, phi.values, q.values,
-                    snapshot_iters)
-
-    def append(self, k: int, residual: float, error: float | None,
                n_components: int, phi: np.ndarray, q: np.ndarray,
                snapshot_iters=()) -> None:
-        """record on the values of phi and q."""
+        """Append iterate k; phi and q are copied if k is a snapshot."""
         self.residuals.append(residual)
         if error is not None:
             if self.errors is None:
@@ -147,8 +134,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
         q = indicator(phi)
         r = ctx.forward(q) - rhs
         res_norm = weighted_norm(r, w)
-        err, comps = observed(q, target, w)
-        out.append(k, res_norm, err, comps, phi, q, snapshot_iters)
+        err, comps = observe(q, target, w)
+        out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
 
         if stalled >= STAGNATION_STEPS:
             reason = STOP_STAGNATION

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (LevelSetState, NeumannHelmholtz, curvature, redistanced,
+from .levelset import (NeumannHelmholtz, curvature_term, redistance,
                        smoothed_heaviside, smoothed_heaviside_deriv)
-from .operator import CauchyData, OperatorContext, apply_adjoint, apply_forward
+from .operator import CauchyData, OperatorContext
 from .record import RunRecord, run_flow
 
 STEP_EXPLICIT = "explicit"
@@ -90,23 +90,17 @@ class TikhonovParams:
         return self.eps if self.eps is not None else 2.0 * grid.hx
 
 
-def residual_trace(state: LevelSetState, data: CauchyData,
-                   ctx: OperatorContext) -> TraceFn:
-    """Data misfit of the smoothed flux on the bottom edge."""
-    lq = apply_forward(ctx, state.q)
-    return lq.with_values(lq.values - data.rhs.values)
-
-
-def tikhonov_update(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
-                    eps: float, h: float, ctx: OperatorContext,
-                    params: TikhonovParams,
-                    helmholtz: NeumannHelmholtz) -> np.ndarray:
-    """The profile after one flow step, on values.
+def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
+                  eps: float, ctx: OperatorContext, params: TikhonovParams,
+                  helmholtz: NeumannHelmholtz) -> np.ndarray:
+    """The profile values after one flow step.
 
     ramp is H_eps(phi), grad the adjoint-applied residual and helmholtz the
-    NeumannHelmholtz of phi's nodes with spacing h.
+    NeumannHelmholtz of the context grid's top-edge nodes. Nothing is
+    checked here: run_tikhonov checks its inputs once per run.
     """
-    curv = curvature(ramp, h, params.eta, params.beta)
+    h = ctx.grid.hx
+    curv = curvature_term(ramp, h, params.eta, params.beta)
     gate = smoothed_heaviside_deriv(phi, eps)
     drive = gate * (-grad + curv)
     if params.step == STEP_EXPLICIT:
@@ -118,23 +112,6 @@ def tikhonov_update(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
     if largest > cap:
         dphi *= cap / largest
     return phi + dphi
-
-
-def tikhonov_step(state: LevelSetState, data: CauchyData, ctx: OperatorContext,
-                  params: TikhonovParams, r: TraceFn | None = None
-                  ) -> tuple[LevelSetState, TraceFn]:
-    """One flow step; returns the new state and the residual it was driven by.
-
-    r is the residual of state when the caller has computed it already.
-    """
-    phi, eps = state.phi, state.eps
-    if r is None:
-        r = residual_trace(state, data, ctx)
-    grad = apply_adjoint(ctx, r).values
-    h = phi.grid.hx
-    new = tikhonov_update(phi.values, state.q.values, grad, eps, h, ctx,
-                          params, NeumannHelmholtz(phi.values.size, h))
-    return LevelSetState(phi.with_values(new), eps), r
 
 
 def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -162,8 +139,8 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     def step(phi: np.ndarray, q: np.ndarray,
              r: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal eps
-        new = tikhonov_update(phi, q, ctx.adjoint(r), eps, h, ctx, params,
-                              helmholtz)
+        new = tikhonov_step(phi, q, ctx.adjoint(r), eps, ctx, params,
+                            helmholtz)
         dphi_inf = float(np.max(np.abs(new - phi)))
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
@@ -171,7 +148,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
             # level set is taken on the ramp of the band the step used
             ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
-            return redistanced(ramp, xs, h, eps), math.inf
+            return redistance(ramp, xs, h, eps), math.inf
         return new, params.alpha * dphi_inf
 
     out = run_flow(phi0, data, ctx, params, indicator, step, truth,

@@ -19,7 +19,7 @@ import numpy as np
 from .grid import NonFiniteError, TraceFn
 from .levelset import (centered_derivative, sharp_indicator,
                        tridiagonal_solver)
-from .operator import CauchyData, OperatorContext, apply_adjoint
+from .operator import CauchyData, OperatorContext
 from .record import RunRecord, run_flow
 
 VELOCITY_FLOOR = 1e-12
@@ -56,11 +56,17 @@ def dirichlet_poisson(n: int, h: float) -> Callable[[np.ndarray], np.ndarray]:
                               np.full(n - 3, -1.0 / (h * h)))
 
 
-def velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
-             poisson: Callable[[np.ndarray], np.ndarray],
-             h: float) -> np.ndarray:
-    """front_velocity on values: grad is the adjoint-applied residual and
-    poisson is dirichlet_poisson on q's nodes."""
+def front_velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
+                   poisson: Callable[[np.ndarray], np.ndarray],
+                   h: float) -> np.ndarray:
+    """Velocity V = psi' with -psi'' = 2 * grad / (2q - 1) on nodes of
+    spacing h; grad is the adjoint-applied residual and poisson is
+    dirichlet_poisson on q's nodes.
+
+    psi vanishes at both ends of the top edge. The denominator is clamped
+    away from zero at eps_clamp, with sign +1 at an exact zero. V is the
+    centered difference of psi inside and zero at the two end nodes.
+    """
     s = 2.0 * q - 1.0
     sign = np.where(s >= 0.0, 1.0, -1.0)
     s = np.where(np.abs(s) < eps_clamp, eps_clamp * sign, s)
@@ -70,20 +76,6 @@ def velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
     v = centered_derivative(psi, h)
     v[0] = v[-1] = 0.0
     return v
-
-
-def front_velocity(q: TraceFn, residual: TraceFn, ctx: OperatorContext,
-                   params: TransportParams) -> TraceFn:
-    """Velocity V = psi' with -psi'' = 2 * adjoint(residual) / (2q - 1).
-
-    psi vanishes at both ends of the top edge. The denominator is clamped
-    away from zero at eps_clamp, with sign +1 at an exact zero. V is the
-    centered difference of psi inside and zero at the two end nodes.
-    """
-    h = q.grid.hx
-    grad = apply_adjoint(ctx, residual).values
-    poisson = dirichlet_poisson(q.values.size, h)
-    return q.with_values(velocity(q.values, grad, params.eps_clamp, poisson, h))
 
 
 def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarray:
@@ -106,21 +98,14 @@ def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarr
     return phi - dt * (np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp)
 
 
-def advect(phi: np.ndarray, v: np.ndarray, vmax: float, dt: float,
-           cfl_max: float, h: float) -> np.ndarray:
-    """transport_step on values; vmax is max|v|."""
+def transport_step(phi: np.ndarray, v: np.ndarray, vmax: float, dt: float,
+                   cfl_max: float, h: float) -> np.ndarray:
+    """Advance phi by dt, sub-stepping so every substep satisfies the bound;
+    vmax is max|v|."""
     n_sub = max(1, math.ceil(vmax * dt / (cfl_max * h))) if vmax > 0 else 1
     for _ in range(n_sub):
         phi = upwind_step(phi, v, dt / n_sub, h)
     return phi
-
-
-def transport_step(phi: TraceFn, v: TraceFn, dt: float,
-                   cfl_max: float) -> TraceFn:
-    """Advance phi by dt, sub-stepping so every substep satisfies the bound."""
-    vmax = float(np.max(np.abs(v.values)))
-    return phi.with_values(advect(phi.values, v.values, vmax, dt, cfl_max,
-                                  phi.grid.hx))
 
 
 def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -144,13 +129,13 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     def step(phi: np.ndarray, q: np.ndarray,
              r: np.ndarray) -> tuple[np.ndarray, float]:
-        v = velocity(q, ctx.adjoint(r), params.eps_clamp, poisson, h)
+        v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, poisson, h)
         vmax = float(np.max(np.abs(v)))
         if not math.isfinite(vmax):
             raise NonFiniteError("front velocity is not finite")
         dt = min(params.dt, 0.5 * h / max(vmax, VELOCITY_FLOOR))
         dts.append(dt)
-        return advect(phi, v, vmax, dt, params.cfl_max, h), vmax
+        return transport_step(phi, v, vmax, dt, params.cfl_max, h), vmax
 
     out = run_flow(phi0, data, ctx, params, sharp_indicator, step, truth,
                    snapshot_iters)

@@ -68,6 +68,24 @@ def test_inputs_that_would_crash_later_exit_2(tmp_path, capsys, command,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"geometry.nx = 16\n\xff\n")
+    assert main(["solve", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "svd"])
+def test_degenerate_strip_exits_3(out_root, tmp_path, capsys, command):
+    # hy = 2.5e-301: 1/hy^2 overflows in the cosine symbols
+    cfg = _write_cfg(tmp_path, "geometry.height = 1e-300\ngeometry.ny = 4\n"
+                               "method.max_iters = 1\n")
+    assert main([command, cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and err.count("\n") == 1
+
+
 def test_non_finite_iterate_exits_3(out_root, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "geometry.nx = 16\nmethod.alpha = 1e-310\n"
                                "method.max_iters = 3\n")

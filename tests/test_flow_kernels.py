@@ -1,26 +1,35 @@
-"""The array-level iteration loop against a loop over the public TraceFn API.
+"""The array-level iteration loop against a loop over traces, and the
+benchmark tracer's view of that loop.
 
 run_tikhonov and run_transport iterate on raw value arrays with per-run
 constants (quadrature weights, factored tridiagonal solves). The reference
-loops below are written from the public functions that take and return
-traces, one call per formula, as the iteration was before it moved to
-arrays; the two must agree bit for bit.
+loops below carry traces from step to step, apply the checked
+apply_forward/apply_adjoint, take norms with l2_norm_trace and rebuild the
+NeumannHelmholtz and dirichlet_poisson factors at every step, as the
+iteration was before it moved to arrays; the two must agree bit for bit.
 """
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cauchyls import (apply_forward, front_velocity, l2_norm_trace,
-                      sharp_indicator, tikhonov_step, transport_step)
+from cauchyls import (apply_adjoint, apply_forward, front_velocity,
+                      l2_norm_trace, quadrature_weights, sharp_indicator,
+                      smoothed_heaviside, tikhonov_step, transport_step)
 from cauchyls.experiments import (exp1_config, exp2_config, execute, prepare,
                                   transport_benchmark_config)
-from cauchyls.levelset import LevelSetState, redistance
+from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import STOP_MAX_ITERS, RunRecord, observe
 from cauchyls.tikhonov import (NARROW_FACTOR, NARROW_TOL_CELLS,
                                TikhonovParams)
-from cauchyls.transport import VELOCITY_FLOOR, TransportParams
+from cauchyls.transport import (VELOCITY_FLOOR, TransportParams,
+                                dirichlet_poisson)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _residual(ctx, data, q):
@@ -32,13 +41,15 @@ def _reference(setup, params, indicator, step):
     """params.max_iters steps of phi -> step(phi, q, r) on traces, recording
     every iterate; the run must not meet another stop rule on the way."""
     rec = RunRecord()
-    phi = setup.phi0
+    phi, truth = setup.phi0, setup.truth
+    w = quadrature_weights(truth.grid, truth.part)
     every = range(params.max_iters + 1)
     for k in every:
         q = indicator(phi)
         r = _residual(setup.ctx, setup.data, q)
-        err, comps = observe(q, setup.truth)
-        rec.record(k, l2_norm_trace(r), err, comps, phi, q, every)
+        err, comps = observe(q.values, truth.values, w)
+        rec.record(k, l2_norm_trace(r), err, comps, phi.values, q.values,
+                   every)
         if k < params.max_iters:
             phi = step(phi, q, r)
     return rec.finish(STOP_MAX_ITERS, params.max_iters, phi, q, 0.0)
@@ -46,21 +57,26 @@ def _reference(setup, params, indicator, step):
 
 def _tikhonov_reference(setup, params):
     eps = params.resolve_eps(setup.grid)
-    narrow_tol = NARROW_TOL_CELLS * setup.grid.hx
+    h = setup.grid.hx
+    narrow_tol = NARROW_TOL_CELLS * h
 
     def step(phi, q, r):
         nonlocal eps
-        state, _ = tikhonov_step(LevelSetState(phi, eps), setup.data,
-                                 setup.ctx, params, r)
-        dphi_inf = np.max(np.abs(state.phi.values - phi.values))
+        grad = apply_adjoint(setup.ctx, r).values
+        new = tikhonov_step(phi.values, q.values, grad, eps, setup.ctx,
+                            params, NeumannHelmholtz(phi.values.size, h))
+        dphi_inf = np.max(np.abs(new - phi.values))
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
+            ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
-            return redistance(state.q, eps)
-        return state.phi
+            return phi.with_values(redistance(ramp, setup.grid.xs, h, eps))
+        return phi.with_values(new)
 
-    rec = _reference(setup, params, lambda phi: LevelSetState(phi, eps).q,
-                     step)
+    rec = _reference(
+        setup, params,
+        lambda phi: phi.with_values(smoothed_heaviside(phi.values, eps)),
+        step)
     rec.final_eps = eps
     return rec
 
@@ -70,11 +86,14 @@ def _transport_reference(setup, params):
     dts = []
 
     def step(phi, q, r):
-        v = front_velocity(q, r, setup.ctx, params)
-        vmax = float(np.max(np.abs(v.values)))
+        grad = apply_adjoint(setup.ctx, r).values
+        v = front_velocity(q.values, grad, params.eps_clamp,
+                           dirichlet_poisson(q.values.size, h), h)
+        vmax = float(np.max(np.abs(v)))
         dt = min(params.dt, 0.5 * h / max(vmax, VELOCITY_FLOOR))
         dts.append(dt)
-        return transport_step(phi, v, dt, params.cfl_max)
+        return phi.with_values(transport_step(phi.values, v, vmax, dt,
+                                              params.cfl_max, h))
 
     rec = _reference(
         setup, params,
@@ -135,3 +154,46 @@ def test_transport_loop_matches_trace_reference():
     e, res = ref.errors, ref.residuals
     assert rec.asymp_gap == [(e[k + 1] ** 2 - e[k] ** 2) / dt
                              + 2.0 * res[k] ** 2 for k, dt in enumerate(dts)]
+
+
+# -- the benchmark tracer sees the loop ---------------------------------------
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, loaded from its file without changing it."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_instrumented_callable_resolves(tracing):
+    for _, mod_name, attr in tracing.INSTRUMENTED:
+        mod = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(mod, cls_name)).get(meth)), attr
+        else:
+            assert callable(getattr(mod, attr, None)), attr
+
+
+@pytest.mark.parametrize("cfg, spans", [
+    (replace(exp2_config(0.5), max_iters=5),
+     ("tikhonov.step", "levelset.curvature")),
+    (replace(transport_benchmark_config(), max_iters=5),
+     ("transport.step", "transport.velocity")),
+], ids=["exp2", "transport_benchmark"])
+def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans):
+    setup = prepare(cfg)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        rec = execute(setup)
+    assert (rec.stop_reason, rec.stop_iteration) == (STOP_MAX_ITERS, 5)
+    name_id = np.array(tracer.name_id)
+    for span in spans:
+        assert np.sum(name_id == tracer.name_index(span)) == 5, span

@@ -72,12 +72,6 @@ def test_component_count_matches_run_length_reference(vals):
     assert component_count(np.array(vals)) == _runs_above(vals, 0.5)
 
 
-def test_component_count_accepts_traces():
-    g = build_grid(1.0, 0.5, 16)
-    t = trace_from_function(g, GAMMA2, lambda x: (np.abs(x - 0.5) < 0.2) * 1.0)
-    assert component_count(t) == 1
-
-
 # -- profile initialization ---------------------------------------------------
 
 def test_init_levelset_signs_and_clipping():
@@ -183,54 +177,48 @@ def test_redistance_keeps_mid_level_set_and_places_fronts():
     h, eps = g.hx, 0.25 * g.hx
     q = np.zeros(g.nx + 1)
     q[4], q[5:9], q[9] = 0.74, 1.0, 0.26
-    phi = redistance(TraceFn(g, GAMMA2, q), eps)
-    new_q = smoothed_heaviside(phi.values, eps)
+    phi = redistance(q, g.xs, h, eps)
+    new_q = smoothed_heaviside(phi, eps)
     assert np.array_equal(new_q > 0.5, q > 0.5)
     # the left front sits where 0 -> 0.74 crosses 1/2, 0.324 cells from node 4
     front = g.xs[3] + h * 0.5 / 0.74
-    assert phi.values[4] == pytest.approx(g.xs[4] - front - 0.5 * eps)
+    assert phi[4] == pytest.approx(g.xs[4] - front - 0.5 * eps)
     # fronts farther than eps/2 from every node leave a binary ramp
     assert set(np.unique(new_q)) == {0.0, 1.0}
-    assert phi.values.min() == -3 * eps and phi.values.max() == 3 * eps
+    assert phi.min() == -3 * eps and phi.max() == 3 * eps
 
 
 def test_redistance_without_fronts_and_at_walls():
     g = build_grid(1.0, 0.5, 16)
     eps = 0.05
-    low = redistance(TraceFn(g, GAMMA2, np.full(g.nx + 1, 0.2)), eps)
-    assert np.all(low.values == -3 * eps)
-    high = redistance(TraceFn(g, GAMMA2, np.full(g.nx + 1, 0.9)), eps)
-    assert np.all(high.values == 3 * eps)
+    low = redistance(np.full(g.nx + 1, 0.2), g.xs, g.hx, eps)
+    assert np.all(low == -3 * eps)
+    high = redistance(np.full(g.nx + 1, 0.9), g.xs, g.hx, eps)
+    assert np.all(high == 3 * eps)
     # a run touching the wall has one front; the wall node is deep inside
     q = np.where(g.xs < 0.3, 1.0, 0.0)
-    phi = redistance(TraceFn(g, GAMMA2, q), eps)
-    assert phi.values[0] == 3 * eps
+    phi = redistance(q, g.xs, g.hx, eps)
+    assert phi[0] == 3 * eps
     with pytest.raises(ValueError):
-        redistance(TraceFn(g, GAMMA2, q), 0.0)
+        redistance(q, g.xs, g.hx, 0.0)
 
 
 # -- curvature source ---------------------------------------------------------
 
 def test_curvature_vanishes_on_flat_profiles():
     g = build_grid(1.0, 0.5, 32)
-    phi = trace_from_function(g, GAMMA2, lambda x: 0.3 * np.ones_like(x))
-    out = curvature_term(phi, eps=0.1, eta=1e-6, beta=1e-3)
-    assert np.allclose(out.values, 0.0)
+    ramp = smoothed_heaviside(np.full(g.nx + 1, 0.3), 0.1)
+    out = curvature_term(ramp, g.hx, eta=1e-6, beta=1e-3)
+    assert np.allclose(out, 0.0)
 
 
 def test_curvature_scales_linearly_in_beta():
     g = build_grid(1.0, 0.5, 64)
     phi = init_levelset(g, ((0.3, 0.6),), 4 * g.hx)
-    a = curvature_term(phi, eps=4 * g.hx, eta=1e-6, beta=1e-3)
-    b = curvature_term(phi, eps=4 * g.hx, eta=1e-6, beta=2e-3)
-    assert np.allclose(b.values, 2.0 * a.values)
-
-
-def test_curvature_requires_positive_eta():
-    g = build_grid(1.0, 0.5, 16)
-    phi = init_levelset(g, ((0.3, 0.6),), 0.1)
-    with pytest.raises(ValueError):
-        curvature_term(phi, eps=0.1, eta=0.0, beta=1e-3)
+    ramp = smoothed_heaviside(phi.values, 4 * g.hx)
+    a = curvature_term(ramp, g.hx, eta=1e-6, beta=1e-3)
+    b = curvature_term(ramp, g.hx, eta=1e-6, beta=2e-3)
+    assert np.allclose(b, 2.0 * a)
 
 
 # -- array kernels that replaced library calls --------------------------------

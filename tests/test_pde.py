@@ -133,6 +133,10 @@ def test_coefficient_below_its_bound_is_rejected():
     # the constant coefficient 1 is held to the bound as well
     with pytest.raises(ValueError, match="ellipticity"):
         MixedSolver(g, Coefficient(alpha=2.0), pattern)
+    # nan passes a comparison with the bound, inf the bound itself
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MixedSolver(g, Coefficient(fn=lambda x, y: bad + 0 * x), pattern)
     MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x, alpha=0.5),
                 pattern)
 

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError, apply_forward,
-                      build_grid, l2_norm_trace, zero_trace)
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError, TraceFn,
+                      apply_forward, build_grid, l2_norm_trace,
+                      quadrature_weights, zero_trace)
 from cauchyls.record import (STAGNATION_STEPS, STOP_DISCREPANCY,
                              STOP_MAX_ITERS, STOP_REASONS, STOP_STAGNATION,
                              STOP_TARGET_ERROR, RunRecord, observe, run_flow)
@@ -14,20 +15,17 @@ from cauchyls.record import (STAGNATION_STEPS, STOP_DISCREPANCY,
 
 def test_observe_reports_iterate_distance_and_components():
     g = build_grid(1.0, 0.5, 16)
-    truth = zero_trace(g, GAMMA2).with_values(
-        ((g.xs >= 0.3) & (g.xs <= 0.7)).astype(float))
-    q = truth.with_values(np.clip(truth.values + 0.2, 0.0, 1.0))
-    err, comps = observe(q, truth)
+    truth = ((g.xs >= 0.3) & (g.xs <= 0.7)).astype(float)
+    q = np.clip(truth + 0.2, 0.0, 1.0)
+    err, comps = observe(q, truth, quadrature_weights(g, GAMMA2))
     # the error is the L2 distance of the iterate itself, ramps included
-    assert err == pytest.approx(l2_norm_trace(truth.with_values(
-        q.values - truth.values)))
+    assert err == pytest.approx(l2_norm_trace(TraceFn(g, GAMMA2, q - truth)))
     assert comps == 1
 
 
 def test_observe_without_truth_counts_only_components():
     g = build_grid(1.0, 0.5, 16)
-    q = zero_trace(g, GAMMA2).with_values((g.xs > 0.5).astype(float))
-    err, comps = observe(q, None)
+    err, comps = observe((g.xs > 0.5).astype(float), None, None)
     assert err is None and comps == 1
 
 

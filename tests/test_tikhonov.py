@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, GAMMA2, TikhonovParams, init_levelset,
-                      l2_norm_trace, run_tikhonov, synthesize_cauchy_data,
+from cauchyls import (GAMMA1, GAMMA2, TikhonovParams, TraceFn, apply_adjoint,
+                      apply_forward, init_levelset, l2_norm_trace,
+                      run_tikhonov, smoothed_heaviside, synthesize_cauchy_data,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
-from cauchyls.levelset import LevelSetState
-from cauchyls.tikhonov import residual_trace
+from cauchyls.levelset import NeumannHelmholtz
 
 
 def _problem(ctx, grid, noise=0.0, seed=3):
@@ -19,6 +19,20 @@ def _problem(ctx, grid, noise=0.0, seed=3):
         data = with_noise(data, noise, seed)
     phi0 = init_levelset(grid, ((0.45, 0.55),), 4 * grid.hx)
     return truth, data, phi0
+
+
+def _residual(phi, eps, data, ctx):
+    """Bottom-edge misfit F H_eps(phi) - rhs of profile values phi."""
+    q = TraceFn(ctx.grid, GAMMA2, smoothed_heaviside(phi, eps))
+    lq = apply_forward(ctx, q)
+    return lq.with_values(lq.values - data.rhs.values)
+
+
+def _step(phi, eps, data, ctx, params):
+    """tikhonov_step from profile values phi alone."""
+    grad = apply_adjoint(ctx, _residual(phi, eps, data, ctx)).values
+    return tikhonov_step(phi, smoothed_heaviside(phi, eps), grad, eps, ctx,
+                         params, NeumannHelmholtz(phi.size, ctx.grid.hx))
 
 
 def test_params_validation():
@@ -51,32 +65,32 @@ def test_residual_vanishes_at_sharp_truth(ctx64, grid64):
     truth, data, _ = _problem(ctx64, grid64)
     # a profile deep inside the band plateau reproduces the truth indicator
     eps = 4 * grid64.hx
-    phi = init_levelset(grid64, ((0.3, 0.7),), eps)
-    state = LevelSetState(phi, eps)
+    phi = init_levelset(grid64, ((0.3, 0.7),), eps).values
     # interfaces carry ramp mass, so only expect closeness, not zero
-    assert l2_norm_trace(residual_trace(state, data, ctx64)) < 0.1
+    assert l2_norm_trace(_residual(phi, eps, data, ctx64)) < 0.1
 
 
 def test_first_steps_reduce_residual(ctx64, grid64):
     _, data, phi0 = _problem(ctx64, grid64)
     eps = 4 * grid64.hx
     params = TikhonovParams(alpha=100.0, eps=eps)
-    state = LevelSetState(phi0, eps)
-    r0 = l2_norm_trace(residual_trace(state, data, ctx64))
+    phi = phi0.values
+    r0 = l2_norm_trace(_residual(phi, eps, data, ctx64))
     for _ in range(20):
-        state, _ = tikhonov_step(state, data, ctx64, params)
-    r1 = l2_norm_trace(residual_trace(state, data, ctx64))
+        phi = _step(phi, eps, data, ctx64, params)
+    r1 = l2_norm_trace(_residual(phi, eps, data, ctx64))
     assert r1 < r0
 
 
 def test_step_returns_new_state(ctx64, grid64):
     _, data, phi0 = _problem(ctx64, grid64)
     eps = 4 * grid64.hx
-    state = LevelSetState(phi0, eps)
-    new, r = tikhonov_step(state, data, ctx64, TikhonovParams(eps=eps))
-    assert new is not state
-    assert not np.array_equal(new.phi.values, state.phi.values)
-    assert r.part is GAMMA1
+    phi = phi0.values.copy()
+    new = _step(phi, eps, data, ctx64, TikhonovParams(eps=eps))
+    assert new is not phi
+    assert not np.array_equal(new, phi)
+    # the step leaves its input alone
+    assert np.array_equal(phi, phi0.values)
 
 
 def test_max_iters_stop_and_history_lengths(ctx64, grid64):
@@ -137,19 +151,19 @@ def test_snapshots_recorded_at_requested_iterations(ctx64, grid64):
     assert np.array_equal(phi_snap, phi0.values)
 
 
-def _dphi(state, data, ctx, params):
-    new, _ = tikhonov_step(state, data, ctx, params)
-    return new.phi.values - state.phi.values
+def _dphi(phi, eps, data, ctx, params):
+    return _step(phi, eps, data, ctx, params) - phi
 
 
 def test_implicit_step_tends_to_explicit_step_for_large_alpha(ctx64, grid64):
     # the linearized misfit enters as coupling / alpha, which fades
     _, data, phi0 = _problem(ctx64, grid64)
     eps = 4 * grid64.hx
-    state = LevelSetState(phi0, eps)
+    phi = phi0.values
     kw = dict(alpha=1e6, beta=1e-3, eps=eps)
-    explicit = _dphi(state, data, ctx64, TikhonovParams(**kw))
-    implicit = _dphi(state, data, ctx64, TikhonovParams(step="implicit", **kw))
+    explicit = _dphi(phi, eps, data, ctx64, TikhonovParams(**kw))
+    implicit = _dphi(phi, eps, data, ctx64,
+                     TikhonovParams(step="implicit", **kw))
     gap = np.abs(implicit - explicit).max() / np.abs(explicit).max()
     assert 0 < gap < 1e-3
 
@@ -157,9 +171,8 @@ def test_implicit_step_tends_to_explicit_step_for_large_alpha(ctx64, grid64):
 def test_implicit_step_moves_phi_at_most_half_a_cell(ctx64, grid64):
     _, data, phi0 = _problem(ctx64, grid64)
     eps = 4 * grid64.hx
-    state = LevelSetState(phi0, eps)
     params = TikhonovParams(alpha=1e-8, beta=0.0, eps=eps, step="implicit")
-    dphi = _dphi(state, data, ctx64, params)
+    dphi = _dphi(phi0.values, eps, data, ctx64, params)
     assert np.abs(dphi).max() == pytest.approx(0.5 * grid64.hx, rel=1e-12)
 
 

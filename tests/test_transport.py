@@ -9,8 +9,8 @@ from cauchyls import (GAMMA1, GAMMA2, TransportParams, front_velocity,
                       init_levelset, run_transport, sharp_indicator,
                       synthesize_cauchy_data, transport_step, upwind_step,
                       trace_from_function, zero_trace)
-from cauchyls.operator import apply_forward
-from cauchyls.tikhonov import residual_trace  # noqa: F401  (API parity check)
+from cauchyls.operator import apply_adjoint, apply_forward
+from cauchyls.transport import dirichlet_poisson
 
 
 def _problem(ctx, grid):
@@ -71,21 +71,25 @@ def test_upwind_maximum_principle(seed, cfl):
 
 def test_transport_step_substeps_large_dt(grid64):
     # dt far beyond the CFL limit must still respect the maximum principle
-    phi = init_levelset(grid64, ((0.3, 0.6),), 4 * grid64.hx)
+    phi = init_levelset(grid64, ((0.3, 0.6),), 4 * grid64.hx).values
     rng = np.random.default_rng(7)
-    v = phi.with_values(rng.uniform(-1, 1, size=grid64.nx + 1))
-    out = transport_step(phi, v, dt=50 * grid64.hx, cfl_max=0.9)
-    assert out.values.max() <= phi.values.max() + 1e-12
-    assert out.values.min() >= phi.values.min() - 1e-12
+    v = rng.uniform(-1, 1, size=grid64.nx + 1)
+    out = transport_step(phi, v, float(np.max(np.abs(v))),
+                         dt=50 * grid64.hx, cfl_max=0.9, h=grid64.hx)
+    assert out.max() <= phi.max() + 1e-12
+    assert out.min() >= phi.min() - 1e-12
 
 
 def test_front_velocity_vanishes_at_walls(ctx64, grid64):
     truth, data, phi0 = _problem(ctx64, grid64)
     q = phi0.with_values(sharp_indicator(phi0.values))
     r = data.g2.with_values(apply_forward(ctx64, q).values - data.rhs.values)
-    v = front_velocity(q, r, ctx64, TransportParams())
-    assert v.values[0] == 0.0 and v.values[-1] == 0.0
-    assert np.all(np.isfinite(v.values))
+    h = grid64.hx
+    v = front_velocity(q.values, apply_adjoint(ctx64, r).values,
+                       TransportParams().eps_clamp,
+                       dirichlet_poisson(grid64.nx + 1, h), h)
+    assert v[0] == 0.0 and v[-1] == 0.0
+    assert np.all(np.isfinite(v))
 
 
 def test_run_transport_reaches_truth_on_exact_data(ctx64, grid64):
