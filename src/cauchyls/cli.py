@@ -17,9 +17,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .experiments import (EXPERIMENT_NAMES, _fmt, resolve_output_dir,
-                          run_config, run_experiment, write_run_outputs,
-                          SIGMA_HEADER)
+from .experiments import (EXPERIMENT_NAMES, resolve_output_dir, run_config,
+                          run_experiment, write_run_outputs, write_svd_outputs)
 from .grid import build_grid
 from .operator import (DECAY_FIT_LAST, OperatorContext,
                        assemble_forward_matrix, decay_slope, singular_values)
@@ -57,17 +56,7 @@ def cmd_svd(path: str) -> int:
     sigma = singular_values(assemble_forward_matrix(ctx))
     slope = decay_slope(sigma)
 
-    out = resolve_output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [SIGMA_HEADER]
-    lines += [f"{k},{_fmt(s)}" for k, s in enumerate(sigma, start=1)]
-    (out / "sigma.csv").write_text("\n".join(lines) + "\n")
-    (out / "svd_summary.txt").write_text(
-        f"nx = {grid.nx}\n"
-        f"ny = {grid.ny}\n"
-        f"height = {_fmt(grid.height)}\n"
-        f"decay_slope = {_fmt(slope)}\n"
-        f"reference_slope = {_fmt(-np.pi * grid.height)}\n")
+    out = write_svd_outputs(grid, sigma, slope, resolve_output_dir(cfg))
     print(f"spectrum written to {out}, fitted decay slope {slope:.6g}")
     return EXIT_OK
 

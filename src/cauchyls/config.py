@@ -105,6 +105,9 @@ class RunConfig:
             raise ConfigError("method.max_iters cannot be negative")
         if self.seed < 0:
             raise ConfigError("data.seed cannot be negative")
+        # Path("") is the current directory; "." names it explicitly
+        if not self.output_dir:
+            raise ConfigError("output.directory cannot be empty")
         if any(k < 0 for k in self.snapshot_iters):
             raise ConfigError("output.snapshots cannot hold negative "
                               "iterations")

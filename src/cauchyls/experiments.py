@@ -9,6 +9,7 @@ before the run starts.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -111,24 +112,46 @@ def resolve_output_dir(cfg: RunConfig) -> Path:
         p = Path(root) / p
     return p
 
+
+def write_text_file(path: Path, text: str) -> None:
+    """Write text to path in place, the one write path of every output file.
+
+    The file is opened without O_TRUNC and cut at the end of the new bytes,
+    so an existing file is never first truncated to zero length, which on
+    ext4 (auto_da_alloc) starts writing out the old data. A crash mid-write
+    can leave a mix of old and new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 HISTORY_HEADER = "iter,residual,error,components"
 SNAPSHOT_HEADER = "x,phi,q"
 SIGMA_HEADER = "k,sigma"
+# floats with 17 significant digits, as _fmt: reruns are byte-identical
+HISTORY_ROW = "{},{:.17g},{:.17g},{}\n"
+SNAPSHOT_ROW = "{:.17g},{:.17g},{:.17g}\n"
+SIGMA_ROW = "{},{:.17g}\n"
+SNAPSHOT_NAME = re.compile(r"snapshot_\d+\.csv")
 
 
 def history_csv(record: RunRecord) -> str:
-    lines = [HISTORY_HEADER]
-    for k, res in enumerate(record.residuals):
-        err = _fmt(record.errors[k]) if record.errors is not None else "nan"
-        lines.append(f"{k},{_fmt(res)},{err},{record.components[k]}")
-    return "\n".join(lines) + "\n"
+    n = len(record.residuals)
+    errors = record.errors if record.errors is not None else [np.nan] * n
+    return HISTORY_HEADER + "\n" + "".join(map(
+        HISTORY_ROW.format, range(n), record.residuals, errors,
+        record.components))
 
 
 def snapshot_csv(grid: Grid, phi: np.ndarray, q: np.ndarray) -> str:
-    lines = [SNAPSHOT_HEADER]
-    for x, p, qq in zip(grid.xs, phi, q):
-        lines.append(f"{_fmt(x)},{_fmt(p)},{_fmt(qq)}")
-    return "\n".join(lines) + "\n"
+    return SNAPSHOT_HEADER + "\n" + "".join(map(
+        SNAPSHOT_ROW.format, grid.xs.tolist(), phi.tolist(), q.tolist()))
+
+
+def sigma_csv(sigma: np.ndarray) -> str:
+    return SIGMA_HEADER + "\n" + "".join(map(
+        SIGMA_ROW.format, range(1, len(sigma) + 1), sigma.tolist()))
 
 
 def summary_text(record: RunRecord, setup: RunSetup) -> str:
@@ -160,12 +183,38 @@ def summary_text(record: RunRecord, setup: RunSetup) -> str:
 
 def write_run_outputs(record: RunRecord, setup: RunSetup,
                       out_dir: Path | None = None) -> Path:
+    """Write history.csv, the snapshots and summary.txt into the output
+    directory, and remove the snapshot_<k>.csv files this run did not
+    write, so a rerun leaves no stale snapshot behind."""
     out = out_dir if out_dir is not None else resolve_output_dir(setup.cfg)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "history.csv").write_text(history_csv(record))
+    write_text_file(out / "history.csv", history_csv(record))
+    written = set()
     for k, (phi, q) in sorted(record.snapshots.items()):
-        (out / f"snapshot_{k}.csv").write_text(snapshot_csv(setup.grid, phi, q))
-    (out / "summary.txt").write_text(summary_text(record, setup))
+        name = f"snapshot_{k}.csv"
+        write_text_file(out / name, snapshot_csv(setup.grid, phi, q))
+        written.add(name)
+    with os.scandir(out) as entries:
+        stale = [e.path for e in entries
+                 if SNAPSHOT_NAME.fullmatch(e.name) and e.name not in written
+                 and not e.is_dir(follow_symlinks=False)]
+    for path in stale:
+        os.unlink(path)
+    write_text_file(out / "summary.txt", summary_text(record, setup))
+    return out
+
+
+def write_svd_outputs(grid: Grid, sigma: np.ndarray, slope: float,
+                      out: Path) -> Path:
+    """Write sigma.csv and svd_summary.txt of `cauchyls svd` into out."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_text_file(out / "sigma.csv", sigma_csv(sigma))
+    write_text_file(out / "svd_summary.txt",
+                    f"nx = {grid.nx}\n"
+                    f"ny = {grid.ny}\n"
+                    f"height = {_fmt(grid.height)}\n"
+                    f"decay_slope = {_fmt(slope)}\n"
+                    f"reference_slope = {_fmt(-np.pi * grid.height)}\n")
     return out
 
 
@@ -262,7 +311,8 @@ def run_experiment(name: str) -> str:
                 record, setup.data, EXP2_REL_RESIDUAL)
         c1, c05 = counts[1.0], counts[0.5]
         ratio = f"{c1 / c05:.6g}" if c1 is not None and c05 else "nan"
-        (out.parent / "exp2_comparison.txt").write_text(
+        write_text_file(
+            out.parent / "exp2_comparison.txt",
             f"relative_residual_threshold = {EXP2_REL_RESIDUAL}\n"
             f"iters_height_1.0 = {c1}\niters_height_0.5 = {c05}\n"
             f"ratio = {ratio}\n")

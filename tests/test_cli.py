@@ -59,6 +59,9 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, line):
     ("solve", "geometry.height = 0.03"),
     ("svd", "geometry.nx = 8"),
     ("solve", "geometry.nx = 16\ngeometry.refine = 1000"),
+    # Path("") would be the current directory
+    ("solve", "output.directory ="),
+    ("svd", "output.directory ="),
 ])
 def test_inputs_that_would_crash_later_exit_2(tmp_path, capsys, command,
                                               text):
@@ -149,6 +152,62 @@ def test_svd_factorizes_nothing(monkeypatch, out_root, tmp_path, height):
     assert main(["svd", cfg]) == 0
     sigma_lines = (out_root / "runs" / "s" / "sigma.csv").read_text().splitlines()
     assert len(sigma_lines) == 66
+
+
+def _dir_bytes(path):
+    """File name -> bytes, summary.txt without its timing rows."""
+    files = {}
+    for f in sorted(path.iterdir()):
+        data = f.read_bytes()
+        if f.name == "summary.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith((b"wall_time_s", b"iters_per_s")))
+        files[f.name] = data
+    return files
+
+
+def test_solve_rerun_removes_stale_snapshots(out_root, tmp_path):
+    run = out_root / "runs" / "r"
+    base = "geometry.nx = 16\nmethod.max_iters = 3\noutput.directory = runs/r\n"
+    assert main(["solve", _write_cfg(tmp_path, base + "output.snapshots = 0, 3\n")]) == 0
+    # files that only look like snapshots stay
+    others = ("snapshot_3.csv.bak", "snapshot_x.csv", "notes.txt")
+    for name in others:
+        (run / name).write_text("keep\n")
+    assert main(["solve", _write_cfg(tmp_path, base + "output.snapshots = 0\n")]) == 0
+    assert sorted(p.name for p in run.iterdir()) == sorted(
+        ("history.csv", "snapshot_0.csv", "summary.txt") + others)
+    assert all((run / name).read_text() == "keep\n" for name in others)
+
+
+def test_solve_rerun_into_populated_directory_matches_fresh(out_root, tmp_path):
+    # the shorter run has fewer history rows and other snapshot iterations
+    longer = ("geometry.nx = 32\nmethod.max_iters = 12\n"
+              "output.snapshots = 0, 5, 12\noutput.directory = runs/{}\n")
+    shorter = ("geometry.nx = 16\nmethod.max_iters = 4\n"
+               "output.snapshots = 0, 2\noutput.directory = runs/{}\n")
+    assert main(["solve", _write_cfg(tmp_path, longer.format("rerun"))]) == 0
+    before = _dir_bytes(out_root / "runs" / "rerun")
+    assert main(["solve", _write_cfg(tmp_path, shorter.format("rerun"))]) == 0
+    assert main(["solve", _write_cfg(tmp_path, shorter.format("fresh"))]) == 0
+    rerun = _dir_bytes(out_root / "runs" / "rerun")
+    fresh = _dir_bytes(out_root / "runs" / "fresh")
+    assert rerun == fresh
+    # every file was overwritten by shorter bytes: a missing truncate shows
+    assert all(len(before[name]) > len(data) for name, data in fresh.items()
+               if name in before)
+
+
+def test_svd_rerun_into_populated_directory_matches_fresh(out_root, tmp_path):
+    text = "geometry.nx = {}\ngeometry.height = {}\noutput.directory = runs/{}\n"
+    assert main(["svd", _write_cfg(tmp_path, text.format(64, 1.0, "rerun"))]) == 0
+    before = _dir_bytes(out_root / "runs" / "rerun")
+    assert main(["svd", _write_cfg(tmp_path, text.format(16, 0.5, "rerun"))]) == 0
+    assert main(["svd", _write_cfg(tmp_path, text.format(16, 0.5, "fresh"))]) == 0
+    rerun = _dir_bytes(out_root / "runs" / "rerun")
+    assert sorted(rerun) == ["sigma.csv", "svd_summary.txt"]
+    assert rerun == _dir_bytes(out_root / "runs" / "fresh")
+    assert len(before["sigma.csv"]) > len(rerun["sigma.csv"])
 
 
 def test_unknown_experiment_name(capsys):

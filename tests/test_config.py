@@ -124,6 +124,16 @@ def test_validation_requires_a_truth():
         RunConfig(truth_intervals=None).validate()
 
 
+def test_output_directory_may_not_be_empty():
+    # Path("") is the current directory, which a run would write into and
+    # prune stale snapshots from; "." names it explicitly
+    with pytest.raises(ConfigError, match="output.directory"):
+        parse_config("output.directory =\n")
+    with pytest.raises(ConfigError, match="output.directory"):
+        RunConfig(output_dir="").validate()
+    assert parse_config("output.directory = .\n").output_dir == "."
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.cfg")

@@ -8,7 +8,7 @@ import pytest
 from cauchyls import MixedSolver, RunConfig
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exp1_config, exp2_config,
                                   exp3_config, execute, history_csv,
-                                  indicator_trace,
+                                  indicator_trace, sigma_csv, snapshot_csv,
                                   iterations_to_relative_residual, prepare,
                                   resolve_output_dir, run_config,
                                   transport_benchmark_config,
@@ -95,6 +95,35 @@ def test_floats_round_trip_through_csv(tmp_path):
     parsed = [float(line.split(",")[1]) for line in lines]
     # 17 significant digits reproduce the binary doubles exactly
     assert parsed == record.residuals
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 0.1, -1 / 3,
+            1.7976931348623157e308]
+
+
+def _reference_row(*values) -> str:
+    return ",".join(v if isinstance(v, str) else f"{v:.17g}"
+                    for v in values) + "\n"
+
+
+@pytest.mark.parametrize("with_errors", [True, False])
+def test_csv_rows_print_each_value_as_17_digit_float(with_errors):
+    n = len(_SPECIAL)
+    rec = RunRecord(residuals=[np.float64(v) for v in _SPECIAL],
+                    errors=_SPECIAL[::-1] if with_errors else None,
+                    components=list(range(n)))
+    errors = _SPECIAL[::-1] if with_errors else ["nan"] * n
+    assert history_csv(rec) == "iter,residual,error,components\n" + "".join(
+        _reference_row(str(k), _SPECIAL[k], errors[k], str(k))
+        for k in range(n))
+
+    vals = np.array(_SPECIAL)
+    grid = prepare(_tiny()).grid
+    phi, q = np.resize(vals, grid.xs.size), np.resize(vals[::-1], grid.xs.size)
+    assert snapshot_csv(grid, phi, q) == "x,phi,q\n" + "".join(
+        _reference_row(x, p, qq) for x, p, qq in zip(grid.xs, phi, q))
+    assert sigma_csv(vals) == "k,sigma\n" + "".join(
+        _reference_row(str(k), s) for k, s in enumerate(vals, start=1))
 
 
 def test_output_root_env_anchors_relative_dirs(monkeypatch, tmp_path):
