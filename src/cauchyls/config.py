@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
-from .tikhonov import STEP_EXPLICIT, STEP_KINDS
-from .transport import MIN_CFL_MAX
+from .tikhonov import STEP_EXPLICIT, TikhonovParams
+from .transport import TransportParams
 
 
 class ConfigError(ValueError):
@@ -70,6 +70,15 @@ class RunConfig:
     snapshot_iters: tuple[int, ...] = ()
 
     def validate(self) -> "RunConfig":
+        """Check every value, parsed or set in code. The method values take
+        the ranges of the params objects, built here as execute builds them."""
+        # comparisons with nan are false, so a non-finite value would slip
+        # through every range check below; no interval end a in
+        # 0 < a < width is non-finite
+        for key, (name, _) in _KEYS.items():
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("geometry.width and geometry.height must be positive")
         if self.refine < 1:
@@ -96,13 +105,17 @@ class RunConfig:
         if self.method not in (METHOD_TIKHONOV, METHOD_TRANSPORT):
             raise ConfigError(f"method must be {METHOD_TIKHONOV} or "
                               f"{METHOD_TRANSPORT}, got {self.method!r}")
-        if self.alpha <= 0 or self.eps_cells <= 0 or self.eta <= 0 or self.dt <= 0:
-            raise ConfigError("method.alpha, method.eps_cells, method.eta and "
-                              "method.dt must be positive")
-        if self.beta < 0 or self.noise_level < 0:
-            raise ConfigError("method.beta and data.noise_level cannot be negative")
-        if self.max_iters < 0:
-            raise ConfigError("method.max_iters cannot be negative")
+        try:
+            self.tikhonov_params(self.width / self.nx)
+            self.transport_params()
+        except ValueError as exc:
+            # a params message opens with the field name; eps is in cells here
+            name, _, rest = str(exc).partition(" ")
+            key = next((k for k, (f, _) in _KEYS.items()
+                        if f in (name, f"{name}_cells")), name)
+            raise ConfigError(f"{key} {rest}") from None
+        if self.noise_level < 0:
+            raise ConfigError("data.noise_level cannot be negative")
         if self.seed < 0:
             raise ConfigError("data.seed cannot be negative")
         # Path("") is the current directory; "." names it explicitly
@@ -114,18 +127,6 @@ class RunConfig:
         if self.noise_level > 0 and not self.tau > 1:
             raise ConfigError("the discrepancy principle requires method.tau > 1 "
                               "when data.noise_level > 0")
-        if self.step not in STEP_KINDS:
-            raise ConfigError(f"method.step must be one of "
-                              f"{', '.join(STEP_KINDS)}, got {self.step!r}")
-        if self.eps_min_cells is not None \
-                and not 0 < self.eps_min_cells <= self.eps_cells:
-            raise ConfigError("method.eps_min_cells must lie in "
-                              "(0, method.eps_cells]")
-        if not MIN_CFL_MAX <= self.cfl_max <= 0.9:
-            raise ConfigError(f"method.cfl_max must lie in [{MIN_CFL_MAX:g}, "
-                              f"0.9]")
-        if not 0 < self.eps_clamp <= 1:
-            raise ConfigError("method.eps_clamp must lie in (0, 1]")
         if self.target_error is not None and self.target_error <= 0:
             raise ConfigError("method.target_error must be positive")
         if self.truth_intervals is None:
@@ -146,14 +147,21 @@ class RunConfig:
                                   f"{a0}:{b0} and {a1}:{b1}")
         return self
 
+    def tikhonov_params(self, hx: float) -> TikhonovParams:
+        """Flow parameters on a grid of x-spacing hx: band widths in cells
+        become lengths."""
+        return TikhonovParams(
+            alpha=self.alpha, beta=self.beta, eps=self.eps_cells * hx,
+            eta=self.eta, tau=self.tau, max_iters=self.max_iters,
+            target_error=self.target_error, step=self.step,
+            eps_min=(None if self.eps_min_cells is None
+                     else self.eps_min_cells * hx))
 
-def _finite(text: str) -> float:
-    """float(text), rejecting nan and inf: comparisons with nan are false,
-    so a non-finite value would slip through every range check."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {text!r}")
-    return x
+    def transport_params(self) -> TransportParams:
+        return TransportParams(
+            dt=self.dt, eps_clamp=self.eps_clamp, tau=self.tau,
+            max_iters=self.max_iters, cfl_max=self.cfl_max,
+            target_error=self.target_error)
 
 
 def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
@@ -164,7 +172,7 @@ def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
             continue
         try:
             a, b = chunk.split(":")
-            out.append((_finite(a), _finite(b)))
+            out.append((float(a), float(b)))
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a:b pairs, got {chunk!r}") from exc
     return tuple(out)
@@ -179,28 +187,28 @@ def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
 
 # key -> (RunConfig field, converter); converters see (text, key)
 _KEYS = {
-    "geometry.width": ("width", lambda v, k: _finite(v)),
-    "geometry.height": ("height", lambda v, k: _finite(v)),
+    "geometry.width": ("width", lambda v, k: float(v)),
+    "geometry.height": ("height", lambda v, k: float(v)),
     "geometry.nx": ("nx", lambda v, k: int(v)),
     "geometry.ny": ("ny", lambda v, k: int(v)),
     "geometry.refine": ("refine", lambda v, k: int(v)),
     "method": ("method", lambda v, k: v.strip()),
-    "method.alpha": ("alpha", lambda v, k: _finite(v)),
-    "method.beta": ("beta", lambda v, k: _finite(v)),
-    "method.eps_cells": ("eps_cells", lambda v, k: _finite(v)),
-    "method.eps_min_cells": ("eps_min_cells", lambda v, k: _finite(v)),
+    "method.alpha": ("alpha", lambda v, k: float(v)),
+    "method.beta": ("beta", lambda v, k: float(v)),
+    "method.eps_cells": ("eps_cells", lambda v, k: float(v)),
+    "method.eps_min_cells": ("eps_min_cells", lambda v, k: float(v)),
     "method.step": ("step", lambda v, k: v.strip()),
-    "method.eta": ("eta", lambda v, k: _finite(v)),
-    "method.tau": ("tau", lambda v, k: _finite(v)),
+    "method.eta": ("eta", lambda v, k: float(v)),
+    "method.tau": ("tau", lambda v, k: float(v)),
     "method.max_iters": ("max_iters", lambda v, k: int(v)),
-    "method.target_error": ("target_error", lambda v, k: _finite(v)),
-    "method.dt": ("dt", lambda v, k: _finite(v)),
-    "method.eps_clamp": ("eps_clamp", lambda v, k: _finite(v)),
-    "method.cfl_max": ("cfl_max", lambda v, k: _finite(v)),
+    "method.target_error": ("target_error", lambda v, k: float(v)),
+    "method.dt": ("dt", lambda v, k: float(v)),
+    "method.eps_clamp": ("eps_clamp", lambda v, k: float(v)),
+    "method.cfl_max": ("cfl_max", lambda v, k: float(v)),
     "truth.intervals": ("truth_intervals", _parse_interval_list),
     "init.intervals": ("init_intervals", _parse_interval_list),
-    "init.constant": ("init_constant", lambda v, k: _finite(v)),
-    "data.noise_level": ("noise_level", lambda v, k: _finite(v)),
+    "init.constant": ("init_constant", lambda v, k: float(v)),
+    "data.noise_level": ("noise_level", lambda v, k: float(v)),
     "data.seed": ("seed", lambda v, k: int(v)),
     "output.directory": ("output_dir", lambda v, k: v.strip()),
     "output.snapshots": ("snapshot_iters", _parse_int_list),

@@ -61,7 +61,7 @@ def add_noise(g2: TraceFn, level: float, seed: int) -> tuple[TraceFn, float]:
     Returns the noisy trace and delta = level * ||g2||. level = 0 returns an
     identical copy. Fixed seed gives bit-identical output.
     """
-    if level < 0:
+    if not level >= 0:
         raise ValueError("noise level cannot be negative")
     base = l2_norm_trace(g2)
     delta = level * base

@@ -21,8 +21,8 @@ from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
 from .levelset import init_levelset
 from .operator import CauchyData, OperatorContext
 from .record import RunRecord
-from .tikhonov import STEP_IMPLICIT, TikhonovParams, run_tikhonov
-from .transport import TransportParams, run_transport
+from .tikhonov import STEP_IMPLICIT, run_tikhonov
+from .transport import run_transport
 
 OUTPUT_ROOT_ENV = "CAUCHYLS_OUTPUT_ROOT"
 
@@ -75,22 +75,11 @@ def prepare(cfg: RunConfig) -> RunSetup:
 
 def execute(setup: RunSetup) -> RunRecord:
     cfg = setup.cfg
-    if cfg.method == METHOD_TIKHONOV:
-        eps_min = (None if cfg.eps_min_cells is None
-                   else cfg.eps_min_cells * setup.grid.hx)
-        params = TikhonovParams(alpha=cfg.alpha, beta=cfg.beta, eps=setup.eps,
-                                eta=cfg.eta, tau=cfg.tau,
-                                max_iters=cfg.max_iters,
-                                target_error=cfg.target_error,
-                                step=cfg.step, eps_min=eps_min)
-        return run_tikhonov(setup.phi0, setup.data, setup.ctx, params,
-                            truth=setup.truth,
-                            snapshot_iters=cfg.snapshot_iters)
-    params = TransportParams(dt=cfg.dt, eps_clamp=cfg.eps_clamp, tau=cfg.tau,
-                             max_iters=cfg.max_iters, cfl_max=cfg.cfl_max,
-                             target_error=cfg.target_error)
-    return run_transport(setup.phi0, setup.data, setup.ctx, params,
-                         truth=setup.truth, snapshot_iters=cfg.snapshot_iters)
+    run, params = ((run_tikhonov, cfg.tikhonov_params(setup.grid.hx))
+                   if cfg.method == METHOD_TIKHONOV
+                   else (run_transport, cfg.transport_params()))
+    return run(setup.phi0, setup.data, setup.ctx, params, truth=setup.truth,
+               snapshot_iters=cfg.snapshot_iters)
 
 
 def run_config(cfg: RunConfig) -> tuple[RunRecord, RunSetup]:

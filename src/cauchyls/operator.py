@@ -44,7 +44,7 @@ class CauchyData:
         if self.g1.part is not GAMMA1 or self.g2.part is not GAMMA1 \
                 or self.z.part is not GAMMA1:
             raise ValueError("Cauchy data and offset live on the bottom edge")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("noise magnitude cannot be negative")
 
     @property

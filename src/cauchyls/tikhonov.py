@@ -73,17 +73,18 @@ class TikhonovParams:
     def __post_init__(self):
         if self.step not in STEP_KINDS:
             raise ValueError(f"step must be one of {', '.join(STEP_KINDS)}")
-        if self.eps_min is not None and not self.eps_min > 0:
-            raise ValueError("eps_min must be positive")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta cannot be negative")
         if self.eps is not None and not self.eps > 0:
             raise ValueError("eps must be positive")
+        if self.eps_min is not None and not 0 < self.eps_min <= (
+                math.inf if self.eps is None else self.eps):
+            raise ValueError("eps_min must lie in (0, eps]")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
 
     def resolve_eps(self, grid) -> float:

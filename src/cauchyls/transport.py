@@ -46,7 +46,7 @@ class TransportParams:
             raise ValueError("eps_clamp must lie in (0, 1]")
         if not MIN_CFL_MAX <= self.cfl_max <= 0.9:
             raise ValueError(f"cfl_max must lie in [{MIN_CFL_MAX:g}, 0.9]")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
 
 

@@ -1,8 +1,12 @@
 """Flat key = value config parsing and validation."""
 
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from cauchyls import ConfigError, RunConfig, load_config, parse_config
+from cauchyls.config import _KEYS
 
 FULL = """
 # full inversion setup
@@ -115,13 +119,65 @@ def test_target_error_needs_truth():
     with pytest.raises(ConfigError):
         RunConfig(target_error=0.05, truth_intervals=None).validate()
     # an empty truth union is a legal degenerate truth, not a missing one
-    assert parse_config("method.target_error = 0.05\ntruth.intervals =\n")
+    cfg = parse_config("method.target_error = 0.05\ntruth.intervals =\n")
+    assert cfg.truth_intervals == ()
 
 
 def test_validation_requires_a_truth():
     # the data are synthesized from the truth flux
     with pytest.raises(ConfigError, match="truth.intervals"):
         RunConfig(truth_intervals=None).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", math.nan), ("eta", math.nan),
+    ("dt", math.nan), ("target_error", math.nan), ("eps_cells", math.inf),
+    ("noise_level", math.nan), ("init_constant", math.nan),
+    ("width", math.nan),
+])
+def test_non_finite_field_set_in_code_rejected(field, value):
+    # a config built in code meets the checks a parsed one does
+    key = next(k for k, (name, _) in _KEYS.items() if name == field)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        replace(RunConfig(), **{field: value}).validate()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("method.alpha = 0", "method.alpha"),
+    ("method.beta = -1", "method.beta"),
+    ("method.eps_cells = 0", "method.eps_cells"),
+    ("method.eps_min_cells = 3", "method.eps_min_cells"),
+    ("method.step = magic", "method.step"),
+    ("method.eta = 0", "method.eta"),
+    ("method.max_iters = -1", "method.max_iters"),
+    ("method.dt = 0", "method.dt"),
+    ("method.eps_clamp = 0", "method.eps_clamp"),
+    ("method.cfl_max = 1", "method.cfl_max"),
+])
+def test_method_range_failures_name_the_key(text, key):
+    # the ranges are the params objects'; the message names the config key
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        parse_config(text)
+
+
+def test_every_key_sets_its_own_field():
+    names = [name for name, _ in _KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_params_take_every_field_from_the_config():
+    # every method value off its default, so a field the builders forget
+    # would keep the params default
+    cfg = replace(RunConfig(), alpha=7.0, beta=0.5, eps_cells=3.0,
+                  eps_min_cells=0.5, step="implicit", eta=1e-3, tau=2.5,
+                  max_iters=9, target_error=0.25, dt=0.125, eps_clamp=0.5,
+                  cfl_max=0.5).validate()
+    for params in (cfg.tikhonov_params(0.25), cfg.transport_params()):
+        default = type(params)()
+        for f in fields(params):
+            assert getattr(params, f.name) != getattr(default, f.name), \
+                f.name
+    assert cfg.tikhonov_params(0.25).eps_min == 0.125
 
 
 def test_output_directory_may_not_be_empty():

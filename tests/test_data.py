@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, OperatorContext, TraceFn, add_noise,
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, OperatorContext, TraceFn,
+                      add_noise,
                       apply_forward, build_grid, l2_norm_trace,
                       synthesize_cauchy_data, trace_inner,
                       trace_from_function, with_noise, zero_trace)
@@ -66,6 +67,11 @@ def test_negative_level_rejected(grid64):
         add_noise(zero_trace(grid64, GAMMA1), -0.1, seed=1)
 
 
+def test_nan_level_rejected(grid64):
+    with pytest.raises(ValueError, match="noise level"):
+        add_noise(zero_trace(grid64, GAMMA1), float("nan"), seed=1)
+
+
 # -- synthesis ----------------------------------------------------------------
 
 def _truth(grid):
@@ -104,6 +110,13 @@ def test_with_noise_only_touches_g2(ctx64, grid64):
     assert np.array_equal(noisy.g1.values, data.g1.values)
     assert np.array_equal(noisy.z.values, data.z.values)
     assert not np.array_equal(noisy.g2.values, data.g2.values)
+
+
+def test_nan_delta_rejected(grid64):
+    # a nan delta would switch the discrepancy stop off: delta > 0 is false
+    zero = zero_trace(grid64, GAMMA1)
+    with pytest.raises(ValueError, match="noise magnitude"):
+        CauchyData(g1=zero, g2=zero, delta=float("nan"), z=zero)
 
 
 def test_synthesis_validates_trace_homes(ctx64, grid64):

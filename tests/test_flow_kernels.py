@@ -24,10 +24,8 @@ from cauchyls.experiments import (exp1_config, exp2_config, execute, prepare,
                                   transport_benchmark_config)
 from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import STOP_MAX_ITERS, RunRecord, observe
-from cauchyls.tikhonov import (NARROW_FACTOR, NARROW_TOL_CELLS,
-                               TikhonovParams)
-from cauchyls.transport import (VELOCITY_FLOOR, TransportParams,
-                                dirichlet_poisson)
+from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
+from cauchyls.transport import VELOCITY_FLOOR, dirichlet_poisson
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -116,15 +114,6 @@ def _assert_same(rec, ref):
     assert rec.final_eps == ref.final_eps
 
 
-def _tikhonov_params(cfg, setup):
-    eps_min = (None if cfg.eps_min_cells is None
-               else cfg.eps_min_cells * setup.grid.hx)
-    return TikhonovParams(alpha=cfg.alpha, beta=cfg.beta, eps=setup.eps,
-                          eta=cfg.eta, tau=cfg.tau, max_iters=cfg.max_iters,
-                          target_error=cfg.target_error, step=cfg.step,
-                          eps_min=eps_min)
-
-
 @pytest.mark.parametrize("cfg", [
     # explicit step with the TV source, exp2's settings
     replace(exp2_config(1.0), max_iters=50),
@@ -136,7 +125,7 @@ def test_tikhonov_loop_matches_trace_reference(cfg):
     cfg = replace(cfg, snapshot_iters=tuple(range(cfg.max_iters + 1)))
     setup = prepare(cfg)
     rec = execute(setup)
-    ref = _tikhonov_reference(setup, _tikhonov_params(cfg, setup))
+    ref = _tikhonov_reference(setup, cfg.tikhonov_params(setup.grid.hx))
     _assert_same(rec, ref)
     if cfg.eps_min_cells is not None:
         assert rec.final_eps < setup.eps  # the run went past a narrowing
@@ -147,9 +136,7 @@ def test_transport_loop_matches_trace_reference():
                   target_error=None, snapshot_iters=tuple(range(41)))
     setup = prepare(cfg)
     rec = execute(setup)
-    params = TransportParams(dt=cfg.dt, eps_clamp=cfg.eps_clamp, tau=cfg.tau,
-                             max_iters=cfg.max_iters, cfl_max=cfg.cfl_max)
-    ref, dts = _transport_reference(setup, params)
+    ref, dts = _transport_reference(setup, cfg.transport_params())
     _assert_same(rec, ref)
     e, res = ref.errors, ref.residuals
     assert rec.asymp_gap == [(e[k + 1] ** 2 - e[k] ** 2) / dt

@@ -48,12 +48,21 @@ def test_params_validation():
         TikhonovParams(max_iters=-1)
 
 
+def test_nan_beta_rejected():
+    with pytest.raises(ValueError, match="beta"):
+        TikhonovParams(beta=float("nan"))
+
+
 def test_step_and_band_options_validated():
     with pytest.raises(ValueError):
         TikhonovParams(step="magic")
     with pytest.raises(ValueError):
         TikhonovParams(eps_min=0.0)
+    # the band floor may not exceed the band
+    with pytest.raises(ValueError, match="eps_min"):
+        TikhonovParams(eps=0.01, eps_min=0.02)
     assert TikhonovParams(step="implicit", eps_min=0.01).eps_min == 0.01
+    assert TikhonovParams(eps=0.02, eps_min=0.02).eps_min == 0.02
 
 
 def test_default_eps_is_two_cells(grid64):
