@@ -8,6 +8,8 @@ exactly level * ||g2||; the Dirichlet datum stays exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import TraceFn, quadrature_weights, restrict_trace
@@ -16,7 +18,7 @@ from .operator import CauchyData, OperatorContext, bottom_flux, compute_offset_z
 
 def weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
     """sqrt(sum w v^2): l2_norm_trace on values with quadrature weights w."""
-    return float(np.sqrt(np.sum(w * values * values)))
+    return math.sqrt(np.add.reduce(w * values * values))
 
 
 def l2_norm_trace(t: TraceFn) -> float:

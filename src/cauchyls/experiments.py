@@ -163,6 +163,7 @@ def summary_text(record: RunRecord, setup: RunSetup) -> str:
         "final_residual": _fmt(record.residuals[-1]),
         "final_error": _fmt(record.errors[-1]) if record.errors else "nan",
         "final_components": record.components[-1],
+        "residual_evaluations": record.residual_evaluations,
         "wall_time_s": f"{record.wall_time:.3f}",
         "iters_per_s": (f"{record.stop_iteration / record.wall_time:.1f}"
                         if record.wall_time > 0 else "nan"),

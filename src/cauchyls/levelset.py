@@ -187,6 +187,5 @@ def redistance(vals: np.ndarray, x: np.ndarray, h: float,
 def component_count(q: np.ndarray, threshold: float = 0.5) -> int:
     """Number of maximal runs of nodes with q > threshold."""
     above = np.asarray(q, dtype=float) > threshold
-    if not above.any():
-        return 0
-    return int(np.sum(above[1:] & ~above[:-1]) + int(above[0]))
+    return int(np.count_nonzero(above[1:] > above[:-1])
+               + np.count_nonzero(above[:1]))

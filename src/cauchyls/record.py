@@ -51,6 +51,8 @@ class RunRecord:
     completed iterations plus one. errors is None when no truth was supplied.
     asymp_gap is an optional diagnostic stream some methods fill in, and
     final_eps the band width a Tikhonov run ended with.
+    residual_evaluations counts the iterates whose residual run_flow
+    computed, one forward apply each; the others repeat their predecessor's.
     """
 
     residuals: list[float] = field(default_factory=list)
@@ -64,6 +66,7 @@ class RunRecord:
     wall_time: float = 0.0
     asymp_gap: list[float] | None = None
     final_eps: float | None = None
+    residual_evaluations: int = 0
 
     def record(self, k: int, residual: float, error: float | None,
                n_components: int, phi: np.ndarray, q: np.ndarray,
@@ -105,6 +108,14 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     run_flow checks each new profile for finiteness once, and TraceFns are
     built only for the record's final_phi and final_q.
 
+    The residual, its norm, the error and the component count are functions
+    of q alone. run_flow computes them when indicator returns a different
+    array object than for the previous iterate, and otherwise records the
+    previous values again and hands step the same r array. An indicator may
+    return its previous array only when q is unchanged, value for value, so
+    the reuse is exact; one that returns a fresh array every call (the
+    Tikhonov ramp) gets every iterate computed.
+
     params supplies tau, max_iters and target_error (TikhonovParams and
     TransportParams both do). run_flow records the residual norm of every
     iterate and then stops, in this order of precedence: after
@@ -130,11 +141,15 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     phi = phi0.values
     stalled = 0
     k = 0
+    q_prev = None
     while True:
         q = indicator(phi)
-        r = ctx.forward(q) - rhs
-        res_norm = weighted_norm(r, w)
-        err, comps = observe(q, target, w)
+        if q is not q_prev:
+            r = ctx.forward(q) - rhs
+            res_norm = weighted_norm(r, w)
+            err, comps = observe(q, target, w)
+            out.residual_evaluations += 1
+            q_prev = q
         out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
 
         if stalled >= STAGNATION_STEPS:

@@ -178,6 +178,31 @@ def test_summary_reports_iteration_rate(tmp_path):
     assert keys.index("iters_per_s") == keys.index("wall_time_s") + 1
 
 
+@pytest.mark.parametrize("cfg, evaluations", [
+    (_tiny(), 6),
+    # the transport indicator changes at 3 of the first 40 iterates
+    (replace(transport_benchmark_config(), max_iters=40, target_error=None),
+     4),
+], ids=["tikhonov", "transport"])
+def test_summary_reports_residual_evaluations(tmp_path, cfg, evaluations):
+    texts = []
+    for name in ("run", "rerun"):
+        record, setup = run_config(cfg)
+        out = write_run_outputs(record, setup, tmp_path / name)
+        texts.append((out / "summary.txt").read_text())
+    rows = dict(line.split(" = ") for line in texts[0].splitlines())
+    assert int(rows["residual_evaluations"]) == evaluations
+    # the row before the timing rows, which it leaves next to each other
+    keys = list(rows)
+    assert keys.index("wall_time_s") == \
+        keys.index("residual_evaluations") + 1
+    # the count is deterministic
+    untimed = [[line for line in text.splitlines()
+                if not line.startswith(("wall_time_s", "iters_per_s"))]
+               for text in texts]
+    assert untimed[0] == untimed[1]
+
+
 def test_exp3_shares_exp2_problem():
     base, noisy = exp2_config(0.5), exp3_config()
     assert noisy.truth_intervals == base.truth_intervals

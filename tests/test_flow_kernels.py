@@ -1,5 +1,5 @@
-"""The array-level iteration loop against a loop over traces, and the
-benchmark tracer's view of that loop.
+"""The array-level iteration loop against a loop over traces, the number
+of map applies it makes, and the benchmark tracer's view of that loop.
 
 run_tikhonov and run_transport iterate on raw value arrays with per-run
 constants (quadrature weights, factored tridiagonal solves). The reference
@@ -143,6 +143,41 @@ def test_transport_loop_matches_trace_reference():
                              + 2.0 * res[k] ** 2 for k, dt in enumerate(dts)]
 
 
+@pytest.mark.parametrize("cfg, stop, applies", [
+    (transport_benchmark_config(), ("target_error", 62), 10),
+    (replace(transport_benchmark_config(), max_iters=40, target_error=None),
+     (STOP_MAX_ITERS, 40), 4),
+    # the Tikhonov ramp is a fresh array at every iterate
+    (replace(exp2_config(1.0), max_iters=50), (STOP_MAX_ITERS, 50), 51),
+], ids=["transport_target", "transport_40", "exp2"])
+def test_maps_applied_once_per_indicator_change(cfg, stop, applies):
+    """The loop applies the forward map to iterate 0 and to every iterate
+    whose indicator differs from its predecessor's, and the adjoint to each
+    of those residuals that a step follows."""
+    cfg = replace(cfg, snapshot_iters=tuple(range(stop[1] + 1)))
+    setup = prepare(cfg)
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name):
+        apply = getattr(setup.ctx, name)
+
+        def wrapper(values):
+            calls[name] += 1
+            return apply(values)
+        return wrapper
+
+    for name in calls:
+        setattr(setup.ctx, name, counted(name))
+    rec = execute(setup)
+    assert (rec.stop_reason, rec.stop_iteration) == stop
+    qs = [rec.snapshots[k][1] for k in range(stop[1] + 1)]
+    fresh = [k == 0 or not np.array_equal(q, qs[k - 1])
+             for k, q in enumerate(qs)]
+    assert calls["forward"] == rec.residual_evaluations == sum(fresh) \
+        == applies
+    assert calls["adjoint"] == sum(fresh[:-1])
+
+
 # -- the benchmark tracer sees the loop ---------------------------------------
 
 @pytest.fixture(scope="module")
@@ -169,18 +204,27 @@ def test_every_instrumented_callable_resolves(tracing):
             assert callable(getattr(mod, attr, None)), attr
 
 
-@pytest.mark.parametrize("cfg, spans", [
+@pytest.mark.parametrize("cfg, spans, fresh_spans, evaluations", [
     (replace(exp2_config(0.5), max_iters=5),
-     ("tikhonov.step", "levelset.curvature")),
+     ("tikhonov.step", "levelset.curvature"), (), 6),
+    # the indicator does not change in the first 5 iterations, so the one
+    # velocity, of iterate 0's residual, serves every step
     (replace(transport_benchmark_config(), max_iters=5),
-     ("transport.step", "transport.velocity")),
+     ("transport.step",), ("transport.velocity",), 1),
 ], ids=["exp2", "transport_benchmark"])
-def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans):
+def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans,
+                                                 fresh_spans, evaluations):
+    """spans open once per iteration, fresh_spans once per residual the
+    loop computes."""
     setup = prepare(cfg)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         rec = execute(setup)
     assert (rec.stop_reason, rec.stop_iteration) == (STOP_MAX_ITERS, 5)
+    assert rec.residual_evaluations == evaluations
     name_id = np.array(tracer.name_id)
     for span in spans:
         assert np.sum(name_id == tracer.name_index(span)) == 5, span
+    for span in fresh_spans:
+        assert np.sum(name_id == tracer.name_index(span)) == evaluations, \
+            span
