@@ -23,7 +23,8 @@ from cauchyls import (apply_adjoint, apply_forward, front_velocity,
 from cauchyls.experiments import (exp1_config, exp2_config, execute, prepare,
                                   transport_benchmark_config)
 from cauchyls.levelset import NeumannHelmholtz, redistance
-from cauchyls.record import STOP_MAX_ITERS, RunRecord, observe
+from cauchyls.record import (STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
+                             observe)
 from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
 from cauchyls.transport import VELOCITY_FLOOR, dirichlet_poisson
 
@@ -144,7 +145,7 @@ def test_transport_loop_matches_trace_reference():
 
 
 @pytest.mark.parametrize("cfg, stop, applies", [
-    (transport_benchmark_config(), ("target_error", 62), 10),
+    (transport_benchmark_config(), (STOP_TARGET_ERROR, 62), 10),
     (replace(transport_benchmark_config(), max_iters=40, target_error=None),
      (STOP_MAX_ITERS, 40), 4),
     # the Tikhonov ramp is a fresh array at every iterate
@@ -214,8 +215,8 @@ def test_every_instrumented_callable_resolves(tracing):
 ], ids=["exp2", "transport_benchmark"])
 def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans,
                                                  fresh_spans, evaluations):
-    """spans open once per iteration, fresh_spans once per residual the
-    loop computes."""
+    """spans open once per iteration, fresh_spans once per computed
+    residual that a step follows (here every computed one)."""
     setup = prepare(cfg)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
