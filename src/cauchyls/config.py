@@ -60,7 +60,6 @@ class RunConfig:
     target_error: float | None = None
     dt: float = 1.0
     eps_clamp: float = 0.1
-    cfl_max: float = 0.9
     truth_intervals: tuple[Interval, ...] = ((0.2, 0.4), (0.6, 0.8))
     init_intervals: tuple[Interval, ...] = ((0.4, 0.6),)
     init_constant: float | None = None
@@ -160,8 +159,7 @@ class RunConfig:
     def transport_params(self) -> TransportParams:
         return TransportParams(
             dt=self.dt, eps_clamp=self.eps_clamp, tau=self.tau,
-            max_iters=self.max_iters, cfl_max=self.cfl_max,
-            target_error=self.target_error)
+            max_iters=self.max_iters, target_error=self.target_error)
 
 
 def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
@@ -204,7 +202,6 @@ _KEYS = {
     "method.target_error": ("target_error", lambda v, k: float(v)),
     "method.dt": ("dt", lambda v, k: float(v)),
     "method.eps_clamp": ("eps_clamp", lambda v, k: float(v)),
-    "method.cfl_max": ("cfl_max", lambda v, k: float(v)),
     "truth.intervals": ("truth_intervals", _parse_interval_list),
     "init.intervals": ("init_intervals", _parse_interval_list),
     "init.constant": ("init_constant", lambda v, k: float(v)),

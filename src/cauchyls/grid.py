@@ -83,10 +83,6 @@ def build_grid(width: float, height: float, nx: int, ny: int | None = None) -> G
     return Grid(width=float(width), height=float(height), nx=int(nx), ny=int(ny))
 
 
-class NonFiniteError(ValueError):
-    """A trace was given inf or nan values."""
-
-
 @dataclass(frozen=True)
 class TraceFn:
     """Nodal values of a scalar function on one boundary part."""
@@ -104,7 +100,7 @@ class TraceFn:
                 f"{self.grid.node_count(self.part)} values, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("trace values must be finite")
+            raise ValueError("trace values must be finite")
 
     @property
     def coords(self) -> np.ndarray:

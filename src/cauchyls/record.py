@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .data import weighted_norm
-from .grid import GAMMA2, NonFiniteError, TraceFn, quadrature_weights
+from .grid import GAMMA2, TraceFn, quadrature_weights
 from .levelset import component_count
 from .operator import CauchyData, OperatorContext
 from .pde import SolverError
@@ -123,8 +123,7 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     for noisy data (delta > 0) at the first residual norm at most
     params.tau * delta, which requires tau > 1; at params.target_error when
     a truth flux is supplied; after params.max_iters steps. A step that
-    produces non-finite values, or raises NonFiniteError, raises
-    SolverError naming the iteration.
+    produces non-finite values raises SolverError naming the iteration.
     """
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
@@ -163,13 +162,10 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             reason = STOP_MAX_ITERS
         else:
             k += 1
-            try:
-                phi, size = step(phi, q, r)
-                if not np.isfinite(phi).all():
-                    raise NonFiniteError("profile values must be finite")
-            except NonFiniteError as exc:
+            phi, size = step(phi, q, r)
+            if not np.isfinite(phi).all():
                 raise SolverError(f"iteration {k}: the level-set step "
-                                  f"produced non-finite values") from exc
+                                  f"produced non-finite values")
             stalled = stalled + 1 if size <= STAGNATION_TOL else 0
             continue
         return out.finish(reason, k, phi0.with_values(phi),

@@ -82,8 +82,11 @@ class TikhonovParams:
         if self.eps_min is not None and not 0 < self.eps_min <= (
                 math.inf if self.eps is None else self.eps):
             raise ValueError("eps_min must lie in (0, eps]")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        # curvature_term divides by sqrt(H'^2 + eta^2), which is 0 on the
+        # ramp's flat stretches once eta^2 underflows
+        if not (self.eta > 0 and self.eta * self.eta > 0):
+            raise ValueError("eta must be positive, with eta^2 above 0 "
+                             "in floating point")
         if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
 

@@ -4,39 +4,39 @@ The sharp indicator q = [phi >= 0] is evolved by advecting phi with a
 velocity field V = psi' on the top edge, where psi solves a Poisson problem
 whose source couples the adjoint-applied residual with the sign of the
 current indicator. That choice makes the indicator error contract along the
-flow for consistent data. Transport uses first-order upwind differences
-with Courant-limited sub-stepping, so profile bounds never expand.
+flow for consistent data. Each iteration takes one first-order upwind
+step that moves fronts at most half a cell, a Courant number of at most
+1/2, so profile bounds never expand.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import NonFiniteError, TraceFn
+from .grid import TraceFn
 from .levelset import (centered_derivative, sharp_indicator,
                        tridiagonal_solver)
 from .operator import CauchyData, OperatorContext
 from .record import RunRecord, run_flow
 
 VELOCITY_FLOOR = 1e-12
-# run_transport caps the outer step at half a cell, so one iteration takes
-# at most ceil(0.5 / cfl_max) upwind substeps; this floor keeps that <= 500
-MIN_CFL_MAX = 1e-3
 
 
 @dataclass(frozen=True)
 class TransportParams:
-    """Outer step cap dt, indicator-sign clamp and Courant bound."""
+    """Step cap dt and indicator-sign clamp eps_clamp.
+
+    eps_clamp only acts on a fractional indicator: the sharp indicator has
+    |2q - 1| = 1 at every node.
+    """
 
     dt: float = 1.0
     eps_clamp: float = 0.1
     tau: float = 1.5
     max_iters: int = 5000
-    cfl_max: float = 0.9
     target_error: float | None = None
 
     def __post_init__(self):
@@ -44,8 +44,6 @@ class TransportParams:
             raise ValueError("dt must be positive")
         if not 0 < self.eps_clamp <= 1:
             raise ValueError("eps_clamp must lie in (0, 1]")
-        if not MIN_CFL_MAX <= self.cfl_max <= 0.9:
-            raise ValueError(f"cfl_max must lie in [{MIN_CFL_MAX:g}, 0.9]")
         if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
 
@@ -64,7 +62,8 @@ def front_velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
     dirichlet_poisson on q's nodes.
 
     psi vanishes at both ends of the top edge. The denominator is clamped
-    away from zero at eps_clamp, with sign +1 at an exact zero. V is the
+    away from zero at eps_clamp, with sign +1 at an exact zero; that only
+    acts on a fractional q, since a sharp q has |2q - 1| = 1. V is the
     centered difference of psi inside and zero at the two end nodes.
     """
     s = 2.0 * q - 1.0
@@ -98,23 +97,26 @@ def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarr
     return phi - dt * (np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp)
 
 
-def transport_step(phi: np.ndarray, v: np.ndarray, vmax: float, dt: float,
-                   cfl_max: float, h: float) -> np.ndarray:
-    """Advance phi by dt, sub-stepping so every substep satisfies the bound;
-    vmax is max|v|."""
-    n_sub = max(1, math.ceil(vmax * dt / (cfl_max * h))) if vmax > 0 else 1
-    for _ in range(n_sub):
-        phi = upwind_step(phi, v, dt / n_sub, h)
-    return phi
+def transport_step(phi: np.ndarray, v: np.ndarray, vmax: float,
+                   dt_max: float, h: float) -> tuple[np.ndarray, float]:
+    """One upwind step of length dt = min(dt_max, h / (2 max|v|)), and dt;
+    vmax is max|v|.
+
+    The cap moves fronts at most half a cell, a Courant number of at most
+    1/2, inside the upwind scheme's CFL bound, so the step keeps the
+    profile's min/max bounds.
+    """
+    dt = min(dt_max, 0.5 * h / max(vmax, VELOCITY_FLOOR))
+    return upwind_step(phi, v, dt, h), dt
 
 
 def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
                   params: TransportParams, truth: TraceFn | None = None,
                   snapshot_iters=()) -> RunRecord:
-    """Iterate the transport flow with the adaptive outer step.
+    """Iterate the transport flow with the adaptive step.
 
-    The outer step is min(dt, 0.5 h / max|V|), so fronts move at most half a
-    cell per iteration before sub-stepping even applies. Stopping is
+    Each iteration is one transport_step of length min(dt, 0.5 h / max|V|),
+    so fronts move at most half a cell per iteration. Stopping is
     record.run_flow's, as for the gradient flow: discrepancy for noisy data
     (tau > 1 required), target error when truth is given, stagnation of the
     velocity max|V|, or the cap. When truth is supplied the record's
@@ -126,10 +128,10 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     Since fronts move at most half a cell per step, q changes only when a
     front crosses a node, and most iterations leave it as it was. The
     indicator then returns the previous array, so run_flow reuses its
-    residual (see run_flow), and the step reuses the velocity, vmax and dt
-    it computed for that residual array: all three are functions of q and
-    r alone, so every output is the same bit for bit. Only the upwind
-    advance of phi is new at every step.
+    residual (see run_flow), and the step reuses the velocity and vmax it
+    computed for that residual array: both are functions of q and r alone,
+    so every output is the same bit for bit. A non-finite velocity makes
+    the profile non-finite, which run_flow reports.
     """
     h = ctx.grid.hx
     poisson = dirichlet_poisson(ctx.grid.nx + 1, h)
@@ -149,15 +151,12 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
         if r is not r_prev:
             v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, poisson,
                                h)
-            vmax = float(np.max(np.abs(v)))
-            if not math.isfinite(vmax):
-                raise NonFiniteError("front velocity is not finite")
-            velocity = v, vmax, min(params.dt,
-                                    0.5 * h / max(vmax, VELOCITY_FLOOR))
+            velocity = v, float(np.max(np.abs(v)))
             r_prev = r
-        v, vmax, dt = velocity
+        v, vmax = velocity
+        phi, dt = transport_step(phi, v, vmax, params.dt, h)
         dts.append(dt)
-        return transport_step(phi, v, vmax, dt, params.cfl_max, h), vmax
+        return phi, vmax
 
     out = run_flow(phi0, data, ctx, params, indicator, step, truth,
                    snapshot_iters)

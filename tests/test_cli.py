@@ -71,6 +71,22 @@ def test_inputs_that_would_crash_later_exit_2(tmp_path, capsys, command,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line, fragment", [
+    # not a key: transport's step length has no option
+    ("method.cfl_max = 0.9", "unknown key 'method.cfl_max'"),
+    # eta^2 underflows to 0
+    ("method.eta = 1e-300", "error: method.eta "),
+])
+def test_removed_key_and_underflowing_eta_exit_2(out_root, tmp_path, capsys,
+                                                  line, fragment):
+    cfg = _write_cfg(tmp_path, f"geometry.nx = 16\nmethod.max_iters = 1\n"
+                               f"{line}\n")
+    assert main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err \
+        and err.count("\n") == 1
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     p = tmp_path / "run.cfg"
     p.write_bytes(b"geometry.nx = 16\n\xff\n")
@@ -249,7 +265,6 @@ _VALUES = {
     "method.target_error": st.floats(-0.1, 1.0),
     "method.dt": st.floats(1e-4, 10.0),
     "method.eps_clamp": st.floats(0.0, 1.5),
-    "method.cfl_max": st.floats(0.0, 1.2),
     "truth.intervals": _pairs(st.floats(-0.1, 1.1)),
     "init.intervals": _pairs(st.floats(-0.1, 1.1)),
     "init.constant": st.floats(-2.0, 2.0),

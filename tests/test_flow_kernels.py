@@ -26,7 +26,7 @@ from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import (STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
                              observe)
 from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
-from cauchyls.transport import VELOCITY_FLOOR, dirichlet_poisson
+from cauchyls.transport import dirichlet_poisson
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -88,11 +88,10 @@ def _transport_reference(setup, params):
         grad = apply_adjoint(setup.ctx, r).values
         v = front_velocity(q.values, grad, params.eps_clamp,
                            dirichlet_poisson(q.values.size, h), h)
-        vmax = float(np.max(np.abs(v)))
-        dt = min(params.dt, 0.5 * h / max(vmax, VELOCITY_FLOOR))
+        new, dt = transport_step(phi.values, v, float(np.max(np.abs(v))),
+                                 params.dt, h)
         dts.append(dt)
-        return phi.with_values(transport_step(phi.values, v, vmax, dt,
-                                              params.cfl_max, h))
+        return phi.with_values(new)
 
     rec = _reference(
         setup, params,

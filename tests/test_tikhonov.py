@@ -44,6 +44,10 @@ def test_params_validation():
         TikhonovParams(eps=0.0)
     with pytest.raises(ValueError):
         TikhonovParams(eta=0.0)
+    # positive, but eta^2 underflows to 0
+    with pytest.raises(ValueError, match="^eta "):
+        TikhonovParams(eta=1e-300)
+    assert TikhonovParams(eta=1e-160).eta == 1e-160
     with pytest.raises(ValueError):
         TikhonovParams(max_iters=-1)
 

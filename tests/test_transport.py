@@ -9,7 +9,9 @@ from cauchyls import (GAMMA1, GAMMA2, TransportParams, front_velocity,
                       init_levelset, run_transport, sharp_indicator,
                       synthesize_cauchy_data, transport_step, upwind_step,
                       trace_from_function, zero_trace)
+from cauchyls.experiments import prepare, transport_benchmark_config
 from cauchyls.operator import apply_adjoint, apply_forward
+from cauchyls.pde import SolverError
 from cauchyls.transport import dirichlet_poisson
 
 
@@ -28,12 +30,6 @@ def test_params_validation():
         TransportParams(eps_clamp=0.0)
     with pytest.raises(ValueError):
         TransportParams(eps_clamp=1.5)
-    with pytest.raises(ValueError):
-        TransportParams(cfl_max=0.95)
-    # below the floor one iteration could take ceil(0.5 / cfl_max) substeps;
-    # only constructed here, never run
-    with pytest.raises(ValueError):
-        TransportParams(cfl_max=1e-9)
 
 
 def test_upwind_shifts_ramp_one_node():
@@ -69,13 +65,21 @@ def test_upwind_maximum_principle(seed, cfl):
     assert out.min() >= phi.min() - 1e-12
 
 
-def test_transport_step_substeps_large_dt(grid64):
-    # dt far beyond the CFL limit must still respect the maximum principle
-    phi = init_levelset(grid64, ((0.3, 0.6),), 4 * grid64.hx).values
-    rng = np.random.default_rng(7)
-    v = rng.uniform(-1, 1, size=grid64.nx + 1)
-    out = transport_step(phi, v, float(np.max(np.abs(v))),
-                         dt=50 * grid64.hx, cfl_max=0.9, h=grid64.hx)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.floats(1e-3, 1e3), st.booleans())
+def test_transport_step_caps_at_half_a_cell(seed, dt_cells, at_rest):
+    # any dt_max, up to a thousand cells' worth, moves fronts at most half
+    # a cell, so the single upwind step keeps the profile's bounds
+    rng = np.random.default_rng(seed)
+    n = 25
+    h = 1.0 / (n - 1)
+    phi = rng.uniform(-2, 2, size=n)
+    v = np.zeros(n) if at_rest else rng.uniform(-1, 1, size=n)
+    vmax = float(np.max(np.abs(v)))
+    dt_max = dt_cells * h
+    out, dt = transport_step(phi, v, vmax, dt_max, h)
+    assert 0 < dt <= dt_max
+    assert vmax * dt <= 0.5 * h * (1 + 1e-15)
     assert out.max() <= phi.max() + 1e-12
     assert out.min() >= phi.min() - 1e-12
 
@@ -125,3 +129,24 @@ def test_transport_noisy_requires_tau_above_one(ctx64, grid64):
     noisy = with_noise(data, 0.1, seed=4)
     with pytest.raises(ValueError):
         run_transport(phi0, noisy, ctx64, TransportParams(tau=1.0, max_iters=3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_velocity_stops_at_its_step(bad):
+    """A non-finite adjoint value makes the velocity and then the profile
+    non-finite; run_flow's check of the new profile names the iteration."""
+    cfg = transport_benchmark_config()
+    setup = prepare(cfg)
+    adjoint = setup.ctx.adjoint
+
+    def poisoned(values):
+        out = np.array(adjoint(values))
+        out[out.size // 2] = bad
+        return out
+
+    setup.ctx.adjoint = poisoned
+    with np.errstate(all="ignore"), pytest.raises(
+            SolverError, match="iteration 1: the level-set step produced "
+                               "non-finite values"):
+        run_transport(setup.phi0, setup.data, setup.ctx,
+                      cfg.transport_params(), truth=setup.truth)
