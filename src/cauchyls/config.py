@@ -32,9 +32,8 @@ Interval = tuple[float, float]
 # Cells per side of the synthesis grid, (nx * refine) x (ny * refine), the
 # largest grid of a run. The largest built-in one (the nx = 256 transport
 # benchmark) is 512 x 256, so twice that leaves headroom. The maps come
-# from cosine symbols; at the bound the largest dense matrix (and the DCT-I
-# basis) holds 1025^2 doubles (8.4 MB), and the synthesis is one y-sweep of
-# 1024 rows.
+# from closed-form cosine symbols; at the bound the largest dense matrix
+# holds 1025^2 doubles (8.4 MB), and the synthesis grid builds none.
 MAX_FINE_CELLS = 1024
 
 

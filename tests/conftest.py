@@ -1,8 +1,8 @@
 """Shared fixtures: grids and operator contexts reused across modules.
 
-OperatorContext caches its dense maps, multiplied out from the cosine
-symbols on the first apply (or by assemble_forward_matrix), so session scope
-builds each context's maps once for the whole run.
+OperatorContext builds its dense maps from the cosine symbols when it is
+constructed, so session scope builds each context's maps once for the whole
+run.
 """
 
 import pytest

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import MixedSolver
+from cauchyls import CosineModes, MixedSolver, build_grid
 from cauchyls.cli import main
 from cauchyls.config import MAX_FINE_CELLS
 from cauchyls.experiments import OUTPUT_ROOT_ENV
@@ -97,10 +97,21 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "svd"])
 def test_degenerate_strip_exits_3(out_root, tmp_path, capsys, command):
-    # hy = 2.5e-301: 1/hy^2 overflows in the cosine symbols
-    cfg = _write_cfg(tmp_path, "geometry.height = 1e-300\ngeometry.ny = 4\n"
-                               "method.max_iters = 1\n")
-    assert main([command, cfg]) == 3
+    # hy = 2.5e-301: the closed-form symbols take their thin-strip limit,
+    # every mode passes unchanged (forward -1, adjoint -1, offset 0)
+    thin = "geometry.height = 1e-300\ngeometry.ny = 4\nmethod.max_iters = 1\n"
+    assert main([command, _write_cfg(tmp_path, thin)]) == 0
+    modes = CosineModes(build_grid(1.0, 1e-300, 64, 4))
+    assert np.abs(modes.forward + 1.0).max() <= 1e-12
+    assert np.abs(modes.adjoint + 1.0).max() <= 1e-12
+    assert np.abs(modes.offset).max() <= 1e-12
+    capsys.readouterr()
+    # hx = 6.25e-202: 1/hx^2 overflows in the x-stencil eigenvalues
+    narrow = ("geometry.width = 1e-200\ngeometry.height = 5e-201\n"
+              "geometry.nx = 16\ngeometry.ny = 8\n"
+              "truth.intervals = 3e-201:7e-201\n"
+              "init.intervals = 4.5e-201:5.5e-201\nmethod.max_iters = 1\n")
+    assert main([command, _write_cfg(tmp_path, narrow)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and err.count("\n") == 1
 

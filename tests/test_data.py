@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, CauchyData, OperatorContext, TraceFn,
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, CosineModes, TraceFn,
                       add_noise,
                       apply_forward, build_grid, l2_norm_trace,
                       synthesize_cauchy_data, trace_inner,
@@ -82,29 +82,33 @@ def _truth(grid):
 def test_same_grid_synthesis_closes(ctx64, grid64):
     # on one grid the truth flux reproduces the data to solver precision
     data = synthesize_cauchy_data(_truth(grid64), zero_trace(grid64, GAMMA1),
-                                  ctx64, ctx64)
+                                  ctx64.modes, ctx64)
     res = apply_forward(ctx64, _truth(grid64)).values - data.rhs.values
     assert np.abs(res).max() < 1e-10
     assert data.delta == 0.0
 
 
-def test_finer_grid_synthesis_keeps_discretization_gap(ctx64, grid64):
+def test_finer_grid_synthesis_keeps_discretization_gap(ctx64, grid64,
+                                                      monkeypatch):
     # data from a 2x finer forward solve: the truth no longer fits exactly,
     # which is precisely the point of synthesizing off-grid
     fine = build_grid(1.0, 0.5, 128)
-    ctx_fine = OperatorContext(fine)
+    # synthesis takes the fine grid's modes alone and reads their symbols
+    # through transforms: no dense map is built on either grid
+    def no_dense_maps(*symbols):
+        raise AssertionError("synthesis built a dense map")
+    monkeypatch.setattr(CosineModes, "matrices", no_dense_maps)
     data = synthesize_cauchy_data(_truth(fine), zero_trace(fine, GAMMA1),
-                                  ctx_fine, ctx64)
+                                  CosineModes(fine), ctx64)
+    monkeypatch.undo()
     res = apply_forward(ctx64, _truth(grid64)).values - data.rhs.values
     gap = np.abs(res).max()
     assert 1e-8 < gap < 1e-2
-    # synthesis reads the fine grid's symbols only, never its dense maps
-    assert not ctx_fine.assembled
 
 
 def test_with_noise_only_touches_g2(ctx64, grid64):
     data = synthesize_cauchy_data(_truth(grid64), zero_trace(grid64, GAMMA1),
-                                  ctx64, ctx64)
+                                  ctx64.modes, ctx64)
     noisy = with_noise(data, 0.1, seed=9)
     assert noisy.delta > 0
     assert np.array_equal(noisy.g1.values, data.g1.values)
@@ -122,4 +126,4 @@ def test_nan_delta_rejected(grid64):
 def test_synthesis_validates_trace_homes(ctx64, grid64):
     with pytest.raises(ValueError):
         synthesize_cauchy_data(zero_trace(grid64, GAMMA1),
-                               zero_trace(grid64, GAMMA1), ctx64, ctx64)
+                               zero_trace(grid64, GAMMA1), ctx64.modes, ctx64)

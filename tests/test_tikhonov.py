@@ -14,7 +14,8 @@ from cauchyls.levelset import NeumannHelmholtz
 def _problem(ctx, grid, noise=0.0, seed=3):
     truth = trace_from_function(
         grid, GAMMA2, lambda x: ((x >= 0.3) & (x <= 0.7)).astype(float))
-    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx, ctx)
+    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx.modes,
+                                  ctx)
     if noise > 0:
         data = with_noise(data, noise, seed)
     phi0 = init_levelset(grid, ((0.45, 0.55),), 4 * grid.hx)
