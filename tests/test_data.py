@@ -95,7 +95,7 @@ def test_finer_grid_synthesis_keeps_discretization_gap(ctx64, grid64,
     fine = build_grid(1.0, 0.5, 128)
     # synthesis takes the fine grid's modes alone and reads their symbols
     # through transforms: no dense map is built on either grid
-    def no_dense_maps(*symbols):
+    def no_dense_maps(*args):
         raise AssertionError("synthesis built a dense map")
     monkeypatch.setattr(CosineModes, "matrices", no_dense_maps)
     data = synthesize_cauchy_data(_truth(fine), zero_trace(fine, GAMMA1),
