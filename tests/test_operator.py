@@ -240,10 +240,12 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
         assert np.abs(cosine - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
-def test_bottom_flux_rejects_misplaced_traces(grid16, ctx16):
+@pytest.mark.parametrize("from_context", [True, False])
+def test_bottom_flux_rejects_misplaced_traces(grid16, ctx16, from_context):
     # q and g1 are checked against the modes' grid at entry, and the offset
-    # against the context grid
-    modes = ctx16.modes
+    # against the context grid; the modes are the context's own or, as on a
+    # synthesis grid, bare CosineModes with no dense maps behind them
+    modes = ctx16.modes if from_context else CosineModes(grid16)
     shallow = build_grid(1.0, 0.25, 16)
     top = trace_from_function(grid16, GAMMA2, np.cos)
     bottom = trace_from_function(grid16, GAMMA1, np.cos)
