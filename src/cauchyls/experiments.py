@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import chain
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -118,29 +119,34 @@ def write_text_file(path: Path, text: str) -> None:
 HISTORY_HEADER = "iter,residual,error,components"
 SNAPSHOT_HEADER = "x,phi,q"
 SIGMA_HEADER = "k,sigma"
-# floats with 17 significant digits, as _fmt: reruns are byte-identical
-HISTORY_ROW = "{},{:.17g},{:.17g},{}\n"
-SNAPSHOT_ROW = "{:.17g},{:.17g},{:.17g}\n"
-SIGMA_ROW = "{},{:.17g}\n"
+# floats with 17 significant digits, as _fmt: reruns are byte-identical;
+# each table is one % format of its row format repeated over the flat values
+HISTORY_ROW = "%d,%.17g,%.17g,%d\n"
+SNAPSHOT_ROW = "%.17g,%.17g,%.17g\n"
+SIGMA_ROW = "%d,%.17g\n"
 SNAPSHOT_NAME = re.compile(r"snapshot_\d+\.csv")
+
+
+def _table(header: str, row: str, *columns) -> str:
+    flat = tuple(chain.from_iterable(zip(*columns)))
+    return header + "\n" + row * (len(flat) // len(columns)) % flat
 
 
 def history_csv(record: RunRecord) -> str:
     n = len(record.residuals)
     errors = record.errors if record.errors is not None else [np.nan] * n
-    return HISTORY_HEADER + "\n" + "".join(map(
-        HISTORY_ROW.format, range(n), record.residuals, errors,
-        record.components))
+    return _table(HISTORY_HEADER, HISTORY_ROW, range(n), record.residuals,
+                  errors, record.components)
 
 
 def snapshot_csv(grid: Grid, phi: np.ndarray, q: np.ndarray) -> str:
-    return SNAPSHOT_HEADER + "\n" + "".join(map(
-        SNAPSHOT_ROW.format, grid.xs.tolist(), phi.tolist(), q.tolist()))
+    return _table(SNAPSHOT_HEADER, SNAPSHOT_ROW, grid.xs.tolist(),
+                  phi.tolist(), q.tolist())
 
 
 def sigma_csv(sigma: np.ndarray) -> str:
-    return SIGMA_HEADER + "\n" + "".join(map(
-        SIGMA_ROW.format, range(1, len(sigma) + 1), sigma.tolist()))
+    return _table(SIGMA_HEADER, SIGMA_ROW, range(1, len(sigma) + 1),
+                  sigma.tolist())
 
 
 def summary_text(record: RunRecord, setup: RunSetup) -> str:

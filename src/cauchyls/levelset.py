@@ -10,6 +10,7 @@ connected-component counts.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ def smoothed_heaviside(t: np.ndarray, eps: float) -> np.ndarray:
     if not eps > 0:
         raise ValueError("eps must be positive")
     t = np.asarray(t, dtype=float)
-    return np.clip(1.0 + t / eps, 0.0, 1.0)
+    return np.minimum(np.maximum(t / eps + 1.0, 0.0), 1.0)
 
 
 def smoothed_heaviside_deriv(t: np.ndarray, eps: float) -> np.ndarray:
@@ -31,7 +32,7 @@ def smoothed_heaviside_deriv(t: np.ndarray, eps: float) -> np.ndarray:
     if not eps > 0:
         raise ValueError("eps must be positive")
     t = np.asarray(t, dtype=float)
-    return np.where((t >= -eps) & (t <= 0.0), 1.0 / eps, 0.0)
+    return ((t >= -eps) & (t <= 0.0)) / eps
 
 
 def sharp_indicator(t: np.ndarray) -> np.ndarray:
@@ -39,14 +40,27 @@ def sharp_indicator(t: np.ndarray) -> np.ndarray:
     return (np.asarray(t, dtype=float) >= 0.0).astype(float)
 
 
+@lru_cache(maxsize=8)
+def _difference_stencil(n: int,
+                        h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (hi, lo, den) of centered_derivative on n nodes of spacing
+    h: node i takes (f[hi[i]] - f[lo[i]]) / den[i]."""
+    if n < 2:
+        raise ValueError("a derivative needs at least two nodes")
+    hi = np.minimum(np.arange(1, n + 1), n - 1)
+    lo = np.maximum(np.arange(-1, n - 1), 0)
+    # h at the ends and 2.0 * h inside, both exact products
+    den = (hi - lo) * h
+    for a in (hi, lo, den):
+        a.flags.writeable = False
+    return hi, lo, den
+
+
 def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(f, h) by slices: centered inside, first-order one-sided
-    differences at the two ends (the same bits as np.gradient)."""
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (f[1] - f[0]) / h
-    out[-1] = (f[-1] - f[-2]) / h
-    return out
+    """np.gradient(f, h): centered inside, first-order one-sided differences
+    at the two ends, as one gather (the same bits as np.gradient)."""
+    hi, lo, den = _difference_stencil(f.size, h)
+    return (f[hi] - f[lo]) / den
 
 
 def curvature_term(ramp: np.ndarray, h: float, eta: float,
@@ -58,8 +72,11 @@ def curvature_term(ramp: np.ndarray, h: float, eta: float,
     the normalization away from division by zero on flat stretches.
     """
     g = centered_derivative(ramp, h)
-    n = g / np.sqrt(g * g + eta * eta)
-    return beta * centered_derivative(n, h)
+    norm = g * g
+    norm += eta * eta
+    np.sqrt(norm, out=norm)
+    np.divide(g, norm, out=g)
+    return beta * centered_derivative(g, h)
 
 
 def tridiagonal_solver(d: np.ndarray,
@@ -74,13 +91,6 @@ def tridiagonal_solver(d: np.ndarray,
     if info != 0:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return lambda b: dpttrs(d, e, b)[0]
-
-
-def _half_ends(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out[0] *= 0.5
-    out[-1] *= 0.5
-    return out
 
 
 class NeumannHelmholtz:
@@ -100,18 +110,22 @@ class NeumannHelmholtz:
         self._diag = np.full(n, 1.0 + 2.0 * inv_h2)
         self._diag[[0, -1]] = 0.5 + inv_h2
         self._off = np.full(n - 1, -inv_h2)
+        # the end-row scaling, applied to rhs and to coupling's rows
+        self._half_ends = np.ones(n)
+        self._half_ends[[0, -1]] = 0.5
         self._solve = tridiagonal_solver(self._diag, self._off)
         self._dense: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray,
               coupling: np.ndarray | None = None) -> np.ndarray:
-        b = _half_ends(rhs)
+        b = rhs * self._half_ends
         if coupling is None:
             return self._solve(b)
         if self._dense is None:
             self._dense = (np.diag(self._diag) + np.diag(self._off, 1)
                            + np.diag(self._off, -1))
-        return np.linalg.solve(self._dense + _half_ends(coupling), b)
+        return np.linalg.solve(
+            self._dense + coupling * self._half_ends[:, None], b)
 
 
 def solve_helmholtz_neumann(rhs: TraceFn,
@@ -187,5 +201,6 @@ def redistance(vals: np.ndarray, x: np.ndarray, h: float,
 def component_count(q: np.ndarray, threshold: float = 0.5) -> int:
     """Number of maximal runs of nodes with q > threshold."""
     above = np.asarray(q, dtype=float) > threshold
-    return int(np.count_nonzero(above[1:] > above[:-1])
-               + np.count_nonzero(above[:1]))
+    if above.size == 0:
+        return 0
+    return int(np.count_nonzero(above[1:] > above[:-1])) + int(above[0])

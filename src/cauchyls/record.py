@@ -138,13 +138,19 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     rhs = data.rhs.values
     target = truth.values if truth is not None else None
     phi = phi0.values
+    # the stop thresholds, read once: -inf disables a rule
+    discrepancy = params.tau * data.delta if data.delta > 0 else -np.inf
+    target_error = (params.target_error if params.target_error is not None
+                    else -np.inf)
+    max_iters = params.max_iters
     stalled = 0
     k = 0
     q_prev = None
     while True:
         q = indicator(phi)
         if q is not q_prev:
-            r = ctx.forward(q) - rhs
+            r = ctx.forward(q)
+            r -= rhs
             res_norm = weighted_norm(r, w)
             err, comps = observe(q, target, w)
             out.residual_evaluations += 1
@@ -153,12 +159,11 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
 
         if stalled >= STAGNATION_STEPS:
             reason = STOP_STAGNATION
-        elif data.delta > 0 and res_norm <= params.tau * data.delta:
+        elif res_norm <= discrepancy:
             reason = STOP_DISCREPANCY
-        elif params.target_error is not None and err is not None \
-                and err <= params.target_error:
+        elif err is not None and err <= target_error:
             reason = STOP_TARGET_ERROR
-        elif k >= params.max_iters:
+        elif k >= max_iters:
             reason = STOP_MAX_ITERS
         else:
             k += 1

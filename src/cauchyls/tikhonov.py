@@ -104,15 +104,16 @@ def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
     checked here: run_tikhonov checks its inputs once per run.
     """
     h = ctx.grid.hx
-    curv = curvature_term(ramp, h, params.eta, params.beta)
+    drive = curvature_term(ramp, h, params.eta, params.beta)
+    drive -= grad
     gate = smoothed_heaviside_deriv(phi, eps)
-    drive = gate * (-grad + curv)
+    drive *= gate
     if params.step == STEP_EXPLICIT:
         return phi + helmholtz.solve(drive) / params.alpha
     coupling = gate[:, None] * ctx.normal_matrix() * (gate / params.alpha)
     dphi = helmholtz.solve(drive, coupling) / params.alpha
     cap = MAX_STEP_CELLS * h
-    largest = float(np.max(np.abs(dphi)))
+    largest = float(abs(dphi).max())
     if largest > cap:
         dphi *= cap / largest
     return phi + dphi
@@ -145,7 +146,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
         nonlocal eps
         new = tikhonov_step(phi, q, ctx.adjoint(r), eps, ctx, params,
                             helmholtz)
-        dphi_inf = float(np.max(np.abs(new - phi)))
+        dphi_inf = float(abs(new - phi).max())
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
             # a narrowing is a move, so it resets the stall count; the mid-

@@ -87,14 +87,20 @@ def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarr
     """
     phi = np.asarray(phi, dtype=float)
     v = np.asarray(v, dtype=float)
-    diff = (phi[1:] - phi[:-1]) / h
-    dm = np.empty_like(phi)
-    dp = np.empty_like(phi)
-    dm[1:] = diff
-    dp[:-1] = diff
-    dm[0] = 0.0   # no upwind neighbor: inflow holds the value
-    dp[-1] = 0.0
-    return phi - dt * (np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp)
+    # diff[i] = (phi[i] - phi[i - 1]) / h, with 0 beyond both ends (no
+    # upwind neighbor: inflow holds the value); diff[:-1] is the backward
+    # difference at each node and diff[1:] the forward one
+    diff = np.zeros(phi.size + 1)
+    inner = diff[1:-1]
+    np.subtract(phi[1:], phi[:-1], out=inner)
+    inner /= h
+    flux = np.maximum(v, 0.0)
+    flux *= diff[:-1]
+    downwind = np.minimum(v, 0.0)
+    downwind *= diff[1:]
+    flux += downwind
+    flux *= dt
+    return phi - flux
 
 
 def transport_step(phi: np.ndarray, v: np.ndarray, vmax: float,
@@ -136,13 +142,15 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     h = ctx.grid.hx
     poisson = dirichlet_poisson(ctx.grid.nx + 1, h)
     dts = []
-    q_prev = r_prev = velocity = None
+    q_prev = q_bytes = r_prev = velocity = None
 
     def indicator(phi: np.ndarray) -> np.ndarray:
-        nonlocal q_prev
+        # a sharp q holds only 0.0 and 1.0, so equal bytes are equal values
+        nonlocal q_prev, q_bytes
         q = sharp_indicator(phi)
-        if q_prev is None or not np.array_equal(q, q_prev):
-            q_prev = q
+        b = q.tobytes()
+        if b != q_bytes:
+            q_prev, q_bytes = q, b
         return q_prev
 
     def step(phi: np.ndarray, q: np.ndarray,

@@ -213,3 +213,26 @@ def test_exp3_shares_exp2_problem():
 
 def test_exp2_rel_residual_constant():
     assert EXP2_REL_RESIDUAL == 1e-3
+
+
+@pytest.mark.parametrize("cfg, stop, residual, error", [
+    (exp1_config(), ("target_error", 326), 0.0011023050792472284, 0.0),
+    (exp2_config(0.5), ("max_iters", 3000), 0.0002941678981296502,
+     0.09956641869596733),
+    (exp2_config(1.0), ("max_iters", 3000), 9.736433816674628e-06,
+     0.09955861796380074),
+    (exp3_config(), ("discrepancy", 6), 0.05321139670059613,
+     0.1292148452709492),
+    (transport_benchmark_config(), ("target_error", 62),
+     0.007820973143143275, 0.0),
+    (replace(transport_benchmark_config(), nx=256), ("target_error", 227),
+     0.001954373722174954, 0.0),
+], ids=["exp1", "exp2_h0.5", "exp2_h1", "exp3", "transport",
+        "transport_nx256"])
+def test_builtin_run_outcomes(cfg, stop, residual, error):
+    """Each built-in run keeps its stop reason and iteration, and its final
+    residual and error to 1e-10 relative (an error of 0 exactly)."""
+    record = execute(prepare(cfg))
+    assert (record.stop_reason, record.stop_iteration) == stop
+    assert abs(record.residuals[-1] - residual) <= 1e-10 * residual
+    assert abs(record.errors[-1] - error) <= 1e-10 * error
