@@ -65,8 +65,10 @@ class CosineModes:
 
     On the constant-coefficient problem without a source, mode k separates
     from the others. Its y-profile over the free rows 1..ny solves
-    T_k = mu_k D_y + K_y, with mu_k = (2 - 2 cos(k pi / nx)) / hx^2 the
-    eigenvalue of MixedSolver's x-stencil over its half-cell weights, D_y
+    T_k = mu_k D_y + K_y, with mu_k = (2 sin(k pi / (2 nx)) / hx)^2 the
+    eigenvalue of MixedSolver's x-stencil over its half-cell weights (the
+    same value as (2 - 2 cos(k pi / nx)) / hx^2 without its cancellation at
+    low k), stored as mu, D_y
     the half-cell row weights and K_y the y-stencil. T_k has constant
     coefficients, so its solves are closed forms in theta_k, with
     cosh(theta_k) = 1 + hy^2 mu_k / 2. forward, adjoint and offset are the
@@ -94,7 +96,7 @@ class CosineModes:
         # cosh(ny theta) on row m. ratio holds cosh(m theta) / cosh(ny theta)
         # for m = 0, 1, ny - 1, ny - 2, written with e^-theta so that nothing
         # overflows.
-        mu = (2.0 - 2.0 * np.cos(np.pi * k / nx)) / (hx * hx)
+        self.mu = mu = (2.0 * np.sin(np.pi * k / (2 * nx)) / hx) ** 2
         theta = 2.0 * np.arcsinh(0.5 * hy * np.sqrt(mu))
         m = np.array([0, 1, ny - 1, ny - 2])[:, None]
         ratio = ((np.exp((m - ny) * theta) + np.exp(-(m + ny) * theta))

@@ -314,3 +314,22 @@ def test_leading_singular_values_match_sech(ctx64, grid64):
     assert sigma[0] == pytest.approx(1.0, rel=5e-2)
     assert sigma[1] == pytest.approx(1.0 / np.cosh(np.pi * a), rel=5e-2)
     assert sigma[2] == pytest.approx(1.0 / np.cosh(2 * np.pi * a), rel=5e-2)
+
+
+@pytest.mark.parametrize("height", [0.5, 1.0])
+@pytest.mark.parametrize("nx", [64, 256, 512, 1024])
+def test_low_mode_symbols_match_40_digit_reference(nx, height):
+    """mu_k and the adjoint symbol -sech(ny theta_k) of modes 1..5 against
+    40-digit mpmath: mu_k = (2 sin(k pi / (2 nx)) / hx)^2 does not cancel
+    at low k, where (2 - 2 cos(k pi / nx)) / hx^2 loses up to 4e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = build_grid(1.0, height, nx)
+    modes = CosineModes(grid)
+    with mpmath.workdps(40):
+        hx, hy = mpmath.mpf(grid.hx), mpmath.mpf(grid.hy)
+        for k in range(1, 6):
+            mu = (2 * mpmath.sin(mpmath.pi * k / (2 * nx)) / hx) ** 2
+            adjoint = -mpmath.sech(grid.ny * 2 * mpmath.asinh(
+                hy * mpmath.sqrt(mu) / 2))
+            assert abs(modes.adjoint[k] - adjoint) <= 4e-15 * abs(adjoint), k
+            assert abs(modes.mu[k] - mu) <= 1e-15 * mu, k
