@@ -57,8 +57,9 @@ def _difference_stencil(n: int,
 
 
 def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(f, h): centered inside, first-order one-sided differences
-    at the two ends, as one gather (the same bits as np.gradient)."""
+    """np.gradient(f, h) of a 1-D f: centered inside, first-order one-sided
+    differences at the two ends, as one gather (the same bits as
+    np.gradient)."""
     hi, lo, den = _difference_stencil(f.size, h)
     return (f[hi] - f[lo]) / den
 

@@ -65,16 +65,16 @@ class CosineModes:
 
     On the constant-coefficient problem without a source, mode k separates
     from the others. Its y-profile over the free rows 1..ny solves
-    T_k = mu_k D_y + K_y, with mu_k = (2 sin(k pi / (2 nx)) / hx)^2 the
-    eigenvalue of MixedSolver's x-stencil over its half-cell weights (the
-    same value as (2 - 2 cos(k pi / nx)) / hx^2 without its cancellation at
-    low k), stored as mu, D_y
-    the half-cell row weights and K_y the y-stencil. T_k has constant
-    coefficients, so its solves are closed forms in theta_k, with
-    cosh(theta_k) = 1 + hy^2 mu_k / 2. forward, adjoint and offset are the
-    symbols of apply_forward (top flux -> bottom conormal trace),
-    apply_adjoint (bottom Dirichlet -> negated top trace) and
-    compute_offset_z (bottom Dirichlet -> bottom conormal trace).
+    T_k = mu_k D_y + K_y, with D_y the half-cell row weights, K_y the
+    y-stencil and mu_k (stored as mu) the eigenvalue of MixedSolver's
+    x-stencil over its half-cell weights. mu_k = (2 sin(k pi / (2 nx)) /
+    hx)^2 is (2 - 2 cos(k pi / nx)) / hx^2 without that form's
+    cancellation at low k. T_k has constant coefficients, so its solves
+    are closed forms in theta_k, with cosh(theta_k) = 1 + hy^2 mu_k / 2.
+    forward, adjoint and offset are the symbols of apply_forward (top flux
+    -> bottom conormal trace), apply_adjoint (bottom Dirichlet -> negated
+    top trace) and compute_offset_z (bottom Dirichlet -> bottom conormal
+    trace).
     """
 
     def __init__(self, grid: Grid):

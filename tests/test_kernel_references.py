@@ -73,20 +73,20 @@ PROFILE = st.lists(FINITE, min_size=2, max_size=40).map(np.array)
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(PROFILE, POSITIVE)
 def test_ramp_is_the_clip_ramp(t, eps):
     assert _same_bytes(smoothed_heaviside(t, eps), _clip_ramp(t, eps))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(PROFILE, POSITIVE)
 @example(np.array([-1.0, -0.0, 0.0, 1.0]), 5e-324)  # 1/eps overflows
 def test_gate_is_the_where_gate(t, eps):
     assert _same_bytes(smoothed_heaviside_deriv(t, eps), _where_gate(t, eps))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(PROFILE, POSITIVE)
 def test_derivative_is_the_slice_derivative(f, h):
     assert _same_bytes(centered_derivative(f, h), _slice_derivative(f, h))
@@ -99,7 +99,7 @@ def _helmholtz_matrix(n, h):
     return diag, np.full(n - 1, -inv_h2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.lists(st.one_of(ZEROS, st.floats(-1e6, 1e6)), min_size=3,
                 max_size=40).map(np.array),
        st.integers(0, 2 ** 31 - 1))
@@ -130,7 +130,7 @@ def _upwind_case(draw, entries=FINITE):
         draw(POSITIVE)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_upwind_case())
 @example((np.array([-0.0, 0.0, -0.0, 1.0]), np.array([0.0, -0.0, 1.0, 0.0]),
           0.5, 0.25))
@@ -140,7 +140,7 @@ def test_upwind_step_is_the_dm_dp_step(case):
                        _dm_dp_upwind(phi, v, dt, h))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_upwind_case(st.one_of(
     st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf, -np.inf]))))
 def test_upwind_step_keeps_non_finite_velocities_non_finite(case):
