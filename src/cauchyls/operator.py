@@ -11,13 +11,15 @@ discrete problem separates: the nodal cosine modes cos(k pi x) diagonalize
 all three maps, and the constant-coefficient tridiagonal solve in y gives
 their per-mode symbols in closed form (CosineModes). Cosine transforms are
 real FFTs. The dense forward and adjoint matrices are Toeplitz-plus-Hankel
-forms of those symbols, built with the context, so every apply is a dense
-matvec.
+forms of those symbols, so every apply is a dense matvec. They depend on
+the grid alone, and a small per-process cache keyed by the grid builds them,
+and the modes, once for every context on that grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .pde import Coefficient, SolverError, conormal_values
 
 # decay_slope fits log(sigma_k) up to this 1-based position by default
 DECAY_FIT_LAST = 15
+# grids whose operator state each per-grid cache keeps; a run uses two
+GRID_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,9 @@ class CosineModes:
     -> bottom conormal trace), apply_adjoint (bottom Dirichlet -> negated
     top trace) and compute_offset_z (bottom Dirichlet -> bottom conormal
     trace).
+
+    Every array a CosineModes holds is read-only, since the per-grid cache
+    (cosine_modes) shares one CosineModes between all its callers.
     """
 
     def __init__(self, grid: Grid):
@@ -106,11 +113,14 @@ class CosineModes:
         self.forward, self.offset = conormal_values(rows, grid, Coefficient(),
                                                     GAMMA1)
         self.adjoint = -ratio[0]
+        arrays = (mu, self.forward, self.offset, self.adjoint, self._weights,
+                  self._norms)
         # the x-stencil 1/hx^2 overflows on a strip too narrow for its columns
-        if not all(np.isfinite(s).all()
-                   for s in (mu, self.forward, self.offset, self.adjoint)):
+        if not all(np.isfinite(a).all() for a in arrays):
             raise SolverError(f"the cosine symbols of the {nx} x {ny} grid "
                               f"are not finite (hx = {hx:g}, hy = {hy:g})")
+        for a in arrays:
+            a.setflags(write=False)
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of nodal values on a horizontal edge."""
@@ -141,19 +151,51 @@ class CosineModes:
         return tuple(out)
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def cosine_modes(grid: Grid) -> CosineModes:
+    """The grid's CosineModes, built once per process for the last
+    GRID_CACHE_SIZE grids. A grid whose symbols raise SolverError is not
+    kept, so it raises again on the next call."""
+    return CosineModes(grid)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def dense_maps(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dense (forward, adjoint) matrices of the grid, built once
+    per process for the last GRID_CACHE_SIZE grids."""
+    modes = cosine_modes(grid)
+    return modes.matrices(modes.forward, modes.adjoint)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def smoothing_matrix(grid: Grid) -> np.ndarray:
+    """Read-only S = C diag(1 / (1 + mu_k)) C^-1 on the top-edge nodes,
+    built once per process for the last GRID_CACHE_SIZE grids.
+
+    S is the inverse of I - d2/dx2 with zero-flux ends, the uncoupled
+    levelset.NeumannHelmholtz system: the DCT-I diagonalizes the Neumann
+    second difference (Strang, SIAM Review 41, 1999), with the x-stencil
+    eigenvalue mu_k of the grid's CosineModes.
+    """
+    modes = cosine_modes(grid)
+    return modes.matrices(1.0 / (1.0 + modes.mu))[0]
+
+
 class OperatorContext:
     """Grid bundled with the maps' cached state.
 
-    The context owns the cosine modes of its grid and, from construction,
-    the forward map and its adjoint as read-only dense matrices
-    (CosineModes.matrices of their symbols). Nothing is factorized.
+    The context holds the cosine modes of its grid and the forward map and
+    its adjoint as read-only dense matrices (CosineModes.matrices of their
+    symbols). All three come from per-process caches keyed by the grid
+    (cosine_modes, dense_maps), each bounded to GRID_CACHE_SIZE grids, so
+    contexts on equal grids share them and build them once. Nothing is
+    factorized.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.modes = CosineModes(grid)
-        self._maps = self.modes.matrices(self.modes.forward,
-                                         self.modes.adjoint)
+        self.modes = cosine_modes(grid)
+        self._maps = dense_maps(grid)
         self._normal: np.ndarray | None = None
 
     def assemble(self) -> tuple[np.ndarray, ...]:

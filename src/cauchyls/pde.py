@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grid import GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn
 
@@ -150,6 +148,11 @@ class MixedSolver:
     # -- assembly -----------------------------------------------------------
 
     def _build(self):
+        # scipy loads here, so a process that builds no MixedSolver (every
+        # CLI run) never imports it
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         g, a = self.grid, self.coefficient
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
 

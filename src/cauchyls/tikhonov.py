@@ -2,8 +2,9 @@
 
 Each iteration evaluates the data misfit of the current smoothed flux,
 pulls it back through the adjoint, adds the curvature source, gates by the
-ramp derivative and smooths the update in H1 via a screened-Poisson solve
-with zero-flux ends. The profile then takes one explicit Euler step of
+ramp derivative and smooths the update in H1 with the inverse of a
+screened-Poisson operator with zero-flux ends, one matvec by the grid's
+cached smoothing matrix. The profile then takes one explicit Euler step of
 length 1/alpha. The update direction is the descent composition: the
 negated adjoint-applied residual plus the curvature term.
 
@@ -100,8 +101,10 @@ def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
     """The profile values after one flow step.
 
     ramp is H_eps(phi), grad the adjoint-applied residual and helmholtz the
-    NeumannHelmholtz of the context grid's top-edge nodes. Nothing is
-    checked here: run_tikhonov checks its inputs once per run.
+    NeumannHelmholtz of the context grid with scale params.alpha, so the
+    explicit step applies S^-1 / alpha as one matvec by the grid's cached
+    smoothing matrix, scaled once per run. Nothing is checked here:
+    run_tikhonov checks its inputs once per run.
     """
     h = ctx.grid.hx
     drive = curvature_term(ramp, h, params.eta, params.beta)
@@ -109,9 +112,9 @@ def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
     gate = smoothed_heaviside_deriv(phi, eps)
     drive *= gate
     if params.step == STEP_EXPLICIT:
-        return phi + helmholtz.solve(drive) / params.alpha
+        return phi + helmholtz.solve(drive)
     coupling = gate[:, None] * ctx.normal_matrix() * (gate / params.alpha)
-    dphi = helmholtz.solve(drive, coupling) / params.alpha
+    dphi = helmholtz.solve(drive, coupling)
     cap = MAX_STEP_CELLS * h
     largest = float(abs(dphi).max())
     if largest > cap:
@@ -136,7 +139,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     h = ctx.grid.hx
     xs = ctx.grid.xs
     narrow_tol = NARROW_TOL_CELLS * h
-    helmholtz = NeumannHelmholtz(ctx.grid.nx + 1, h)
+    helmholtz = NeumannHelmholtz(ctx.grid, params.alpha)
 
     def indicator(phi: np.ndarray) -> np.ndarray:
         return smoothed_heaviside(phi, eps)

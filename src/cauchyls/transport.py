@@ -12,13 +12,11 @@ step that moves fronts at most half a cell, a Courant number of at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (centered_derivative, sharp_indicator,
-                       tridiagonal_solver)
+from .levelset import sharp_indicator
 from .operator import CauchyData, OperatorContext
 from .record import RunRecord, run_flow
 
@@ -48,32 +46,34 @@ class TransportParams:
             raise ValueError("max_iters cannot be negative")
 
 
-def dirichlet_poisson(n: int, h: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver of -d2/dx2 on the n - 2 interior nodes of spacing h."""
-    return tridiagonal_solver(np.full(n - 2, 2.0 / (h * h)),
-                              np.full(n - 3, -1.0 / (h * h)))
-
-
 def front_velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
-                   poisson: Callable[[np.ndarray], np.ndarray],
                    h: float) -> np.ndarray:
-    """Velocity V = psi' with -psi'' = 2 * grad / (2q - 1) on nodes of
-    spacing h; grad is the adjoint-applied residual and poisson is
-    dirichlet_poisson on q's nodes.
+    """Velocity V = psi' with -psi'' = f = 2 * grad / (2q - 1) on nodes of
+    spacing h; grad is the adjoint-applied residual.
 
     psi vanishes at both ends of the top edge. The denominator is clamped
     away from zero at eps_clamp, with sign +1 at an exact zero; that only
     acts on a fractional q, since a sharp q has |2q - 1| = 1. V is the
-    centered difference of psi inside and zero at the two end nodes.
+    centered difference of the discrete Dirichlet solution psi inside and
+    zero at the two end nodes, in closed form: on nodes 0..m, with c_0 = 0
+    and c_i = f_1 + ... + f_i, the difference quotients (psi_i - psi_{i-1})
+    / h are h (e - c_{i-1}), where e = (c_1 + ... + c_{m-1}) / m makes
+    them sum to (psi_m - psi_0) / h = 0. So V_i = h (e - c_i + f_i / 2),
+    and no system is solved.
     """
-    s = 2.0 * q - 1.0
-    sign = np.where(s >= 0.0, 1.0, -1.0)
-    s = np.where(np.abs(s) < eps_clamp, eps_clamp * sign, s)
-    rhs = 2.0 * grad / s
-    psi = np.zeros(rhs.size)
-    psi[1:-1] = poisson(rhs[1:-1])
-    v = centered_derivative(psi, h)
-    v[0] = v[-1] = 0.0
+    s = 2.0 * q[1:-1] - 1.0
+    # 2q - 1 is +0.0, never -0.0, at q = 1/2, so copysign gives sign +1
+    s = np.copysign(np.maximum(np.abs(s), eps_clamp), s)
+    # the same V_i = 2 h (e - c_i + g_i / 2) in g = f / 2 and its sums;
+    # short of overflow and underflow, the factors of two are exact
+    g = grad[1:-1] / s
+    c = np.cumsum(g)
+    v = np.zeros(q.size)
+    inner = v[1:-1]
+    np.multiply(g, 0.5, out=inner)
+    inner -= c
+    inner += c.sum() / (q.size - 1)
+    inner *= 2.0 * h
     return v
 
 
@@ -140,7 +140,6 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     the profile non-finite, which run_flow reports.
     """
     h = ctx.grid.hx
-    poisson = dirichlet_poisson(ctx.grid.nx + 1, h)
     dts = []
     q_prev = q_bytes = r_prev = velocity = None
 
@@ -157,8 +156,7 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
              r: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal r_prev, velocity
         if r is not r_prev:
-            v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, poisson,
-                               h)
+            v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, h)
             velocity = v, float(np.max(np.abs(v)))
             r_prev = r
         v, vmax = velocity

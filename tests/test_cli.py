@@ -1,6 +1,9 @@
 """Command-line interface: exit codes and written artifacts."""
 
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cauchyls
 from cauchyls import CosineModes, MixedSolver, build_grid
 from cauchyls.cli import main
 from cauchyls.config import MAX_FINE_CELLS
@@ -235,6 +239,43 @@ def test_svd_rerun_into_populated_directory_matches_fresh(out_root, tmp_path):
     assert sorted(rerun) == ["sigma.csv", "svd_summary.txt"]
     assert rerun == _dir_bytes(out_root / "runs" / "fresh")
     assert len(before["sigma.csv"]) > len(rerun["sigma.csv"])
+
+
+# imports the CLI and runs each config named on the command line, printing
+# the scipy modules loaded after the import and after each run
+_SCIPY_PROBE = """
+import sys
+from cauchyls.cli import main
+
+def report():
+    print('scipy:', sorted(m for m in sys.modules
+                           if m.split('.')[0] == 'scipy'))
+
+report()
+for cfg in sys.argv[1:]:
+    assert main(['solve', cfg]) == 0
+    report()
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    configs = []
+    for method in ("tikhonov", "transport"):
+        cfg = tmp_path / f"{method}.cfg"
+        cfg.write_text(f"geometry.nx = 16\nmethod = {method}\n"
+                       f"method.max_iters = 3\noutput.directory = {method}\n")
+        configs.append(str(cfg))
+    src = Path(cauchyls.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{OUTPUT_ROOT_ENV: str(tmp_path)})
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *configs],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    reports = [line for line in out.stdout.splitlines()
+               if line.startswith("scipy:")]
+    assert reports == ["scipy: []"] * 3, out.stdout
+    for method in ("tikhonov", "transport"):
+        assert (tmp_path / method / "history.csv").is_file()
 
 
 def test_unknown_experiment_name(capsys):

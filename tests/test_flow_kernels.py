@@ -2,11 +2,11 @@
 of map applies it makes, and the benchmark tracer's view of that loop.
 
 run_tikhonov and run_transport iterate on raw value arrays with per-run
-constants (quadrature weights, factored tridiagonal solves). The reference
+constants (quadrature weights, the scaled smoothing matrix). The reference
 loops below carry traces from step to step, apply the checked
 apply_forward/apply_adjoint, take norms with l2_norm_trace and rebuild the
-NeumannHelmholtz and dirichlet_poisson factors at every step, as the
-iteration was before it moved to arrays; the two must agree bit for bit.
+NeumannHelmholtz at every step, as the iteration was before it moved to
+arrays; the two must agree bit for bit.
 """
 
 import importlib.util
@@ -26,7 +26,6 @@ from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import (STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
                              observe)
 from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
-from cauchyls.transport import dirichlet_poisson
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -62,8 +61,9 @@ def _tikhonov_reference(setup, params):
     def step(phi, q, r):
         nonlocal eps
         grad = apply_adjoint(setup.ctx, r).values
+        helmholtz = NeumannHelmholtz(setup.grid, params.alpha)
         new = tikhonov_step(phi.values, q.values, grad, eps, setup.ctx,
-                            params, NeumannHelmholtz(phi.values.size, h))
+                            params, helmholtz)
         dphi_inf = np.max(np.abs(new - phi.values))
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= narrow_tol:
@@ -86,8 +86,7 @@ def _transport_reference(setup, params):
 
     def step(phi, q, r):
         grad = apply_adjoint(setup.ctx, r).values
-        v = front_velocity(q.values, grad, params.eps_clamp,
-                           dirichlet_poisson(q.values.size, h), h)
+        v = front_velocity(q.values, grad, params.eps_clamp, h)
         new, dt = transport_step(phi.values, v, float(np.max(np.abs(v))),
                                  params.dt, h)
         dts.append(dt)

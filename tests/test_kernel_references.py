@@ -2,20 +2,26 @@
 
 Each reference below is an earlier, plainer form of a kernel the two flows
 call at every step: the np.clip ramp, the np.where gate, the slice-based
-derivative, the _half_ends copy before the Helmholtz solve, the dm/dp
-upwind step and transport's np.array_equal check of its indicator. The
-kernels must give the same bytes on every finite input.
+derivative, the _half_ends copy before the coupled Helmholtz solve, the
+dm/dp upwind step and transport's np.array_equal check of its indicator.
+Those kernels must give the same bytes on every finite input.
+
+Two kernels replaced a banded solve with a closed form, which rounds
+differently: the uncoupled Helmholtz smoothing (a matvec by the cosine-
+diagonal inverse) and the transport velocity (cumulative sums). They must
+agree with scipy's banded solve to 1e-12 relative on bounded inputs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
-from cauchyls import (sharp_indicator, smoothed_heaviside,
-                      smoothed_heaviside_deriv, upwind_step)
-from cauchyls.levelset import (NeumannHelmholtz, centered_derivative,
-                               tridiagonal_solver)
+from cauchyls import (build_grid, front_velocity, sharp_indicator,
+                      smoothed_heaviside, smoothed_heaviside_deriv,
+                      upwind_step)
+from cauchyls.levelset import NeumannHelmholtz, centered_derivative
 
 
 def _clip_ramp(t, eps):
@@ -99,20 +105,64 @@ def _helmholtz_matrix(n, h):
     return diag, np.full(n - 1, -inv_h2)
 
 
+# closed forms against banded solves: relative to the reference's max norm
+CLOSED_FORM_RTOL = 1e-12
+
+
+def _agrees(out, ref):
+    return np.abs(out - ref).max() <= CLOSED_FORM_RTOL * np.abs(ref).max()
+
+
+# no subnormals, which the closed form and the banded solve round apart
+BOUNDED = st.one_of(ZEROS, st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.one_of(ZEROS, st.floats(-1e6, 1e6)), min_size=3,
-                max_size=40).map(np.array),
-       st.integers(0, 2 ** 31 - 1))
-def test_helmholtz_solve_is_the_half_ends_solve(rhs, seed):
-    n, h = rhs.size, 1.0 / (rhs.size - 1)
-    diag, off = _helmholtz_matrix(n, h)
-    solver = NeumannHelmholtz(n, h)
-    plain = tridiagonal_solver(diag, off)(_half_ends(rhs))
-    assert _same_bytes(solver.solve(rhs), plain)
+@given(st.lists(BOUNDED, min_size=5, max_size=41).map(np.array),
+       st.integers(0, 2 ** 31 - 1), st.floats(1e-3, 1e3))
+def test_helmholtz_solve_is_the_half_ends_solve(rhs, seed, scale):
+    n = rhs.size
+    grid = build_grid(1.0, 1.0, n - 1)
+    diag, off = _helmholtz_matrix(n, grid.hx)
+    solver = NeumannHelmholtz(grid, scale)
+    ab = np.vstack([np.concatenate(([0.0], off)), diag])
+    assert _agrees(solver.solve(rhs),
+                   solveh_banded(ab, _half_ends(rhs)) / scale)
     coupling = np.random.default_rng(seed).normal(size=(n, n))
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     coupled = np.linalg.solve(dense + _half_ends(coupling), _half_ends(rhs))
-    assert _same_bytes(solver.solve(rhs, coupling), coupled)
+    assert _same_bytes(solver.solve(rhs, coupling), coupled / scale)
+
+
+def _banded_velocity(q, grad, eps_clamp, h):
+    """front_velocity through a banded solve of -psi'' = 2 grad / (2q - 1)
+    and np.gradient, the centered difference with the ends zeroed."""
+    s = 2.0 * q - 1.0
+    s = np.where(np.abs(s) < eps_clamp,
+                 eps_clamp * np.where(s >= 0.0, 1.0, -1.0), s)
+    ab = np.zeros((2, q.size - 2))
+    ab[0, 1:] = -1.0 / (h * h)
+    ab[1] = 2.0 / (h * h)
+    psi = np.zeros(q.size)
+    psi[1:-1] = solveh_banded(ab, (2.0 * grad / s)[1:-1])
+    v = np.gradient(psi, h)
+    v[0] = v[-1] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("nx", [16, 64, 256, 512])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.floats(1e-3, 1e6))
+def test_velocity_is_the_banded_poisson_velocity(nx, seed, sharp, size):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(size=nx + 1)
+    if sharp:
+        q = sharp_indicator(q - 0.5)
+    grad = size * rng.uniform(-1.0, 1.0, size=nx + 1)
+    h = 1.0 / nx
+    v = front_velocity(q, grad, 0.1, h)
+    assert v[0] == 0.0 and v[-1] == 0.0
+    assert _agrees(v, _banded_velocity(q, grad, 0.1, h))
 
 
 @st.composite

@@ -22,8 +22,9 @@ from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, CosineModes,
                       compute_offset_z, decay_slope, l2_norm_trace,
                       neumann_trace, singular_values, trace_from_function,
                       trace_inner, zero_trace)
-from cauchyls.operator import bottom_flux
-from cauchyls.pde import conormal_values
+from cauchyls.operator import (GRID_CACHE_SIZE, bottom_flux, cosine_modes,
+                               dense_maps, smoothing_matrix)
+from cauchyls.pde import SolverError, conormal_values
 
 
 def test_forward_conserves_unit_flux(ctx64, grid64):
@@ -282,6 +283,52 @@ def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
     assert np.array_equal(normal, adjoint @ forward)
     assert ctx.normal_matrix() is normal
     assert not normal.flags.writeable
+
+
+# -- per-grid caches ---------------------------------------------------------
+
+def test_contexts_on_equal_grids_share_their_maps(grid16):
+    ctx = OperatorContext(grid16)
+    twin = OperatorContext(build_grid(1.0, grid16.height, 16, grid16.ny))
+    assert twin.grid == grid16 and twin.grid is not grid16
+    assert twin.modes is ctx.modes
+    assert all(a is b for a, b in zip(twin.assemble(), ctx.assemble()))
+    other = OperatorContext(build_grid(1.0, 0.25, 16))
+    assert other.modes is not ctx.modes
+    assert not any(a is b for a, b in zip(other.assemble(), ctx.assemble()))
+    # the lazily built normal matrix stays the context's own
+    assert twin.normal_matrix() is not ctx.normal_matrix()
+
+
+def test_every_cached_array_is_read_only(grid16):
+    modes = cosine_modes(grid16)
+    arrays = (modes.mu, modes.forward, modes.offset, modes.adjoint,
+              modes._weights, modes._norms, *dense_maps(grid16),
+              smoothing_matrix(grid16))
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert OperatorContext(grid16).modes is modes
+
+
+def test_grid_caches_are_bounded():
+    for cache in (cosine_modes, dense_maps, smoothing_matrix):
+        assert cache.cache_info().maxsize == GRID_CACHE_SIZE
+    assert 0 < GRID_CACHE_SIZE <= 8
+    for nx in range(4, 6 + GRID_CACHE_SIZE):
+        smoothing_matrix(build_grid(1.0, 1.0, nx))
+    for cache in (cosine_modes, dense_maps, smoothing_matrix):
+        assert cache.cache_info().currsize <= GRID_CACHE_SIZE
+
+
+def test_grid_with_non_finite_symbols_is_not_cached():
+    # 1/hx^2 overflows in the x-stencil eigenvalues
+    narrow = build_grid(1e-200, 5e-201, 16, 8)
+    hits = cosine_modes.cache_info().hits
+    for _ in range(2):
+        with np.errstate(over="ignore"), pytest.raises(SolverError):
+            OperatorContext(narrow)
+    assert cosine_modes.cache_info().hits == hits
 
 
 def test_singular_values_sorted_descending(ctx16):

@@ -33,7 +33,7 @@ def _step(phi, eps, data, ctx, params):
     """tikhonov_step from profile values phi alone."""
     grad = apply_adjoint(ctx, _residual(phi, eps, data, ctx)).values
     return tikhonov_step(phi, smoothed_heaviside(phi, eps), grad, eps, ctx,
-                         params, NeumannHelmholtz(phi.size, ctx.grid.hx))
+                         params, NeumannHelmholtz(ctx.grid, params.alpha))
 
 
 def test_params_validation():

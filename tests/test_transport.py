@@ -12,7 +12,6 @@ from cauchyls import (GAMMA1, GAMMA2, TransportParams, front_velocity,
 from cauchyls.experiments import prepare, transport_benchmark_config
 from cauchyls.operator import apply_adjoint, apply_forward
 from cauchyls.pde import SolverError
-from cauchyls.transport import dirichlet_poisson
 
 
 def _problem(ctx, grid):
@@ -91,8 +90,7 @@ def test_front_velocity_vanishes_at_walls(ctx64, grid64):
     r = data.g2.with_values(apply_forward(ctx64, q).values - data.rhs.values)
     h = grid64.hx
     v = front_velocity(q.values, apply_adjoint(ctx64, r).values,
-                       TransportParams().eps_clamp,
-                       dirichlet_poisson(grid64.nx + 1, h), h)
+                       TransportParams().eps_clamp, h)
     assert v[0] == 0.0 and v[-1] == 0.0
     assert np.all(np.isfinite(v))
 
