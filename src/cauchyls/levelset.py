@@ -101,9 +101,8 @@ class NeumannHelmholtz:
     def __init__(self, grid: Grid, scale: float = 1.0):
         self.grid = grid
         self.scale = scale
-        n = grid.nx + 1
         # the end-row scaling, applied to rhs and to coupling's rows
-        self._half_ends = np.ones(n)
+        self._half_ends = np.ones(grid.nx + 1)
         self._half_ends[[0, -1]] = 0.5
         self._smoothing: np.ndarray | None = None
         self._dense: np.ndarray | None = None
@@ -113,7 +112,7 @@ class NeumannHelmholtz:
         if coupling is None:
             if self._smoothing is None:
                 self._smoothing = smoothing_matrix(self.grid) / self.scale
-            # the BLAS gemv of @, without its ufunc dispatch (0.6 us at n 65)
+            # the BLAS gemv of @, without the cost of its ufunc dispatch
             return np.dot(self._smoothing, rhs)
         if self._dense is None:
             n, h = self.grid.nx + 1, self.grid.hx
