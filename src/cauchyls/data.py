@@ -17,9 +17,17 @@ from .operator import (CauchyData, CosineModes, OperatorContext, bottom_flux,
                        compute_offset_z)
 
 
-def weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
-    """sqrt(sum w v^2): l2_norm_trace on values with quadrature weights w."""
-    return math.sqrt(np.add.reduce(w * values * values))
+def weighted_norm(values: np.ndarray,
+                  w: np.ndarray) -> float | np.ndarray:
+    """sqrt(sum w v^2): l2_norm_trace on values with quadrature weights w.
+
+    A 2-D values is a stack of rows, and the result the array of their
+    norms. Each has the bytes of the row's own norm: the row-wise
+    np.add.reduce sums a row as the 1-D reduce does, and np.sqrt rounds as
+    math.sqrt does.
+    """
+    sums = np.add.reduce(w * values * values, axis=-1)
+    return math.sqrt(sums) if values.ndim == 1 else np.sqrt(sums)
 
 
 def l2_norm_trace(t: TraceFn) -> float:

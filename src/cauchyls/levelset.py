@@ -196,9 +196,16 @@ def redistance(vals: np.ndarray, x: np.ndarray, h: float,
     return np.clip(phi, -3.0 * eps, 3.0 * eps)
 
 
-def component_count(q: np.ndarray, threshold: float = 0.5) -> int:
-    """Number of maximal runs of nodes with q > threshold."""
+def component_count(q: np.ndarray,
+                    threshold: float = 0.5) -> int | np.ndarray:
+    """Number of maximal runs of nodes with q > threshold.
+
+    A 2-D q is a stack of rows, and the result the array of their counts:
+    one rising-edge count per row.
+    """
     above = np.asarray(q, dtype=float) > threshold
-    if above.size == 0:
-        return 0
-    return int(np.count_nonzero(above[1:] > above[:-1])) + int(above[0])
+    if above.shape[-1] == 0:
+        return 0 if above.ndim == 1 else np.zeros(len(above), dtype=int)
+    counts = np.add.reduce(above[..., 1:] > above[..., :-1], axis=-1) \
+        + above[..., 0]
+    return int(counts) if above.ndim == 1 else counts

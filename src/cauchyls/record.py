@@ -26,10 +26,13 @@ STOP_REASONS = (STOP_DISCREPANCY, STOP_MAX_ITERS, STOP_TARGET_ERROR,
 # STAGNATION_STEPS stalled steps in a row stop the run
 STAGNATION_TOL = 1e-14
 STAGNATION_STEPS = 10
+# run_flow observes the iterates it does not need at once in batches of at
+# most this many evaluations
+OBSERVE_CHUNK = 64
 
 
-def observe(q: np.ndarray, truth: np.ndarray | None,
-            w: np.ndarray | None) -> tuple[float | None, int]:
+def observe(q: np.ndarray, truth: np.ndarray | None, w: np.ndarray | None
+            ) -> tuple[float | np.ndarray | None, int | np.ndarray]:
     """Iterate error and component count of the reconstruction set.
 
     The error is the L2 distance, under the truth's quadrature weights w,
@@ -37,7 +40,9 @@ def observe(q: np.ndarray, truth: np.ndarray | None,
     that coincides with the misclassified mass, for the ramp iterate it
     additionally carries the transition bands. The component count is taken
     on the mid-level set {q > 1/2}, which is the set the iterate would
-    round to.
+    round to. A 2-D q is a stack of iterates, one per row, and both results
+    are then arrays with one entry per row, each with the bytes of that
+    row's own observation (see weighted_norm).
     """
     err = None if truth is None else weighted_norm(q - truth, w)
     return err, component_count(q)
@@ -68,18 +73,16 @@ class RunRecord:
     final_eps: float | None = None
     residual_evaluations: int = 0
 
-    def record(self, k: int, residual: float, error: float | None,
-               n_components: int, phi: np.ndarray, q: np.ndarray,
-               snapshot_iters=()) -> None:
-        """Append iterate k; phi and q are copied if k is a snapshot."""
-        self.residuals.append(residual)
-        if error is not None:
+    def record(self, residuals: list[float], errors: list[float] | None,
+               components: list[int]) -> None:
+        """Append the history values of a chunk of iterates; errors is None
+        for a run without a truth."""
+        self.residuals += residuals
+        if errors is not None:
             if self.errors is None:
                 self.errors = []
-            self.errors.append(error)
-        self.components.append(n_components)
-        if k in snapshot_iters:
-            self.snapshots[k] = (phi.copy(), q.copy())
+            self.errors += errors
+        self.components += components
 
     def finish(self, reason: str, k: int, phi: TraceFn, q: TraceFn,
                wall_time: float) -> "RunRecord":
@@ -106,15 +109,25 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     of the residual F q - rhs on the bottom edge, returns the next profile
     values and the size of the move. Neither needs to validate its input:
     run_flow checks each new profile for finiteness once, and TraceFns are
-    built only for the record's final_phi and final_q.
+    built only for the record's final_phi and final_q. Neither may modify
+    the q or r arrays it is handed: run_flow keeps them to observe later.
 
     The residual, its norm, the error and the component count are functions
-    of q alone. run_flow computes them when indicator returns a different
-    array object than for the previous iterate, and otherwise records the
-    previous values again and hands step the same r array. An indicator may
-    return its previous array only when q is unchanged, value for value, so
-    the reuse is exact; one that returns a fresh array every call (the
-    Tikhonov ramp) gets every iterate computed.
+    of q alone. run_flow evaluates q, that is computes its residual, when
+    indicator returns a different array object than for the previous
+    iterate, and otherwise repeats the previous values and hands step the
+    same r array. An indicator may return its previous array only when q is
+    unchanged, value for value, so the reuse is exact; one that returns a
+    fresh array every call (the Tikhonov ramp) gets every iterate evaluated.
+
+    Per evaluation, run_flow computes only the values a stop rule reads: the
+    residual norm when the data carries noise (delta > 0), and the error
+    when a truth and params.target_error are both given. Every other
+    history value is observed in batches: the q and r arrays of up to
+    OBSERVE_CHUNK evaluations wait on a pending list, with the number of
+    iterates each serves, and one weighted_norm and one observe call over
+    their stacks give the values when the list is full and at the stop.
+    Each value has the bytes of its per-iterate computation.
 
     params supplies tau, max_iters and target_error (TikhonovParams and
     TransportParams both do). run_flow records the residual norm of every
@@ -138,11 +151,30 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     rhs = data.rhs.values
     target = truth.values if truth is not None else None
     phi = phi0.values
-    # the stop thresholds, read once: -inf disables a rule
-    discrepancy = params.tau * data.delta if data.delta > 0 else -np.inf
-    target_error = (params.target_error if params.target_error is not None
-                    else -np.inf)
+    # the stop thresholds, read once: -inf disables a rule, and the value
+    # of a disabled rule stays inf
+    live_residual = data.delta > 0
+    live_error = target is not None and params.target_error is not None
+    discrepancy = params.tau * data.delta if live_residual else -np.inf
+    target_error = params.target_error if live_error else -np.inf
+    res_norm = err = np.inf
     max_iters = params.max_iters
+    # the pending evaluations: q, r, the iterates each serves and the live
+    # residual norms and errors
+    qs, rs, serves, norms, errors = [], [], [], [], []
+
+    def flush():
+        res = norms if live_residual else weighted_norm(np.array(rs), w)
+        errs, comps = observe(np.array(qs), None if live_error else target, w)
+        if live_error:
+            errs = errors
+        out.record(np.repeat(res, serves).tolist(),
+                   None if target is None
+                   else np.repeat(errs, serves).tolist(),
+                   np.repeat(comps, serves).tolist())
+        for pending in (qs, rs, serves, norms, errors):
+            pending.clear()
+
     stalled = 0
     k = 0
     q_prev = None
@@ -151,17 +183,29 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
         if q is not q_prev:
             r = ctx.forward(q)
             r -= rhs
-            res_norm = weighted_norm(r, w)
-            err, comps = observe(q, target, w)
+            if len(qs) == OBSERVE_CHUNK:
+                flush()
+            qs.append(q)
+            rs.append(r)
+            serves.append(1)
+            if live_residual:
+                res_norm = weighted_norm(r, w)
+                norms.append(res_norm)
+            if live_error:
+                err = weighted_norm(q - target, w)
+                errors.append(err)
             out.residual_evaluations += 1
             q_prev = q
-        out.record(k, res_norm, err, comps, phi, q, snapshot_iters)
+        else:
+            serves[-1] += 1
+        if k in snapshot_iters:
+            out.snapshots[k] = (phi.copy(), q.copy())
 
         if stalled >= STAGNATION_STEPS:
             reason = STOP_STAGNATION
         elif res_norm <= discrepancy:
             reason = STOP_DISCREPANCY
-        elif err is not None and err <= target_error:
+        elif err <= target_error:
             reason = STOP_TARGET_ERROR
         elif k >= max_iters:
             reason = STOP_MAX_ITERS
@@ -173,5 +217,6 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
                                   f"produced non-finite values")
             stalled = stalled + 1 if size <= STAGNATION_TOL else 0
             continue
+        flush()
         return out.finish(reason, k, phi0.with_values(phi),
                           phi0.with_values(q), time.perf_counter() - t0)

@@ -2,14 +2,17 @@
 of map applies it makes, and the benchmark tracer's view of that loop.
 
 run_tikhonov and run_transport iterate on raw value arrays with per-run
-constants (quadrature weights, the scaled smoothing matrix). The reference
-loops below carry traces from step to step, apply the checked
-apply_forward/apply_adjoint, take norms with l2_norm_trace and rebuild the
+constants (quadrature weights, the scaled smoothing matrix), and run_flow
+observes the iterates no stop rule reads in chunks of OBSERVE_CHUNK
+evaluations. The reference loops below carry traces from step to step,
+apply the checked apply_forward/apply_adjoint, take norms with
+l2_norm_trace, observe every iterate as it comes and rebuild the
 NeumannHelmholtz at every step, as the iteration was before it moved to
 arrays; the two must agree bit for bit.
 """
 
 import importlib.util
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,10 +23,14 @@ import pytest
 from cauchyls import (apply_adjoint, apply_forward, front_velocity,
                       l2_norm_trace, quadrature_weights, sharp_indicator,
                       smoothed_heaviside, tikhonov_step, transport_step)
-from cauchyls.experiments import (exp1_config, exp2_config, execute, prepare,
+from cauchyls import record
+from cauchyls.config import METHOD_TRANSPORT
+from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
+                                  execute, prepare,
                                   transport_benchmark_config)
 from cauchyls.levelset import NeumannHelmholtz, redistance
-from cauchyls.record import (STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
+from cauchyls.record import (OBSERVE_CHUNK, STOP_DISCREPANCY,
+                             STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
                              observe)
 from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
 
@@ -36,21 +43,29 @@ def _residual(ctx, data, q):
 
 
 def _reference(setup, params, indicator, step):
-    """params.max_iters steps of phi -> step(phi, q, r) on traces, recording
-    every iterate; the run must not meet another stop rule on the way."""
+    """phi -> step(phi, q, r) on traces, observing and recording every
+    iterate as it comes, until the discrepancy, target error or max_iters
+    rule holds; the runs checked here never stall."""
     rec = RunRecord()
-    phi, truth = setup.phi0, setup.truth
+    phi, truth, data = setup.phi0, setup.truth, setup.data
     w = quadrature_weights(truth.grid, truth.part)
-    every = range(params.max_iters + 1)
-    for k in every:
+    for k in itertools.count():
         q = indicator(phi)
-        r = _residual(setup.ctx, setup.data, q)
+        r = _residual(setup.ctx, data, q)
+        res = l2_norm_trace(r)
         err, comps = observe(q.values, truth.values, w)
-        rec.record(k, l2_norm_trace(r), err, comps, phi.values, q.values,
-                   every)
-        if k < params.max_iters:
+        rec.record([res], [err], [comps])
+        rec.snapshots[k] = (phi.values.copy(), q.values.copy())
+        if data.delta > 0 and res <= params.tau * data.delta:
+            reason = STOP_DISCREPANCY
+        elif params.target_error is not None and err <= params.target_error:
+            reason = STOP_TARGET_ERROR
+        elif k >= params.max_iters:
+            reason = STOP_MAX_ITERS
+        else:
             phi = step(phi, q, r)
-    return rec.finish(STOP_MAX_ITERS, params.max_iters, phi, q, 0.0)
+            continue
+        return rec.finish(reason, k, phi, q, 0.0)
 
 
 def _tikhonov_reference(setup, params):
@@ -142,6 +157,70 @@ def test_transport_loop_matches_trace_reference():
                              + 2.0 * res[k] ** 2 for k, dt in enumerate(dts)]
 
 
+def _assert_matches_reference(cfg, stop):
+    """Run cfg, snapshotting every iterate up to the expected stop, and
+    check it bit for bit against its trace reference."""
+    cfg = replace(cfg, snapshot_iters=tuple(range(stop[1] + 1)))
+    setup = prepare(cfg)
+    rec = execute(setup)
+    if cfg.method == METHOD_TRANSPORT:
+        ref, _ = _transport_reference(setup, cfg.transport_params())
+    else:
+        ref = _tikhonov_reference(setup, cfg.tikhonov_params(setup.grid.hx))
+    assert (rec.stop_reason, rec.stop_iteration) == stop
+    _assert_same(rec, ref)
+    return rec
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_runs_ending_at_a_chunk_boundary_match_the_reference(offset):
+    """The last iterate ends a full chunk (offset -1: 64 iterates), opens a
+    new one (0) or is the second of one (+1)."""
+    n = OBSERVE_CHUNK + offset
+    rec = _assert_matches_reference(replace(exp2_config(0.5), max_iters=n),
+                                    (STOP_MAX_ITERS, n))
+    assert len(rec.residuals) == len(rec.components) == n + 1
+
+
+# a chunk of 1 flushes at every evaluation, one of 4 in the middle of runs
+# of repeated indicators
+@pytest.mark.parametrize("chunk", [1, 4, OBSERVE_CHUNK])
+@pytest.mark.parametrize("cfg, stop", [
+    (exp3_config(), (STOP_DISCREPANCY, 6)),
+    # 11 evaluations in 61 iterates
+    (replace(exp3_config(), method=METHOD_TRANSPORT, dt=0.5),
+     (STOP_DISCREPANCY, 60)),
+    (transport_benchmark_config(), (STOP_TARGET_ERROR, 62)),
+], ids=["exp3", "exp3_transport", "transport_target"])
+def test_runs_with_live_stop_values_match_the_reference(monkeypatch, chunk,
+                                                        cfg, stop):
+    """The discrepancy rule reads each evaluation's residual norm, and the
+    target error rule its error, as they come; the histories hold the same
+    values."""
+    monkeypatch.setattr(record, "OBSERVE_CHUNK", chunk)
+    _assert_matches_reference(cfg, stop)
+
+
+def test_exp1_target_error_run_matches_the_reference():
+    """A live error over 327 evaluations, five full chunks, through band
+    narrowings."""
+    _assert_matches_reference(exp1_config(), (STOP_TARGET_ERROR, 326))
+
+
+def test_transport_repeats_across_chunk_boundaries_match_the_reference():
+    rec = _assert_matches_reference(
+        replace(transport_benchmark_config(), max_iters=400,
+                target_error=None), (STOP_MAX_ITERS, 400))
+    qs = [rec.snapshots[k][1] for k in range(401)]
+    fresh = [k for k, q in enumerate(qs)
+             if k == 0 or not np.array_equal(q, qs[k - 1])]
+    assert rec.residual_evaluations == len(fresh) > 2 * OBSERVE_CHUNK
+    # the last evaluation of each of the first two chunks serves iterates
+    # after its own, up to the evaluation that flushes the chunk
+    for j in (OBSERVE_CHUNK, 2 * OBSERVE_CHUNK):
+        assert fresh[j] - fresh[j - 1] > 1
+
+
 @pytest.mark.parametrize("cfg, stop, applies", [
     (transport_benchmark_config(), (STOP_TARGET_ERROR, 62), 10),
     (replace(transport_benchmark_config(), max_iters=40, target_error=None),
@@ -227,3 +306,16 @@ def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans,
     for span in fresh_spans:
         assert np.sum(name_id == tracer.name_index(span)) == evaluations, \
             span
+
+
+def test_tracer_sees_one_observation_per_chunk(tracing):
+    """Three chunks: two full ones and the five iterates before the stop."""
+    n = 2 * OBSERVE_CHUNK + 4
+    setup = prepare(replace(exp2_config(0.5), max_iters=n))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        rec = execute(setup)
+    assert len(rec.residuals) == rec.residual_evaluations == n + 1
+    name_id = np.array(tracer.name_id)
+    for span in ("record.observe", "levelset.components", "record.record"):
+        assert np.sum(name_id == tracer.name_index(span)) == 3, span

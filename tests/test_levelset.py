@@ -72,6 +72,15 @@ def test_component_count_matches_run_length_reference(vals):
     assert component_count(np.array(vals)) == _runs_above(vals, 0.5)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=n,
+             max_size=n), min_size=1, max_size=8)))
+def test_component_count_of_a_stack_counts_each_row(rows):
+    counts = component_count(np.array(rows))
+    assert counts.tolist() == [_runs_above(r, 0.5) for r in rows]
+
+
 # -- profile initialization ---------------------------------------------------
 
 def test_init_levelset_signs_and_clipping():

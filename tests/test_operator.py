@@ -23,7 +23,8 @@ from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, CosineModes,
                       neumann_trace, singular_values, trace_from_function,
                       trace_inner, zero_trace)
 from cauchyls.operator import (GRID_CACHE_SIZE, bottom_flux, cosine_modes,
-                               dense_maps, smoothing_matrix)
+                               dense_maps, gauss_newton_matrix,
+                               smoothing_matrix)
 from cauchyls.pde import SolverError, conormal_values
 
 
@@ -296,15 +297,30 @@ def test_contexts_on_equal_grids_share_their_maps(grid16):
     other = OperatorContext(build_grid(1.0, 0.25, 16))
     assert other.modes is not ctx.modes
     assert not any(a is b for a, b in zip(other.assemble(), ctx.assemble()))
-    # the lazily built normal matrix stays the context's own
-    assert twin.normal_matrix() is not ctx.normal_matrix()
+    # the normal matrix is the grid's too, built once for both contexts
+    assert twin.normal_matrix() is ctx.normal_matrix()
+    assert other.normal_matrix() is not ctx.normal_matrix()
+    forward, adjoint = ctx.assemble()
+    assert np.array_equal(ctx.normal_matrix(), adjoint @ forward)
+
+
+@pytest.mark.parametrize("nx", [16, 64, 256, 1024])
+def test_applies_give_the_bytes_of_the_matmul(nx):
+    """forward and adjoint apply their maps with np.dot, the gemv of @."""
+    ctx = OperatorContext(build_grid(1.0, 0.5, nx))
+    forward, adjoint = ctx.assemble()
+    rng = np.random.default_rng(nx)
+    for v in rng.standard_normal((10, nx + 1)) * rng.uniform(1e-6, 1e6,
+                                                             (10, 1)):
+        assert ctx.forward(v).tobytes() == (forward @ v).tobytes()
+        assert ctx.adjoint(v).tobytes() == (adjoint @ v).tobytes()
 
 
 def test_every_cached_array_is_read_only(grid16):
     modes = cosine_modes(grid16)
     arrays = (modes.mu, modes.forward, modes.offset, modes.adjoint,
               modes._weights, modes._norms, *dense_maps(grid16),
-              smoothing_matrix(grid16))
+              smoothing_matrix(grid16), gauss_newton_matrix(grid16))
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -312,14 +328,15 @@ def test_every_cached_array_is_read_only(grid16):
 
 
 def test_grid_caches_are_bounded():
-    for cache in (cosine_modes, dense_maps, smoothing_matrix):
+    caches = (cosine_modes, dense_maps, smoothing_matrix, gauss_newton_matrix)
+    for cache in caches:
         assert cache.cache_info().maxsize == GRID_CACHE_SIZE
     assert 0 < GRID_CACHE_SIZE <= 8
     for nx in range(4, 6 + GRID_CACHE_SIZE):
         grid = build_grid(1.0, 1.0, nx)
-        OperatorContext(grid)
+        OperatorContext(grid).normal_matrix()
         smoothing_matrix(grid)
-    for cache in (cosine_modes, dense_maps, smoothing_matrix):
+    for cache in caches:
         assert cache.cache_info().currsize == GRID_CACHE_SIZE
 
 

@@ -8,6 +8,7 @@ import pytest
 from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError, TraceFn,
                       apply_forward, build_grid, l2_norm_trace,
                       quadrature_weights, zero_trace)
+from cauchyls.data import weighted_norm
 from cauchyls.record import (STAGNATION_STEPS, STOP_DISCREPANCY,
                              STOP_MAX_ITERS, STOP_REASONS, STOP_STAGNATION,
                              STOP_TARGET_ERROR, RunRecord, observe, run_flow)
@@ -27,6 +28,33 @@ def test_observe_without_truth_counts_only_components():
     g = build_grid(1.0, 0.5, 16)
     err, comps = observe((g.xs > 0.5).astype(float), None, None)
     assert err is None and comps == 1
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (1, 17), (2, 65), (7, 65), (64, 65), (65, 257), (64, 1025), (3001, 17),
+])
+def test_stacked_observation_has_the_bytes_of_each_row(rows, cols):
+    """run_flow observes a chunk of iterates as one stack; every value must
+    be the one the iterate's own observation gives."""
+    rng = np.random.default_rng(rows * cols)
+    g = build_grid(1.0, 0.5, cols - 1)
+    w = quadrature_weights(g, GAMMA2)
+    truth = (rng.random(cols) < 0.5).astype(float)
+    # ramp iterates: gray values, exact 0, 1/2 and 1
+    qs = np.clip(rng.uniform(-0.5, 1.5, (rows, cols)), 0.0, 1.0)
+    qs[:, ::7] = 0.5
+    residuals = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(
+        -8, 2, (rows, 1))
+    norms = weighted_norm(residuals, w)
+    errs, comps = observe(qs, truth, w)
+    assert norms.shape == errs.shape == comps.shape == (rows,)
+    for i in range(rows):
+        assert norms[i].tobytes() == np.float64(
+            weighted_norm(residuals[i], w)).tobytes()
+        err, n = observe(qs[i], truth, w)
+        assert errs[i].tobytes() == np.float64(err).tobytes()
+        assert comps[i] == n
+    assert observe(qs, None, w)[0] is None
 
 
 def test_finish_validates_stop_reason():
