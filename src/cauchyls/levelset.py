@@ -204,8 +204,7 @@ def component_count(q: np.ndarray,
     one rising-edge count per row.
     """
     above = np.asarray(q, dtype=float) > threshold
-    if above.shape[-1] == 0:
-        return 0 if above.ndim == 1 else np.zeros(len(above), dtype=int)
+    # a run starts at each rising edge and at a first node above threshold
     counts = np.add.reduce(above[..., 1:] > above[..., :-1], axis=-1) \
-        + above[..., 0]
+        + np.add.reduce(above[..., :1], axis=-1)
     return int(counts) if above.ndim == 1 else counts
