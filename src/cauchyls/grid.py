@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,13 +57,9 @@ class Grid:
     def hy(self) -> float:
         return self.height / self.ny
 
-    @cached_property
+    @property
     def xs(self) -> np.ndarray:
-        """Read-only node abscissae, computed on the first access; the cache
-        is no field, so equality and hashing see the four fields alone."""
-        xs = np.linspace(0.0, self.width, self.nx + 1)
-        xs.setflags(write=False)
-        return xs
+        return np.linspace(0.0, self.width, self.nx + 1)
 
     @property
     def ys(self) -> np.ndarray:

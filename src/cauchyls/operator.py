@@ -181,25 +181,13 @@ def smoothing_matrix(grid: Grid) -> np.ndarray:
     return modes.matrices(1.0 / (1.0 + modes.mu))[0]
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def gauss_newton_matrix(grid: Grid) -> np.ndarray:
-    """Read-only adjoint @ forward of the grid's dense maps, the Gauss-Newton
-    matrix of the flux misfit on nodal values, built once per process for
-    the last GRID_CACHE_SIZE grids."""
-    forward, adjoint = dense_maps(grid)
-    out = adjoint @ forward
-    out.setflags(write=False)
-    return out
-
-
 class OperatorContext:
     """Grid bundled with the maps' cached state.
 
     The context holds the cosine modes of its grid and the forward map and
     its adjoint as read-only dense matrices (CosineModes.matrices of their
-    symbols). All three, and the normal matrix, come from per-process
-    caches keyed by the grid (cosine_modes, dense_maps,
-    gauss_newton_matrix), each bounded to GRID_CACHE_SIZE grids, so
+    symbols). All three come from per-process caches keyed by the grid
+    (cosine_modes, dense_maps), each bounded to GRID_CACHE_SIZE grids, so
     contexts on equal grids share them and build them once. Nothing is
     factorized. forward and adjoint apply their maps with np.dot, the BLAS
     gemv of @ without the cost of its ufunc dispatch.
@@ -216,10 +204,12 @@ class OperatorContext:
         return self._maps
 
     def normal_matrix(self) -> np.ndarray:
-        """The grid's read-only gauss_newton_matrix, looked up on the first
-        call."""
+        """Read-only adjoint @ forward, the Gauss-Newton matrix of the flux
+        misfit on nodal values, built on the first call."""
         if self._normal is None:
-            self._normal = gauss_newton_matrix(self.grid)
+            forward, adjoint = self._maps
+            self._normal = adjoint @ forward
+            self._normal.setflags(write=False)
         return self._normal
 
     def forward(self, values: np.ndarray) -> np.ndarray:

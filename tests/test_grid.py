@@ -17,19 +17,6 @@ def test_build_grid_derives_ny_from_height():
     assert g.hy == pytest.approx(0.5 / 32)
 
 
-@pytest.mark.parametrize("width, nx", [(1.0, 8), (1.0, 64), (2.5, 256)])
-def test_node_abscissae_are_cached_and_read_only(width, nx):
-    g = build_grid(width, 0.5, nx)
-    assert np.array_equal(g.xs, np.linspace(0.0, width, nx + 1))
-    assert g.xs is g.xs
-    with pytest.raises(ValueError):
-        g.xs[0] = 1.0
-    # the cache is no field: a twin that has not read xs is equal to g and
-    # hashes alike
-    twin = build_grid(width, 0.5, nx)
-    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
-
-
 def test_boundary_node_counts():
     g = build_grid(1.0, 0.5, 16)
     # horizontal edges own the corners, sides exclude them
