@@ -1,4 +1,9 @@
-"""Shared iteration loop and history for both reconstruction methods."""
+"""Shared iteration loop and history for both reconstruction methods.
+
+run_flow owns the paper's stop rules: discrepancy, target error, the cap.
+run_tikhonov and run_transport own stagnation, STAGNATION_STEPS steps in
+a row whose flow measure is at most STAGNATION_TOL. All are in STOP_REASONS.
+"""
 
 from __future__ import annotations
 
@@ -22,8 +27,6 @@ STOP_STAGNATION = "stagnation"
 STOP_REASONS = (STOP_DISCREPANCY, STOP_MAX_ITERS, STOP_TARGET_ERROR,
                 STOP_STAGNATION)
 
-# a step of size at most STAGNATION_TOL counts as stalled, and
-# STAGNATION_STEPS stalled steps in a row stop the run
 STAGNATION_TOL = 1e-14
 STAGNATION_STEPS = 10
 # run_flow observes the iterates it does not need at once in batches of at
@@ -99,18 +102,18 @@ class RunRecord:
 def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
              indicator: Callable[[np.ndarray], np.ndarray],
              step: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                            tuple[np.ndarray, float]],
+                            tuple[np.ndarray, str | None]],
              truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
-    """Iterate a level-set flow phi -> step(phi, q, r) under one stop logic.
+    """Iterate a level-set flow phi -> step(phi, q, r) to a stop rule.
 
     The loop works on nodal value arrays. phi0 and truth are top-edge
     traces on the context grid, checked once here. indicator(phi) maps
-    profile values to flux values q, and step(phi, q, r), with r the values
-    of the residual F q - rhs on the bottom edge, returns the next profile
-    values and the size of the move. Neither needs to validate its input:
-    run_flow checks each new profile for finiteness once, and TraceFns are
-    built only for the record's final_phi and final_q. Neither may modify
-    the q or r arrays it is handed: run_flow keeps them to observe later.
+    profile values to flux values q. step(phi, q, r), with r the values of
+    the residual F q - rhs on the bottom edge, returns the next profile
+    values and None, or the STOP_REASONS name of a stop of its flow that
+    holds there. Neither validates its input (run_flow checks each profile
+    for finiteness and builds TraceFns only for final_phi and final_q) or
+    modifies the q or r arrays it is handed, which run_flow observes later.
 
     The residual, its norm, the error and the component count are functions
     of q alone. run_flow evaluates q, that is computes its residual, when
@@ -129,14 +132,12 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     their stacks give the values when the list is full and at the stop.
     Each value has the bytes of its per-iterate computation.
 
-    params supplies tau, max_iters and target_error (TikhonovParams and
-    TransportParams both do). run_flow records the residual norm of every
-    iterate and then stops, in this order of precedence: after
-    STAGNATION_STEPS steps in a row whose size was at most STAGNATION_TOL;
-    for noisy data (delta > 0) at the first residual norm at most
+    params supplies tau, max_iters and target_error. After recording an
+    iterate run_flow stops, in this order of precedence: at a stop the step
+    named; for noisy data (delta > 0) at the first residual norm at most
     params.tau * delta, which requires tau > 1; at params.target_error when
-    a truth flux is supplied; after params.max_iters steps. A step that
-    produces non-finite values raises SolverError naming the iteration.
+    a truth flux is supplied; after params.max_iters steps. A name outside
+    STOP_REASONS raises ValueError, and a non-finite profile SolverError.
     """
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
@@ -175,9 +176,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
         for pending in (qs, rs, serves, norms, errors):
             pending.clear()
 
-    stalled = 0
     k = 0
-    q_prev = None
+    stop = q_prev = None
     while True:
         q = indicator(phi)
         if q is not q_prev:
@@ -201,8 +201,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
         if k in snapshot_iters:
             out.snapshots[k] = (phi.copy(), q.copy())
 
-        if stalled >= STAGNATION_STEPS:
-            reason = STOP_STAGNATION
+        if stop is not None:
+            reason = stop
         elif res_norm <= discrepancy:
             reason = STOP_DISCREPANCY
         elif err <= target_error:
@@ -211,11 +211,10 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             reason = STOP_MAX_ITERS
         else:
             k += 1
-            phi, size = step(phi, q, r)
+            phi, stop = step(phi, q, r)
             if not np.isfinite(phi).all():
                 raise SolverError(f"iteration {k}: the level-set step "
                                   f"produced non-finite values")
-            stalled = stalled + 1 if size <= STAGNATION_TOL else 0
             continue
         flush()
         return out.finish(reason, k, phi0.with_values(phi),

@@ -25,7 +25,8 @@ from .grid import TraceFn
 from .levelset import (NeumannHelmholtz, curvature_term, redistance,
                        smoothed_heaviside, smoothed_heaviside_deriv)
 from .operator import CauchyData, OperatorContext
-from .record import RunRecord, run_flow
+from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
+                     RunRecord, run_flow)
 
 STEP_EXPLICIT = "explicit"
 STEP_IMPLICIT = "implicit"
@@ -125,39 +126,36 @@ def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
 def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
                  params: TikhonovParams, truth: TraceFn | None = None,
                  snapshot_iters=()) -> RunRecord:
-    """Iterate until discrepancy, target error, stagnation or the cap.
+    """Iterate until stagnation, discrepancy, target error or the cap.
 
-    The stop rules are record.run_flow's: with noisy data (delta > 0) the
-    discrepancy principle stops at the first iterate whose residual norm is
-    at most tau * delta, which requires tau > 1, and target_error applies
-    only when a truth flux is supplied. Stagnation is measured on the
-    smoothing output alpha * max|dphi|. With params.eps_min set, the band
-    narrows on each stall instead (see TikhonovParams); the record's
-    final_eps is the band width the run ended with.
+    The last three are record.run_flow's stops; stagnation is this flow's,
+    on the smoothing output alpha * max|dphi|. With params.eps_min set, the
+    band narrows instead while it can (see TikhonovParams), which restarts
+    the stall count; record.final_eps is the band width the run ended with.
     """
     eps = params.resolve_eps(ctx.grid)
     h = ctx.grid.hx
-    xs = ctx.grid.xs
-    narrow_tol = NARROW_TOL_CELLS * h
     helmholtz = NeumannHelmholtz(ctx.grid, params.alpha)
+    stalls = 0
 
     def indicator(phi: np.ndarray) -> np.ndarray:
         return smoothed_heaviside(phi, eps)
 
     def step(phi: np.ndarray, q: np.ndarray,
-             r: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal eps
+             r: np.ndarray) -> tuple[np.ndarray, str | None]:
+        nonlocal eps, stalls
         new = tikhonov_step(phi, q, ctx.adjoint(r), eps, ctx, params,
                             helmholtz)
         dphi_inf = float(abs(new - phi).max())
         if params.eps_min is not None and eps > params.eps_min \
-                and dphi_inf <= narrow_tol:
-            # a narrowing is a move, so it resets the stall count; the mid-
-            # level set is taken on the ramp of the band the step used
+                and dphi_inf <= NARROW_TOL_CELLS * h:
+            # the mid-level set is taken on the ramp of the band the step used
             ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
-            return redistance(ramp, xs, h, eps), math.inf
-        return new, params.alpha * dphi_inf
+            stalls = 0
+            return redistance(ramp, ctx.grid.xs, h, eps), None
+        stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
+        return new, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
     out = run_flow(phi0, data, ctx, params, indicator, step, truth,
                    snapshot_iters)

@@ -18,7 +18,8 @@ import numpy as np
 from .grid import TraceFn
 from .levelset import sharp_indicator
 from .operator import CauchyData, OperatorContext
-from .record import RunRecord, run_flow
+from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
+                     RunRecord, run_flow)
 
 VELOCITY_FLOOR = 1e-12
 
@@ -122,12 +123,11 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     """Iterate the transport flow with the adaptive step.
 
     Each iteration is one transport_step of length min(dt, 0.5 h / max|V|),
-    so fronts move at most half a cell per iteration. Stopping is
-    record.run_flow's, as for the gradient flow: discrepancy for noisy data
-    (tau > 1 required), target error when truth is given, stagnation of the
-    velocity max|V|, or the cap. When truth is supplied the record's
-    asymp_gap stream holds the discrete violation of the error-contraction
-    identity d/dt ||q - truth||^2 = -2 ||residual||^2, that is
+    so fronts move at most half a cell per iteration. Discrepancy, target
+    error and the cap are record.run_flow's stops; stagnation is this
+    flow's, on the velocity max|V|. With truth, the record's asymp_gap
+    holds the discrete violation of the error-contraction identity
+    d/dt ||q - truth||^2 = -2 ||residual||^2, that is
     (e[k+1]^2 - e[k]^2) / dt_k + 2 r[k]^2 for each step k; it is recorded,
     not asserted.
 
@@ -142,6 +142,7 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     h = ctx.grid.hx
     dts = []
     q_prev = q_bytes = r_prev = velocity = None
+    stalls = 0
 
     def indicator(phi: np.ndarray) -> np.ndarray:
         # a sharp q holds only 0.0 and 1.0, so equal bytes are equal values
@@ -153,8 +154,8 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
         return q_prev
 
     def step(phi: np.ndarray, q: np.ndarray,
-             r: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal r_prev, velocity
+             r: np.ndarray) -> tuple[np.ndarray, str | None]:
+        nonlocal r_prev, velocity, stalls
         if r is not r_prev:
             v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, h)
             velocity = v, float(np.max(np.abs(v)))
@@ -162,7 +163,8 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
         v, vmax = velocity
         phi, dt = transport_step(phi, v, vmax, params.dt, h)
         dts.append(dt)
-        return phi, vmax
+        stalls = stalls + 1 if vmax <= STAGNATION_TOL else 0
+        return phi, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
     out = run_flow(phi0, data, ctx, params, indicator, step, truth,
                    snapshot_iters)

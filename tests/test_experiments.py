@@ -227,8 +227,19 @@ def test_exp2_rel_residual_constant():
      0.007820973143143275, 0.0),
     (replace(transport_benchmark_config(), nx=256), ("target_error", 227),
      0.001954373722174954, 0.0),
+    # the stall stops: the implicit step with band narrowing; a band that
+    # holds no node, so no step moves phi; transport started at the truth
+    # on data made on its own grid, where the velocity is rounding noise
+    (replace(exp1_config(), height=1.0), ("stagnation", 1720),
+     0.007843717667839941, 0.7126096406869612),
+    (replace(exp2_config(0.5), eps_cells=1e-3), ("stagnation", 10),
+     0.2900405101814721, 0.5303300858899106),
+    (replace(transport_benchmark_config(), refine=1, target_error=None,
+             init_intervals=((0.3, 0.7),)), ("stagnation", 10),
+     4.163336342344337e-17, 0.0),
 ], ids=["exp1", "exp2_h0.5", "exp2_h1", "exp3", "transport",
-        "transport_nx256"])
+        "transport_nx256", "exp1_h1_stall", "exp2_empty_band_stall",
+        "transport_at_truth_stall"])
 def test_builtin_run_outcomes(cfg, stop, residual, error):
     """Each built-in run keeps its stop reason and iteration, and its final
     residual and error to 1e-10 relative (an error of 0 exactly)."""

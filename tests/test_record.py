@@ -83,7 +83,8 @@ def test_run_flow_stop_rules_and_precedence(ctx16, grid16, stall, delta,
                                             target, max_iters, expected):
     # the stub profile counts steps; from step N on its flux is the truth,
     # which fits the data exactly, so every rule that is active holds at
-    # k = N and none holds before
+    # k = N and none holds before; a stalling stub names stagnation there,
+    # as a flow does after STAGNATION_STEPS stalled steps
     truth = zero_trace(grid16, GAMMA2).with_values(
         ((grid16.xs >= 0.3) & (grid16.xs <= 0.7)).astype(float))
     zero1 = zero_trace(grid16, GAMMA1)
@@ -95,7 +96,8 @@ def test_run_flow_stop_rules_and_precedence(ctx16, grid16, stall, delta,
         return truth.values if phi[0] >= N else np.zeros_like(truth.values)
 
     def step(phi, q, r):
-        return phi + 1.0, 0.0 if stall else 1.0
+        phi = phi + 1.0
+        return phi, STOP_STAGNATION if stall and phi[0] >= N else None
 
     params = SimpleNamespace(tau=1.5, max_iters=max_iters, target_error=target)
     rec = run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params, indicator,
@@ -112,10 +114,23 @@ def test_run_flow_names_the_step_that_breaks_down(ctx16, grid16):
 
     def step(phi, q, r):
         # 1 -> 1e308 -> overflow
-        return phi * 1e308, 1.0
+        return phi * 1e308, None
 
     params = SimpleNamespace(tau=1.5, max_iters=5, target_error=None)
     phi0 = zero_trace(grid16, GAMMA2).with_values(np.ones(grid16.nx + 1))
     with pytest.raises(SolverError, match="iteration 2"), \
             np.errstate(over="ignore"):
         run_flow(phi0, data, ctx16, params, lambda phi: phi, step)
+
+
+def test_run_flow_rejects_a_stop_outside_the_table(ctx16, grid16):
+    zero1 = zero_trace(grid16, GAMMA1)
+    data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
+
+    def step(phi, q, r):
+        return phi, "wandered_off"
+
+    params = SimpleNamespace(tau=1.5, max_iters=5, target_error=None)
+    with pytest.raises(ValueError, match="wandered_off"):
+        run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params,
+                 lambda phi: phi, step)
