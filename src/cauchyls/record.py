@@ -1,15 +1,16 @@
 """Shared iteration loop and history for both reconstruction methods.
 
-run_flow owns the paper's stop rules: discrepancy, target error, the cap.
-run_tikhonov and run_transport own stagnation, STAGNATION_STEPS steps in
-a row whose flow measure is at most STAGNATION_TOL. All are in STOP_REASONS.
+run_flow owns the paper's stop rules (discrepancy, target error, the cap)
+and the reuse of the work that depends on the flux q alone. run_tikhonov
+and run_transport own stagnation, STAGNATION_STEPS steps in a row whose
+flow measure is at most STAGNATION_TOL. All are in STOP_REASONS.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -101,27 +102,29 @@ class RunRecord:
 
 def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
              indicator: Callable[[np.ndarray], np.ndarray],
-             step: Callable[[np.ndarray, np.ndarray, np.ndarray],
+             direction: Callable[[np.ndarray, np.ndarray], Any],
+             step: Callable[[np.ndarray, np.ndarray, Any],
                             tuple[np.ndarray, str | None]],
              truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
-    """Iterate a level-set flow phi -> step(phi, q, r) to a stop rule.
+    """Iterate a level-set flow phi -> step(phi, q, d) to a stop rule.
 
     The loop works on nodal value arrays. phi0 and truth are top-edge
     traces on the context grid, checked once here. indicator(phi) maps
-    profile values to flux values q. step(phi, q, r), with r the values of
-    the residual F q - rhs on the bottom edge, returns the next profile
-    values and None, or the STOP_REASONS name of a stop of its flow that
-    holds there. Neither validates its input (run_flow checks each profile
+    profile values to flux values q. direction(q, r), with r the values of
+    the residual F q - rhs on the bottom edge, gives d, what the flow's step
+    needs of q and r. step(phi, q, d) returns the next profile values and
+    None, or the STOP_REASONS name of a stop of its flow that holds there.
+    None of the three validates its input (run_flow checks each profile
     for finiteness and builds TraceFns only for final_phi and final_q) or
     modifies the q or r arrays it is handed, which run_flow observes later.
 
-    The residual, its norm, the error and the component count are functions
-    of q alone. run_flow evaluates q, that is computes its residual, when
-    indicator returns a different array object than for the previous
-    iterate, and otherwise repeats the previous values and hands step the
-    same r array. An indicator may return its previous array only when q is
-    unchanged, value for value, so the reuse is exact; one that returns a
-    fresh array every call (the Tikhonov ramp) gets every iterate evaluated.
+    The residual, its norm, the error, the component count and d are
+    functions of q alone, and run_flow owns their reuse. It evaluates q,
+    that is computes its residual, when q's bytes differ from the previous
+    iterate's, and otherwise repeats the previous values. It calls
+    direction once per evaluated q that a step follows, and hands every
+    step until the next evaluation the same d. Equal bytes are equal
+    values, so the reuse is exact.
 
     Per evaluation, run_flow computes only the values a stop rule reads: the
     residual norm when the data carries noise (delta > 0), and the error
@@ -177,10 +180,12 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             pending.clear()
 
     k = 0
-    stop = q_prev = None
+    stop = q_bytes = None
     while True:
         q = indicator(phi)
-        if q is not q_prev:
+        b = q.tobytes()
+        if b != q_bytes:
+            q_bytes, directed = b, False
             r = ctx.forward(q)
             r -= rhs
             if len(qs) == OBSERVE_CHUNK:
@@ -195,7 +200,6 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
                 err = weighted_norm(q - target, w)
                 errors.append(err)
             out.residual_evaluations += 1
-            q_prev = q
         else:
             serves[-1] += 1
         if k in snapshot_iters:
@@ -211,7 +215,9 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             reason = STOP_MAX_ITERS
         else:
             k += 1
-            phi, stop = step(phi, q, r)
+            if not directed:
+                d, directed = direction(q, r), True
+            phi, stop = step(phi, q, d)
             if not np.isfinite(phi).all():
                 raise SolverError(f"iteration {k}: the level-set step "
                                   f"produced non-finite values")

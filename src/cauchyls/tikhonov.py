@@ -141,11 +141,13 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     def indicator(phi: np.ndarray) -> np.ndarray:
         return smoothed_heaviside(phi, eps)
 
+    def direction(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return ctx.adjoint(r)
+
     def step(phi: np.ndarray, q: np.ndarray,
-             r: np.ndarray) -> tuple[np.ndarray, str | None]:
+             grad: np.ndarray) -> tuple[np.ndarray, str | None]:
         nonlocal eps, stalls
-        new = tikhonov_step(phi, q, ctx.adjoint(r), eps, ctx, params,
-                            helmholtz)
+        new = tikhonov_step(phi, q, grad, eps, ctx, params, helmholtz)
         dphi_inf = float(abs(new - phi).max())
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= NARROW_TOL_CELLS * h:
@@ -157,7 +159,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
         stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
         return new, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
-    out = run_flow(phi0, data, ctx, params, indicator, step, truth,
-                   snapshot_iters)
+    out = run_flow(phi0, data, ctx, params, indicator, direction, step,
+                   truth, snapshot_iters)
     out.final_eps = eps
     return out

@@ -132,42 +132,31 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     not asserted.
 
     Since fronts move at most half a cell per step, q changes only when a
-    front crosses a node, and most iterations leave it as it was. The
-    indicator then returns the previous array, so run_flow reuses its
-    residual (see run_flow), and the step reuses the velocity and vmax it
-    computed for that residual array: both are functions of q and r alone,
-    so every output is the same bit for bit. A non-finite velocity makes
-    the profile non-finite, which run_flow reports.
+    front crosses a node, and most iterations leave it as it was. run_flow
+    then reuses its residual and the velocity and vmax that direction
+    computed from it (see run_flow). A non-finite velocity makes the
+    profile non-finite, which run_flow reports.
     """
     h = ctx.grid.hx
     dts = []
-    q_prev = q_bytes = r_prev = velocity = None
     stalls = 0
 
-    def indicator(phi: np.ndarray) -> np.ndarray:
-        # a sharp q holds only 0.0 and 1.0, so equal bytes are equal values
-        nonlocal q_prev, q_bytes
-        q = sharp_indicator(phi)
-        b = q.tobytes()
-        if b != q_bytes:
-            q_prev, q_bytes = q, b
-        return q_prev
+    def direction(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+        v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, h)
+        return v, float(np.max(np.abs(v)))
 
     def step(phi: np.ndarray, q: np.ndarray,
-             r: np.ndarray) -> tuple[np.ndarray, str | None]:
-        nonlocal r_prev, velocity, stalls
-        if r is not r_prev:
-            v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, h)
-            velocity = v, float(np.max(np.abs(v)))
-            r_prev = r
+             velocity: tuple[np.ndarray, float]
+             ) -> tuple[np.ndarray, str | None]:
+        nonlocal stalls
         v, vmax = velocity
         phi, dt = transport_step(phi, v, vmax, params.dt, h)
         dts.append(dt)
         stalls = stalls + 1 if vmax <= STAGNATION_TOL else 0
         return phi, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
-    out = run_flow(phi0, data, ctx, params, indicator, step, truth,
-                   snapshot_iters)
+    out = run_flow(phi0, data, ctx, params, sharp_indicator, direction,
+                   step, truth, snapshot_iters)
     if out.errors is not None:
         e, res = out.errors, out.residuals
         out.asymp_gap = [(e[k + 1] ** 2 - e[k] ** 2) / dt + 2.0 * res[k] ** 2

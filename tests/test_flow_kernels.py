@@ -30,8 +30,8 @@ from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
                                   transport_benchmark_config)
 from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import (OBSERVE_CHUNK, STOP_DISCREPANCY,
-                             STOP_MAX_ITERS, STOP_TARGET_ERROR, RunRecord,
-                             observe)
+                             STOP_MAX_ITERS, STOP_STAGNATION,
+                             STOP_TARGET_ERROR, RunRecord, observe)
 from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -225,9 +225,12 @@ def test_transport_repeats_across_chunk_boundaries_match_the_reference():
     (transport_benchmark_config(), (STOP_TARGET_ERROR, 62), 10),
     (replace(transport_benchmark_config(), max_iters=40, target_error=None),
      (STOP_MAX_ITERS, 40), 4),
-    # the Tikhonov ramp is a fresh array at every iterate
+    # exp2's moving ramp changes its bytes at every iterate
     (replace(exp2_config(1.0), max_iters=50), (STOP_MAX_ITERS, 50), 51),
-], ids=["transport_target", "transport_40", "exp2"])
+    # a band that holds no node: the ramp keeps its bytes, and one residual
+    # and one adjoint serve the whole run
+    (replace(exp2_config(0.5), eps_cells=1e-3), (STOP_STAGNATION, 10), 1),
+], ids=["transport_target", "transport_40", "exp2", "exp2_empty_band"])
 def test_maps_applied_once_per_indicator_change(cfg, stop, applies):
     """The loop applies the forward map to iterate 0 and to every iterate
     whose indicator differs from its predecessor's, and the adjoint to each

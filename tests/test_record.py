@@ -91,28 +91,31 @@ def test_run_flow_stop_rules_and_precedence(ctx16, grid16, stall, delta,
     data = CauchyData(g1=zero1, g2=apply_forward(ctx16, truth), delta=delta,
                       z=zero1)
 
-    # the loop hands indicator and step value arrays, not traces
+    # the loop hands indicator, direction and step value arrays, not traces
     def indicator(phi):
         return truth.values if phi[0] >= N else np.zeros_like(truth.values)
 
-    def step(phi, q, r):
+    def step(phi, q, d):
         phi = phi + 1.0
         return phi, STOP_STAGNATION if stall and phi[0] >= N else None
 
     params = SimpleNamespace(tau=1.5, max_iters=max_iters, target_error=target)
     rec = run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params, indicator,
-                   step, truth=truth)
+                   lambda q, r: r, step, truth=truth)
     assert rec.stop_reason == expected
     assert rec.stop_iteration == N
     assert len(rec.residuals) == len(rec.errors) == rec.stop_iteration + 1
     assert rec.final_q.values is truth.values
+    # a fresh array with the bytes of its predecessor is no new indicator:
+    # the zero flux of iterate 0 and the truth at iterate N are evaluated
+    assert rec.residual_evaluations == 2
 
 
 def test_run_flow_names_the_step_that_breaks_down(ctx16, grid16):
     zero1 = zero_trace(grid16, GAMMA1)
     data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
 
-    def step(phi, q, r):
+    def step(phi, q, d):
         # 1 -> 1e308 -> overflow
         return phi * 1e308, None
 
@@ -120,17 +123,18 @@ def test_run_flow_names_the_step_that_breaks_down(ctx16, grid16):
     phi0 = zero_trace(grid16, GAMMA2).with_values(np.ones(grid16.nx + 1))
     with pytest.raises(SolverError, match="iteration 2"), \
             np.errstate(over="ignore"):
-        run_flow(phi0, data, ctx16, params, lambda phi: phi, step)
+        run_flow(phi0, data, ctx16, params, lambda phi: phi,
+                 lambda q, r: r, step)
 
 
 def test_run_flow_rejects_a_stop_outside_the_table(ctx16, grid16):
     zero1 = zero_trace(grid16, GAMMA1)
     data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
 
-    def step(phi, q, r):
+    def step(phi, q, d):
         return phi, "wandered_off"
 
     params = SimpleNamespace(tau=1.5, max_iters=5, target_error=None)
     with pytest.raises(ValueError, match="wandered_off"):
         run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params,
-                 lambda phi: phi, step)
+                 lambda phi: phi, lambda q, r: r, step)

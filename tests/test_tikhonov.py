@@ -1,14 +1,19 @@
 """Gradient flow on the level-set profile: steps, stops, records."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cauchyls import tikhonov
 from cauchyls import (GAMMA1, GAMMA2, TikhonovParams, TraceFn, apply_adjoint,
                       apply_forward, init_levelset, l2_norm_trace,
                       run_tikhonov, smoothed_heaviside, synthesize_cauchy_data,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
+from cauchyls.experiments import execute, exp2_config, prepare
 from cauchyls.levelset import NeumannHelmholtz
+from cauchyls.record import STAGNATION_STEPS
 
 
 def _problem(ctx, grid, noise=0.0, seed=3):
@@ -210,3 +215,25 @@ def test_band_continuation_ends_binary_on_the_truth(ctx64, grid64):
     assert rec.stop_reason == "stagnation"
     assert np.array_equal(rec.final_q.values, truth.values)
     assert rec.components[-1] == 1
+
+
+def test_band_narrowing_restarts_the_stall_count(monkeypatch):
+    """At alpha 1e-12 a step of 1e-3 counts as a stall, since alpha * 1e-3
+    is below STAGNATION_TOL, but is too long to narrow the band. The stub
+    step stalls so on every call but the tenth, which leaves phi as it was
+    and so narrows the band; the stall count starts again from there."""
+    calls = 0
+
+    def stub_step(phi, ramp, grad, eps, ctx, params, helmholtz):
+        nonlocal calls
+        calls += 1
+        return phi if calls == 10 else phi + 1e-3
+
+    monkeypatch.setattr(tikhonov, "tikhonov_step", stub_step)
+    cfg = replace(exp2_config(0.5), alpha=1e-12, eps_min_cells=1.0,
+                  max_iters=100)
+    setup = prepare(cfg)
+    rec = execute(setup)
+    assert rec.final_eps < setup.eps
+    assert (rec.stop_reason, rec.stop_iteration) == \
+        ("stagnation", 10 + STAGNATION_STEPS)
