@@ -17,9 +17,9 @@ from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
 from .levelset import (component_count, curvature_term, init_levelset,
                        sharp_indicator, smoothed_heaviside,
                        smoothed_heaviside_deriv, solve_helmholtz_neumann)
-from .operator import (CauchyData, CosineModes, OperatorContext,
-                       apply_adjoint, apply_forward, assemble_forward_matrix,
-                       compute_offset_z, decay_slope, singular_values)
+from .operator import (CauchyData, OperatorContext, apply_adjoint,
+                       apply_forward, compute_offset_z, decay_slope,
+                       operator_context, singular_values)
 from .pde import (Coefficient, Field, MixedSolver, SolverError,
                   neumann_trace)
 from .record import RunRecord

@@ -20,8 +20,8 @@ from .config import ConfigError, load_config
 from .experiments import (EXPERIMENT_NAMES, resolve_output_dir, run_config,
                           run_experiment, write_run_outputs, write_svd_outputs)
 from .grid import build_grid
-from .operator import (DECAY_FIT_LAST, OperatorContext,
-                       assemble_forward_matrix, decay_slope, singular_values)
+from .operator import (DECAY_FIT_LAST, decay_slope, operator_context,
+                       singular_values)
 from .pde import SolverError
 
 EXIT_OK = 0
@@ -52,8 +52,7 @@ def cmd_svd(path: str) -> int:
         raise ConfigError(f"svd requires geometry.nx >= {DECAY_FIT_LAST - 1}, "
                           f"got {cfg.nx}")
     grid = build_grid(cfg.width, cfg.height, cfg.nx, cfg.ny)
-    ctx = OperatorContext(grid)
-    sigma = singular_values(assemble_forward_matrix(ctx))
+    sigma = singular_values(operator_context(grid).maps[0])
     slope = decay_slope(sigma)
 
     out = write_svd_outputs(grid, sigma, slope, resolve_output_dir(cfg))

@@ -12,6 +12,7 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -107,11 +108,11 @@ class RunConfig:
             self.tikhonov_params(self.width / self.nx)
             self.transport_params()
         except ValueError as exc:
-            # a params message opens with the field name; eps is in cells here
-            name, _, rest = str(exc).partition(" ")
-            key = next((k for k, (f, _) in _KEYS.items()
-                        if f in (name, f"{name}_cells")), name)
-            raise ConfigError(f"{key} {rest}") from None
+            # every field a params message names becomes its config key;
+            # eps and eps_min are in cells here
+            raise ConfigError(re.sub(r"\w+", lambda m: next(
+                (k for k, (f, _) in _KEYS.items()
+                 if f in (m[0], f"{m[0]}_cells")), m[0]), str(exc))) from None
         if self.noise_level < 0:
             raise ConfigError("data.noise_level cannot be negative")
         if self.seed < 0:

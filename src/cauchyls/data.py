@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .grid import TraceFn, quadrature_weights, restrict_trace
-from .operator import (CauchyData, CosineModes, OperatorContext, bottom_flux,
+from .operator import (CauchyData, OperatorContext, bottom_flux,
                        compute_offset_z)
 
 
@@ -44,18 +44,18 @@ def trace_inner(a: TraceFn, b: TraceFn) -> float:
 
 
 def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
-                           modes_fine: CosineModes,
+                           ctx_fine: OperatorContext,
                            ctx_inv: OperatorContext) -> CauchyData:
     """Exact Cauchy pair on the inversion grid from the fine grid's bottom
     flux (operator.bottom_flux: cosine transforms, no dense maps).
 
-    true_q and g1_fine live on modes_fine's grid; the fine grid must be nested
+    true_q and g1_fine live on ctx_fine's grid; the fine grid must be nested
     in the inversion grid (equal grids are allowed for same-grid closure
     tests); bottom_flux rejects them otherwise. The offset z is computed on
     the inversion grid from the injected Dirichlet datum.
     """
-    fine, inv = modes_fine.grid, ctx_inv.grid
-    g2_fine = bottom_flux(modes_fine, true_q, g1_fine)
+    fine, inv = ctx_fine.grid, ctx_inv.grid
+    g2_fine = bottom_flux(ctx_fine, true_q, g1_fine)
 
     if fine == inv:
         g1, g2 = g1_fine, g2_fine

@@ -20,7 +20,7 @@ from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError, RunConfig
 from .data import l2_norm_trace, synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
 from .levelset import init_levelset
-from .operator import CauchyData, OperatorContext, cosine_modes
+from .operator import CauchyData, OperatorContext, operator_context
 from .record import RunRecord
 from .tikhonov import STEP_IMPLICIT, run_tikhonov
 from .transport import run_transport
@@ -57,11 +57,11 @@ def prepare(cfg: RunConfig) -> RunSetup:
     grid = build_grid(cfg.width, cfg.height, cfg.nx, cfg.ny)
     fine = build_grid(cfg.width, cfg.height, grid.nx * cfg.refine,
                       grid.ny * cfg.refine)
-    ctx = OperatorContext(grid)
+    ctx = operator_context(grid)
 
     true_q_fine = indicator_trace(fine, cfg.truth_intervals)
     data = synthesize_cauchy_data(true_q_fine, zero_trace(fine, GAMMA1),
-                                  cosine_modes(fine), ctx)
+                                  operator_context(fine), ctx)
     if cfg.noise_level > 0:
         data = with_noise(data, cfg.noise_level, cfg.seed)
 

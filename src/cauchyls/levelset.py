@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GAMMA2, Grid, TraceFn
-from .operator import smoothing_matrix
+from .operator import operator_context
 
 
 def smoothed_heaviside(t: np.ndarray, eps: float) -> np.ndarray:
@@ -90,12 +90,12 @@ class NeumannHelmholtz:
     definite; rhs and the rows of coupling get the same scaling. coupling is
     a dense nodal matrix. Without coupling, sampled cosines cos(k pi x /
     width) are exact eigenvectors of the discrete system, so w / scale is
-    one matvec by S / scale, with S the grid's cached smoothing matrix
-    (operator.smoothing_matrix) and S / scale formed on the first uncoupled
-    solve. The trapezoid mean of w then equals that of rhs to rounding. A
-    coupled solve is np.linalg.solve on the dense tridiagonal matrix plus
-    the coupling, the matrix built on the first coupled solve. Nothing is
-    factorized.
+    one matvec by S / scale, with S the smoothing matrix of the grid's
+    cached context (operator_context(grid).smoothing) and S / scale formed
+    on the first uncoupled solve. The trapezoid mean of w then equals that
+    of rhs to rounding. A coupled solve is np.linalg.solve on the dense
+    tridiagonal matrix plus the coupling, the matrix built on the first
+    coupled solve. Nothing is factorized.
     """
 
     def __init__(self, grid: Grid, scale: float = 1.0):
@@ -111,7 +111,8 @@ class NeumannHelmholtz:
               coupling: np.ndarray | None = None) -> np.ndarray:
         if coupling is None:
             if self._smoothing is None:
-                self._smoothing = smoothing_matrix(self.grid) / self.scale
+                self._smoothing = (operator_context(self.grid).smoothing
+                                   / self.scale)
             # the BLAS gemv of @, without the cost of its ufunc dispatch
             return np.dot(self._smoothing, rhs)
         if self._dense is None:

@@ -9,17 +9,18 @@ problem with Dirichlet data on the bottom edge and Neumann data elsewhere.
 The paper's problem has the constant coefficient and no source, so the
 discrete problem separates: the nodal cosine modes cos(k pi x) diagonalize
 all three maps, and the constant-coefficient tridiagonal solve in y gives
-their per-mode symbols in closed form (CosineModes). Cosine transforms are
-real FFTs. The dense forward and adjoint matrices are Toeplitz-plus-Hankel
-forms of those symbols, so every apply is a dense matvec. They depend on
-the grid alone, and a small per-process cache keyed by the grid builds them,
-and the modes, once for every context on that grid.
+their per-mode symbols in closed form. Cosine transforms are real FFTs.
+The dense forward and adjoint matrices are Toeplitz-plus-Hankel forms of
+those symbols, so every apply is a dense matvec. All of this depends on the
+grid alone, so one OperatorContext per grid holds it, and a small
+per-process cache keyed by the grid (operator_context) builds that context
+once for every caller on the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .pde import Coefficient, SolverError, conormal_values
 
 # decay_slope fits log(sigma_k) up to this 1-based position by default
 DECAY_FIT_LAST = 15
-# grids whose operator state each per-grid cache keeps; a run uses two
+# grids whose OperatorContext operator_context keeps; a run uses two,
+# the inversion grid and the synthesis grid
 GRID_CACHE_SIZE = 8
 
 
@@ -57,8 +59,9 @@ class CauchyData:
         return self.g2.with_values(self.g2.values - self.z.values)
 
 
-class CosineModes:
-    """Nodal cosine modes of a grid and the per-mode symbols of its maps.
+class OperatorContext:
+    """A grid's nodal cosine modes, the per-mode symbols of its maps and
+    their dense matrices.
 
     C[i, k] = cos(k pi i / nx) is the DCT-I; no matrix of it is formed. Its
     inverse comes from the orthogonality of the modes under the trapezoid
@@ -75,13 +78,17 @@ class CosineModes:
     hx)^2 is (2 - 2 cos(k pi / nx)) / hx^2 without that form's
     cancellation at low k. T_k has constant coefficients, so its solves
     are closed forms in theta_k, with cosh(theta_k) = 1 + hy^2 mu_k / 2.
-    forward, adjoint and offset are the symbols of apply_forward (top flux
+    symbols holds, in this order, the symbols of apply_forward (top flux
     -> bottom conormal trace), apply_adjoint (bottom Dirichlet -> negated
     top trace) and compute_offset_z (bottom Dirichlet -> bottom conormal
     trace).
 
-    Every array a CosineModes holds is read-only, since the per-grid cache
-    (cosine_modes) shares one CosineModes between all its callers.
+    The dense matrices (maps, smoothing, normal) are built the first time
+    they are read, so a context that only transforms, as on a synthesis
+    grid, builds none. Nothing is factorized. forward and adjoint apply the
+    maps with np.dot, the BLAS gemv of @ without the cost of its ufunc
+    dispatch. Every array a context holds is read-only, since the per-grid
+    cache (operator_context) shares one context between all its callers.
     """
 
     def __init__(self, grid: Grid):
@@ -110,11 +117,9 @@ class CosineModes:
                  / (1.0 + np.exp(-2 * ny * theta)))
         rows = np.array([[np.zeros(nx + 1), hy * ratio[0], 2.0 * hy * ratio[1]],
                          [np.ones(nx + 1), ratio[2], ratio[3]]])
-        self.forward, self.offset = conormal_values(rows, grid, Coefficient(),
-                                                    GAMMA1)
-        self.adjoint = -ratio[0]
-        arrays = (mu, self.forward, self.offset, self.adjoint, self._weights,
-                  self._norms)
+        forward, offset = conormal_values(rows, grid, Coefficient(), GAMMA1)
+        self.symbols = (forward, -ratio[0], offset)
+        arrays = (mu, *self.symbols, self._weights, self._norms)
         # the x-stencil 1/hx^2 overflows on a strip too narrow for its columns
         if not all(np.isfinite(a).all() for a in arrays):
             raise SolverError(f"the cosine symbols of the {nx} x {ny} grid "
@@ -150,75 +155,47 @@ class CosineModes:
         out.setflags(write=False)
         return tuple(out)
 
+    @cached_property
+    def maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (forward, adjoint) matrices on nodal values."""
+        return self.matrices(*self.symbols[:2])
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def cosine_modes(grid: Grid) -> CosineModes:
-    """The grid's CosineModes, built once per process for the last
-    GRID_CACHE_SIZE grids. A grid whose symbols raise SolverError is not
-    kept, so it raises again on the next call."""
-    return CosineModes(grid)
+    @cached_property
+    def smoothing(self) -> np.ndarray:
+        """S = C diag(1 / (1 + mu_k)) C^-1 on the top-edge nodes.
 
+        S is the inverse of I - d2/dx2 with zero-flux ends, the uncoupled
+        levelset.NeumannHelmholtz system: the DCT-I diagonalizes the Neumann
+        second difference (Strang, SIAM Review 41, 1999), with the x-stencil
+        eigenvalue mu_k.
+        """
+        return self.matrices(1.0 / (1.0 + self.mu))[0]
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def dense_maps(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only dense (forward, adjoint) matrices of the grid, built once
-    per process for the last GRID_CACHE_SIZE grids."""
-    modes = cosine_modes(grid)
-    return modes.matrices(modes.forward, modes.adjoint)
-
-
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def smoothing_matrix(grid: Grid) -> np.ndarray:
-    """Read-only S = C diag(1 / (1 + mu_k)) C^-1 on the top-edge nodes,
-    built once per process for the last GRID_CACHE_SIZE grids.
-
-    S is the inverse of I - d2/dx2 with zero-flux ends, the uncoupled
-    levelset.NeumannHelmholtz system: the DCT-I diagonalizes the Neumann
-    second difference (Strang, SIAM Review 41, 1999), with the x-stencil
-    eigenvalue mu_k of the grid's CosineModes.
-    """
-    modes = cosine_modes(grid)
-    return modes.matrices(1.0 / (1.0 + modes.mu))[0]
-
-
-class OperatorContext:
-    """Grid bundled with the maps' cached state.
-
-    The context holds the cosine modes of its grid and the forward map and
-    its adjoint as read-only dense matrices (CosineModes.matrices of their
-    symbols). All three come from per-process caches keyed by the grid
-    (cosine_modes, dense_maps), each bounded to GRID_CACHE_SIZE grids, so
-    contexts on equal grids share them and build them once. Nothing is
-    factorized. forward and adjoint apply their maps with np.dot, the BLAS
-    gemv of @ without the cost of its ufunc dispatch.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.modes = cosine_modes(grid)
-        self._maps = dense_maps(grid)
-        self._normal: np.ndarray | None = None
-
-    def assemble(self) -> tuple[np.ndarray, ...]:
-        """Read-only dense (forward, adjoint) matrices on nodal values."""
-        return self._maps
-
-    def normal_matrix(self) -> np.ndarray:
-        """Read-only adjoint @ forward, the Gauss-Newton matrix of the flux
-        misfit on nodal values, built on the first call."""
-        if self._normal is None:
-            forward, adjoint = self._maps
-            self._normal = adjoint @ forward
-            self._normal.setflags(write=False)
-        return self._normal
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """adjoint @ forward, the Gauss-Newton matrix of the flux misfit on
+        nodal values. Only the implicit Tikhonov step reads it, so only the
+        cached grids that ran one hold it."""
+        forward, adjoint = self.maps
+        normal = adjoint @ forward
+        normal.setflags(write=False)
+        return normal
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """apply_forward on nodal values, unchecked."""
-        return np.dot(self._maps[0], values)
+        return np.dot(self.maps[0], values)
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
         """apply_adjoint on nodal values, unchecked, like forward."""
-        return np.dot(self._maps[1], values)
+        return np.dot(self.maps[1], values)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def operator_context(grid: Grid) -> OperatorContext:
+    """The grid's OperatorContext, built once per process for the last
+    GRID_CACHE_SIZE grids. A grid whose symbols raise SolverError is not
+    kept, so it raises again on the next call."""
+    return OperatorContext(grid)
 
 
 def _check_trace(grid: Grid, t: TraceFn | None, part: BoundaryPart) -> None:
@@ -227,24 +204,25 @@ def _check_trace(grid: Grid, t: TraceFn | None, part: BoundaryPart) -> None:
         raise ValueError(f"expected a {part.value} trace on the context grid")
 
 
-def bottom_flux(modes: CosineModes, q: TraceFn | None = None,
+def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
                 g1: TraceFn | None = None) -> TraceFn:
     """Bottom-edge conormal flux of the mixed problem with top flux q and
     bottom Dirichlet datum g1 (None means zero), through the cosine symbols
-    of the modes' grid; no dense map is built."""
-    _check_trace(modes.grid, q, GAMMA2)
-    _check_trace(modes.grid, g1, GAMMA1)
-    hat = np.zeros(modes.grid.nx + 1)
+    of the context grid; no dense map is built."""
+    _check_trace(ctx.grid, q, GAMMA2)
+    _check_trace(ctx.grid, g1, GAMMA1)
+    forward, _, offset = ctx.symbols
+    hat = np.zeros(ctx.grid.nx + 1)
     if q is not None:
-        hat += modes.forward * modes.coefficients(q.values)
+        hat += forward * ctx.coefficients(q.values)
     if g1 is not None:
-        hat += modes.offset * modes.coefficients(g1.values)
-    return TraceFn(modes.grid, GAMMA1, modes.synthesize(hat))
+        hat += offset * ctx.coefficients(g1.values)
+    return TraceFn(ctx.grid, GAMMA1, ctx.synthesize(hat))
 
 
 def compute_offset_z(ctx: OperatorContext, g1: TraceFn) -> TraceFn:
     """Bottom-edge flux produced by the known data alone (zero top flux)."""
-    return bottom_flux(ctx.modes, g1=g1)
+    return bottom_flux(ctx, g1=g1)
 
 
 def apply_forward(ctx: OperatorContext, q: TraceFn) -> TraceFn:
@@ -262,11 +240,6 @@ def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
     """
     _check_trace(ctx.grid, r, GAMMA1)
     return TraceFn(ctx.grid, GAMMA2, ctx.adjoint(r.values))
-
-
-def assemble_forward_matrix(ctx: OperatorContext) -> np.ndarray:
-    """Dense read-only matrix of the forward map on nodal values."""
-    return ctx.assemble()[0]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

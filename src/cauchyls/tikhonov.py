@@ -114,7 +114,7 @@ def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
     drive *= gate
     if params.step == STEP_EXPLICIT:
         return phi + helmholtz.solve(drive)
-    coupling = gate[:, None] * ctx.normal_matrix() * (gate / params.alpha)
+    coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
     dphi = helmholtz.solve(drive, coupling)
     cap = MAX_STEP_CELLS * h
     largest = float(abs(dphi).max())

@@ -1,13 +1,13 @@
 """Shared fixtures: grids and operator contexts reused across modules.
 
-OperatorContext builds its dense maps from the cosine symbols when it is
-constructed, so session scope builds each context's maps once for the whole
-run.
+The contexts are the grids' cached ones (operator_context), as a run's are.
+A context builds its dense maps from the cosine symbols on first use, so
+session scope builds each fixture's maps once for the whole run.
 """
 
 import pytest
 
-from cauchyls import Grid, OperatorContext, build_grid
+from cauchyls import Grid, OperatorContext, build_grid, operator_context
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def grid64() -> Grid:
 
 @pytest.fixture(scope="session")
 def ctx64(grid64) -> OperatorContext:
-    return OperatorContext(grid64)
+    return operator_context(grid64)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def grid64_h1() -> Grid:
 
 @pytest.fixture(scope="session")
 def ctx64_h1(grid64_h1) -> OperatorContext:
-    return OperatorContext(grid64_h1)
+    return operator_context(grid64_h1)
 
 
 @pytest.fixture(scope="session")
@@ -37,4 +37,4 @@ def grid16() -> Grid:
 
 @pytest.fixture(scope="session")
 def ctx16(grid16) -> OperatorContext:
-    return OperatorContext(grid16)
+    return operator_context(grid16)

@@ -13,8 +13,8 @@ import pytest
 
 from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
                       OperatorContext, TraceFn, add_noise, apply_adjoint,
-                      apply_forward, assemble_forward_matrix, build_grid,
-                      decay_slope, l2_norm_trace, neumann_trace, prolong_trace,
+                      apply_forward, build_grid, decay_slope, l2_norm_trace,
+                      neumann_trace, operator_context, prolong_trace,
                       restrict_trace, singular_values, smoothed_heaviside,
                       smoothed_heaviside_deriv, solve_helmholtz_neumann,
                       trace_inner, trace_from_function, upwind_step,
@@ -98,8 +98,8 @@ def test_criterion_3_spectral_decay_tracks_height():
     t0 = time.perf_counter()
     slopes, ratios = {}, {}
     for h in (0.5, 1.0):
-        ctx = OperatorContext(build_grid(1.0, h, 64))
-        sigma = singular_values(assemble_forward_matrix(ctx))
+        ctx = operator_context(build_grid(1.0, h, 64))
+        sigma = singular_values(ctx.maps[0])
         slopes[h] = decay_slope(sigma)           # fitted over k = 2..15
         ratios[h] = sigma[9] / sigma[1]          # sigma_10 / sigma_2
     elapsed = time.perf_counter() - t0

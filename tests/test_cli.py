@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cauchyls
-from cauchyls import CosineModes, MixedSolver, build_grid
+from cauchyls import MixedSolver, OperatorContext, build_grid
 from cauchyls.cli import main
 from cauchyls.config import MAX_FINE_CELLS
 from cauchyls.experiments import OUTPUT_ROOT_ENV
@@ -105,10 +105,11 @@ def test_degenerate_strip_exits_3(out_root, tmp_path, capsys, command):
     # every mode passes unchanged (forward -1, adjoint -1, offset 0)
     thin = "geometry.height = 1e-300\ngeometry.ny = 4\nmethod.max_iters = 1\n"
     assert main([command, _write_cfg(tmp_path, thin)]) == 0
-    modes = CosineModes(build_grid(1.0, 1e-300, 64, 4))
-    assert np.abs(modes.forward + 1.0).max() <= 1e-12
-    assert np.abs(modes.adjoint + 1.0).max() <= 1e-12
-    assert np.abs(modes.offset).max() <= 1e-12
+    forward, adjoint, offset = OperatorContext(
+        build_grid(1.0, 1e-300, 64, 4)).symbols
+    assert np.abs(forward + 1.0).max() <= 1e-12
+    assert np.abs(adjoint + 1.0).max() <= 1e-12
+    assert np.abs(offset).max() <= 1e-12
     capsys.readouterr()
     # hx = 6.25e-202: 1/hx^2 overflows in the x-stencil eigenvalues
     narrow = ("geometry.width = 1e-200\ngeometry.height = 5e-201\n"

@@ -1,6 +1,7 @@
 """Flat key = value config parsing and validation."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -147,6 +148,9 @@ def test_non_finite_field_set_in_code_rejected(field, value):
     ("method.beta = -1", "method.beta"),
     ("method.eps_cells = 0", "method.eps_cells"),
     ("method.eps_min_cells = 3", "method.eps_min_cells"),
+    # its bound is method.eps_cells, not the params field eps
+    ("method.eps_cells = 4\nmethod.eps_min_cells = 8",
+     "method.eps_min_cells"),
     ("method.step = magic", "method.step"),
     ("method.eta = 0", "method.eta"),
     ("method.max_iters = -1", "method.max_iters"),
@@ -156,9 +160,13 @@ def test_non_finite_field_set_in_code_rejected(field, value):
     ("method.eta = 1e-300", "method.eta"),
 ])
 def test_method_range_failures_name_the_key(text, key):
-    # the ranges are the params objects'; the message names the config key
-    with pytest.raises(ConfigError, match=f"^{key} "):
+    # the ranges are the params objects'; the message opens with the config
+    # key and names every other value by its key too, no bare field name
+    with pytest.raises(ConfigError, match=f"^{key} ") as err:
         parse_config(text)
+    bare = {f.name.removesuffix("_cells") for f in fields(RunConfig)}
+    assert not bare & set(re.findall(r"(?<![.\w])\w+(?![.\w])",
+                                     str(err.value)))
 
 
 def test_every_key_sets_its_own_field():

@@ -1,15 +1,17 @@
 """Trace norms, data synthesis on a finer grid, calibrated noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, CauchyData, CosineModes, TraceFn,
-                      add_noise,
-                      apply_forward, build_grid, l2_norm_trace,
-                      synthesize_cauchy_data, trace_inner,
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, OperatorContext, TraceFn,
+                      add_noise, apply_forward, build_grid, l2_norm_trace,
+                      operator_context, synthesize_cauchy_data, trace_inner,
                       trace_from_function, with_noise, zero_trace)
+from cauchyls.experiments import execute, exp2_config, prepare
 
 
 def test_l2_norm_of_sine_mode(grid64):
@@ -82,33 +84,46 @@ def _truth(grid):
 def test_same_grid_synthesis_closes(ctx64, grid64):
     # on one grid the truth flux reproduces the data to solver precision
     data = synthesize_cauchy_data(_truth(grid64), zero_trace(grid64, GAMMA1),
-                                  ctx64.modes, ctx64)
+                                  ctx64, ctx64)
     res = apply_forward(ctx64, _truth(grid64)).values - data.rhs.values
     assert np.abs(res).max() < 1e-10
     assert data.delta == 0.0
 
 
-def test_finer_grid_synthesis_keeps_discretization_gap(ctx64, grid64,
-                                                      monkeypatch):
+def test_finer_grid_synthesis_keeps_discretization_gap(grid64):
     # data from a 2x finer forward solve: the truth no longer fits exactly,
     # which is precisely the point of synthesizing off-grid
     fine = build_grid(1.0, 0.5, 128)
-    # synthesis takes the fine grid's modes alone and reads their symbols
-    # through transforms: no dense map is built on either grid
-    def no_dense_maps(*args):
-        raise AssertionError("synthesis built a dense map")
-    monkeypatch.setattr(CosineModes, "matrices", no_dense_maps)
+    # synthesis reads the symbols of both grids through transforms: no
+    # dense matrix is built on either
+    ctx_fine, ctx = OperatorContext(fine), OperatorContext(grid64)
     data = synthesize_cauchy_data(_truth(fine), zero_trace(fine, GAMMA1),
-                                  CosineModes(fine), ctx64)
-    monkeypatch.undo()
-    res = apply_forward(ctx64, _truth(grid64)).values - data.rhs.values
+                                  ctx_fine, ctx)
+    for c in (ctx_fine, ctx):
+        assert not {"maps", "smoothing", "normal"} & vars(c).keys()
+    res = apply_forward(ctx, _truth(grid64)).values - data.rhs.values
     gap = np.abs(res).max()
     assert 1e-8 < gap < 1e-2
 
 
+def test_run_builds_no_dense_matrix_on_the_synthesis_grid():
+    # prepare puts the synthesis grid's context in the per-grid cache next
+    # to the inversion grid's; only the latter ever builds its maps
+    operator_context.cache_clear()
+    setup = prepare(replace(exp2_config(0.5), max_iters=2))
+    execute(setup)
+    assert operator_context.cache_info().currsize == 2
+    fine = build_grid(1.0, 0.5, 128, 2 * setup.grid.ny)
+    hits = operator_context.cache_info().hits
+    assert not {"maps", "smoothing", "normal"} & vars(
+        operator_context(fine)).keys()
+    assert operator_context.cache_info().hits == hits + 1
+    assert "maps" in vars(setup.ctx)
+
+
 def test_with_noise_only_touches_g2(ctx64, grid64):
     data = synthesize_cauchy_data(_truth(grid64), zero_trace(grid64, GAMMA1),
-                                  ctx64.modes, ctx64)
+                                  ctx64, ctx64)
     noisy = with_noise(data, 0.1, seed=9)
     assert noisy.delta > 0
     assert np.array_equal(noisy.g1.values, data.g1.values)
@@ -126,4 +141,4 @@ def test_nan_delta_rejected(grid64):
 def test_synthesis_validates_trace_homes(ctx64, grid64):
     with pytest.raises(ValueError):
         synthesize_cauchy_data(zero_trace(grid64, GAMMA1),
-                               zero_trace(grid64, GAMMA1), ctx64.modes, ctx64)
+                               zero_trace(grid64, GAMMA1), ctx64, ctx64)

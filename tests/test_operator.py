@@ -16,14 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, CosineModes,
-                      MixedSolver, OperatorContext, TraceFn, apply_adjoint,
-                      apply_forward, assemble_forward_matrix, build_grid,
-                      compute_offset_z, decay_slope, l2_norm_trace,
-                      neumann_trace, singular_values, trace_from_function,
-                      trace_inner, zero_trace)
-from cauchyls.operator import (GRID_CACHE_SIZE, bottom_flux, cosine_modes,
-                               dense_maps, smoothing_matrix)
+from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
+                      OperatorContext, TraceFn, apply_adjoint, apply_forward,
+                      build_grid, compute_offset_z, decay_slope,
+                      l2_norm_trace, neumann_trace, operator_context,
+                      singular_values, trace_from_function, trace_inner,
+                      zero_trace)
+from cauchyls.operator import GRID_CACHE_SIZE, bottom_flux
 from cauchyls.pde import SolverError, conormal_values
 
 
@@ -89,7 +88,7 @@ def test_offset_matches_separated_solution(ctx64, grid64):
 
 
 def test_assembled_matrix_matches_operator(grid16, ctx16):
-    m = assemble_forward_matrix(ctx16)
+    m = ctx16.maps[0]
     e3 = np.zeros(grid16.nx + 1)
     e3[3] = 1.0
     col = apply_forward(ctx16, zero_trace(grid16, GAMMA2).with_values(e3))
@@ -123,9 +122,7 @@ def _column_solves(solver, part, columns=slice(None)):
 @pytest.mark.parametrize("height", [0.5, 1.0])
 def test_assembled_maps_match_column_solves(nx, height):
     grid = build_grid(1.0, height, nx)
-    ctx = OperatorContext(grid)
-    forward = assemble_forward_matrix(ctx)
-    adjoint = ctx.assemble()[1]
+    forward, adjoint = OperatorContext(grid).maps
     # all 2 (nx + 1) column solves at nx = 256 are slow; a wrong cosine
     # symbol shows in every column (column 0 alone carries every mode), so
     # every 8th column and the last one check it there
@@ -166,9 +163,8 @@ def _sweep_symbols(grid):
     (16, 48, 3.0), (64, 4, 0.5), (7, 5, 5.0 / 7.0)])
 def test_closed_form_symbols_match_row_sweep(nx, ny, height):
     # (64, 4, 0.5) has cells with hy = 8 hx, (16, 48, 3.0) is a deep strip
-    modes = CosineModes(build_grid(1.0, height, nx, ny))
-    closed = (modes.forward, modes.adjoint, modes.offset)
-    for new, ref in zip(closed, _sweep_symbols(modes.grid)):
+    ctx = OperatorContext(build_grid(1.0, height, nx, ny))
+    for new, ref in zip(ctx.symbols, _sweep_symbols(ctx.grid)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -180,7 +176,7 @@ def _cosines(nx):
 
 @pytest.mark.parametrize("nx", [4, 7, 64])
 def test_transforms_match_cosine_sums(nx):
-    modes = CosineModes(build_grid(1.0, 1.0, nx))
+    ctx = OperatorContext(build_grid(1.0, 1.0, nx))
     c = _cosines(nx)
     w = np.ones(nx + 1)
     w[[0, -1]] = 0.5
@@ -188,14 +184,14 @@ def test_transforms_match_cosine_sums(nx):
     norms[[0, -1]] = nx
     v = np.random.default_rng(nx).normal(size=nx + 1)
     hat = c.T @ (w * v) / norms
-    assert np.abs(modes.coefficients(v) - hat).max() <= 1e-13
-    assert np.abs(modes.synthesize(v) - c @ v).max() <= 1e-13
-    assert np.abs(modes.synthesize(modes.coefficients(v)) - v).max() <= 1e-13
+    assert np.abs(ctx.coefficients(v) - hat).max() <= 1e-13
+    assert np.abs(ctx.synthesize(v) - c @ v).max() <= 1e-13
+    assert np.abs(ctx.synthesize(ctx.coefficients(v)) - v).max() <= 1e-13
 
 
 @pytest.mark.parametrize("nx", [4, 7, 64, 256])
 def test_matrices_match_explicit_cosine_products(nx):
-    modes = CosineModes(build_grid(1.0, 1.0, nx))
+    ctx = OperatorContext(build_grid(1.0, 1.0, nx))
     c = _cosines(nx)
     w = np.ones(nx + 1)
     w[[0, -1]] = 0.5
@@ -204,24 +200,25 @@ def test_matrices_match_explicit_cosine_products(nx):
     inverse = c.T * w / norms[:, None]
     assert np.allclose(inverse @ c, np.eye(nx + 1), atol=1e-12)
     rng = np.random.default_rng(nx)
-    symbols = (modes.forward, modes.adjoint, rng.normal(size=nx + 1))
-    for m, s in zip(modes.matrices(*symbols), symbols):
+    symbols = (*ctx.symbols[:2], rng.normal(size=nx + 1))
+    for m, s in zip(ctx.matrices(*symbols), symbols):
         ref = (c * s) @ inverse
         assert not m.flags.writeable
         assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_context_maps_exist_from_construction_and_are_read_only(grid16):
+def test_context_maps_are_built_on_first_use_and_read_only(grid16):
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
     r = trace_from_function(grid16, GAMMA1, lambda x: np.cos(np.pi * x))
     ctx = OperatorContext(grid16)
-    forward, adjoint = ctx.assemble()
+    assert not {"maps", "smoothing", "normal"} & vars(ctx).keys()
+    forward, adjoint = ctx.maps
     for m in (forward, adjoint):
         assert m.shape == (grid16.nx + 1, grid16.nx + 1)
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
-    assert ctx.assemble()[0] is forward
+    assert ctx.maps[0] is forward
     assert np.array_equal(apply_forward(ctx, q).values, forward @ q.values)
     assert np.array_equal(apply_adjoint(ctx, r).values, adjoint @ r.values)
 
@@ -235,7 +232,7 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
     g1 = zero_trace(grid16, GAMMA1).with_values(rng.normal(size=grid16.nx + 1))
     solver = _solver(grid16)
     for args in ((q, g1), (None, g1), (q, None)):
-        cosine = bottom_flux(CosineModes(grid16), *args).values
+        cosine = bottom_flux(OperatorContext(grid16), *args).values
         u = solver.solve(dirichlet={GAMMA1: args[1]}, neumann={GAMMA2: args[0]})
         direct = neumann_trace(u, Coefficient(), GAMMA1).values
         assert np.abs(cosine - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -243,10 +240,10 @@ def test_spectral_offset_and_synthesis_flux_match_general_path(grid16):
 
 @pytest.mark.parametrize("from_context", [True, False])
 def test_bottom_flux_rejects_misplaced_traces(grid16, ctx16, from_context):
-    # q and g1 are checked against the modes' grid at entry, and the offset
-    # against the context grid; the modes are the context's own or, as on a
-    # synthesis grid, bare CosineModes with no dense maps behind them
-    modes = ctx16.modes if from_context else CosineModes(grid16)
+    # q and g1 are checked against the context grid at entry, and so is the
+    # offset; the context is the fixture's or, as on a synthesis grid, a
+    # fresh one with no dense maps built
+    ctx = ctx16 if from_context else OperatorContext(grid16)
     shallow = build_grid(1.0, 0.25, 16)
     top = trace_from_function(grid16, GAMMA2, np.cos)
     bottom = trace_from_function(grid16, GAMMA1, np.cos)
@@ -255,14 +252,15 @@ def test_bottom_flux_rejects_misplaced_traces(grid16, ctx16, from_context):
     with pytest.raises(ValueError):
         compute_offset_z(ctx16, trace_from_function(shallow, GAMMA1, np.cos))
     with pytest.raises(ValueError):
-        bottom_flux(modes, q=bottom)
+        bottom_flux(ctx, q=bottom)
     with pytest.raises(ValueError):
-        bottom_flux(modes, q=trace_from_function(shallow, GAMMA2, np.cos))
+        bottom_flux(ctx, q=trace_from_function(shallow, GAMMA2, np.cos))
     with pytest.raises(ValueError):
-        bottom_flux(modes, g1=top)
+        bottom_flux(ctx, g1=top)
     with pytest.raises(ValueError):
-        bottom_flux(modes, g1=trace_from_function(shallow, GAMMA1, np.cos))
-    assert np.all(np.isfinite(bottom_flux(modes, top, bottom).values))
+        bottom_flux(ctx, g1=trace_from_function(shallow, GAMMA1, np.cos))
+    assert np.all(np.isfinite(bottom_flux(ctx, top, bottom).values))
+    assert from_context or "maps" not in vars(ctx)
 
 
 def test_wide_grid_stays_spectral():
@@ -278,33 +276,33 @@ def test_wide_grid_stays_spectral():
 
 def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
     ctx = OperatorContext(grid16)
-    normal = ctx.normal_matrix()
-    forward, adjoint = ctx.assemble()
+    normal = ctx.normal
+    forward, adjoint = ctx.maps
     assert np.array_equal(normal, adjoint @ forward)
-    assert ctx.normal_matrix() is normal
+    assert ctx.normal is normal
     assert not normal.flags.writeable
 
 
-# -- per-grid caches ---------------------------------------------------------
+# -- the per-grid cache -----------------------------------------------------
 
 def test_contexts_on_equal_grids_share_their_maps(grid16):
-    ctx = OperatorContext(grid16)
-    twin = OperatorContext(build_grid(1.0, grid16.height, 16, grid16.ny))
-    assert twin.grid == grid16 and twin.grid is not grid16
-    assert twin.modes is ctx.modes
-    assert all(a is b for a, b in zip(twin.assemble(), ctx.assemble()))
-    other = OperatorContext(build_grid(1.0, 0.25, 16))
-    assert other.modes is not ctx.modes
-    assert not any(a is b for a, b in zip(other.assemble(), ctx.assemble()))
-    # the lazily built normal matrix stays the context's own
-    assert twin.normal_matrix() is not ctx.normal_matrix()
+    ctx = operator_context(grid16)
+    equal = build_grid(1.0, grid16.height, 16, grid16.ny)
+    assert equal == grid16 and equal is not grid16
+    twin = operator_context(equal)
+    assert twin is ctx
+    other = operator_context(build_grid(1.0, 0.25, 16))
+    assert other is not ctx
+    assert not any(a is b for a, b in zip(other.maps, ctx.maps))
+    # the lazily built matrices belong to the grid's one context
+    assert twin.normal is ctx.normal and twin.smoothing is ctx.smoothing
 
 
 @pytest.mark.parametrize("nx", [16, 64, 256, 1024])
 def test_applies_give_the_bytes_of_the_matmul(nx):
     """forward and adjoint apply their maps with np.dot, the gemv of @."""
     ctx = OperatorContext(build_grid(1.0, 0.5, nx))
-    forward, adjoint = ctx.assemble()
+    forward, adjoint = ctx.maps
     rng = np.random.default_rng(nx)
     for v in rng.standard_normal((10, nx + 1)) * rng.uniform(1e-6, 1e6,
                                                              (10, 1)):
@@ -313,40 +311,35 @@ def test_applies_give_the_bytes_of_the_matmul(nx):
 
 
 def test_every_cached_array_is_read_only(grid16):
-    modes = cosine_modes(grid16)
-    arrays = (modes.mu, modes.forward, modes.offset, modes.adjoint,
-              modes._weights, modes._norms, *dense_maps(grid16),
-              smoothing_matrix(grid16))
+    ctx = operator_context(grid16)
+    arrays = (ctx.mu, *ctx.symbols, ctx._weights, ctx._norms, *ctx.maps,
+              ctx.smoothing, ctx.normal)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    assert OperatorContext(grid16).modes is modes
+    assert operator_context(grid16) is ctx
 
 
 def test_grid_caches_are_bounded():
-    for cache in (cosine_modes, dense_maps, smoothing_matrix):
-        assert cache.cache_info().maxsize == GRID_CACHE_SIZE
+    assert operator_context.cache_info().maxsize == GRID_CACHE_SIZE
     assert 0 < GRID_CACHE_SIZE <= 8
     for nx in range(4, 6 + GRID_CACHE_SIZE):
-        grid = build_grid(1.0, 1.0, nx)
-        OperatorContext(grid)
-        smoothing_matrix(grid)
-    for cache in (cosine_modes, dense_maps, smoothing_matrix):
-        assert cache.cache_info().currsize == GRID_CACHE_SIZE
+        operator_context(build_grid(1.0, 1.0, nx))
+    assert operator_context.cache_info().currsize == GRID_CACHE_SIZE
 
 
 def test_grid_with_non_finite_symbols_is_not_cached():
     # 1/hx^2 overflows in the x-stencil eigenvalues
     narrow = build_grid(1e-200, 5e-201, 16, 8)
-    hits = cosine_modes.cache_info().hits
+    hits = operator_context.cache_info().hits
     for _ in range(2):
         with np.errstate(over="ignore"), pytest.raises(SolverError):
-            OperatorContext(narrow)
-    assert cosine_modes.cache_info().hits == hits
+            operator_context(narrow)
+    assert operator_context.cache_info().hits == hits
 
 
 def test_singular_values_sorted_descending(ctx16):
-    sigma = singular_values(assemble_forward_matrix(ctx16))
+    sigma = singular_values(ctx16.maps[0])
     assert np.all(np.diff(sigma) <= 0)
     assert sigma[0] > 0
 
@@ -358,8 +351,8 @@ def test_decay_slope_recovers_synthetic_rate():
 
 
 def test_spectrum_decay_steepens_with_height(ctx64, ctx64_h1):
-    s_shallow = singular_values(assemble_forward_matrix(ctx64))
-    s_deep = singular_values(assemble_forward_matrix(ctx64_h1))
+    s_shallow = singular_values(ctx64.maps[0])
+    s_deep = singular_values(ctx64_h1.maps[0])
     # frozen regression values for the fitted log-decay; at h = 1.0 the
     # singular values from k = 14 on sit at the 1e-16 rounding floor, where
     # the rounding of the map decides them, so that fit stops at k = 11
@@ -369,7 +362,7 @@ def test_spectrum_decay_steepens_with_height(ctx64, ctx64_h1):
 
 
 def test_leading_singular_values_match_sech(ctx64, grid64):
-    sigma = singular_values(assemble_forward_matrix(ctx64))
+    sigma = singular_values(ctx64.maps[0])
     a = grid64.height
     # sigma_1 is the k = 0 conservation mode; the next ones follow sech(k pi a)
     assert sigma[0] == pytest.approx(1.0, rel=5e-2)
@@ -385,12 +378,12 @@ def test_low_mode_symbols_match_40_digit_reference(nx, height):
     at low k, where (2 - 2 cos(k pi / nx)) / hx^2 loses up to 4e-12."""
     mpmath = pytest.importorskip("mpmath")
     grid = build_grid(1.0, height, nx)
-    modes = CosineModes(grid)
+    ctx = OperatorContext(grid)
     with mpmath.workdps(40):
         hx, hy = mpmath.mpf(grid.hx), mpmath.mpf(grid.hy)
         for k in range(1, 6):
             mu = (2 * mpmath.sin(mpmath.pi * k / (2 * nx)) / hx) ** 2
             adjoint = -mpmath.sech(grid.ny * 2 * mpmath.asinh(
                 hy * mpmath.sqrt(mu) / 2))
-            assert abs(modes.adjoint[k] - adjoint) <= 4e-15 * abs(adjoint), k
-            assert abs(modes.mu[k] - mu) <= 1e-15 * mu, k
+            assert abs(ctx.symbols[1][k] - adjoint) <= 4e-15 * abs(adjoint), k
+            assert abs(ctx.mu[k] - mu) <= 1e-15 * mu, k

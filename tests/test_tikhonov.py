@@ -11,7 +11,7 @@ from cauchyls import (GAMMA1, GAMMA2, TikhonovParams, TraceFn, apply_adjoint,
                       run_tikhonov, smoothed_heaviside, synthesize_cauchy_data,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
-from cauchyls.experiments import execute, exp2_config, prepare
+from cauchyls.experiments import execute, exp1_config, exp2_config, prepare
 from cauchyls.levelset import NeumannHelmholtz
 from cauchyls.record import STAGNATION_STEPS
 
@@ -19,8 +19,7 @@ from cauchyls.record import STAGNATION_STEPS
 def _problem(ctx, grid, noise=0.0, seed=3):
     truth = trace_from_function(
         grid, GAMMA2, lambda x: ((x >= 0.3) & (x <= 0.7)).astype(float))
-    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx.modes,
-                                  ctx)
+    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx, ctx)
     if noise > 0:
         data = with_noise(data, noise, seed)
     phi0 = init_levelset(grid, ((0.45, 0.55),), 4 * grid.hx)
@@ -215,6 +214,18 @@ def test_band_continuation_ends_binary_on_the_truth(ctx64, grid64):
     assert rec.stop_reason == "stagnation"
     assert np.array_equal(rec.final_q.values, truth.values)
     assert rec.components[-1] == 1
+
+
+def test_implicit_runs_on_one_grid_share_one_gauss_newton_matrix():
+    # the Gauss-Newton matrix is built once per grid, on the grid's one
+    # cached context, so a second implicit run reuses the first run's
+    cfg = replace(exp1_config(), max_iters=2)
+    normals = []
+    for setup in (prepare(cfg), prepare(cfg)):
+        run_tikhonov(setup.phi0, setup.data, setup.ctx,
+                     cfg.tikhonov_params(setup.grid.hx), setup.truth)
+        normals.append(vars(setup.ctx)["normal"])
+    assert normals[0] is normals[1]
 
 
 def test_band_narrowing_restarts_the_stall_count(monkeypatch):

@@ -17,8 +17,7 @@ from cauchyls.pde import SolverError
 def _problem(ctx, grid):
     truth = trace_from_function(
         grid, GAMMA2, lambda x: ((x >= 0.3) & (x <= 0.7)).astype(float))
-    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx.modes,
-                                  ctx)
+    data = synthesize_cauchy_data(truth, zero_trace(grid, GAMMA1), ctx, ctx)
     phi0 = init_levelset(grid, ((0.45, 0.55),), 4 * grid.hx)
     return truth, data, phi0
 
