@@ -23,7 +23,8 @@ from .operator import (CauchyData, OperatorContext, apply_adjoint,
 from .pde import (Coefficient, Field, MixedSolver, SolverError,
                   neumann_trace)
 from .record import RunRecord
-from .tikhonov import TikhonovParams, run_tikhonov, tikhonov_step
+from .tikhonov import (TikhonovParams, lift_matrix, run_tikhonov,
+                       tikhonov_direction, tikhonov_step)
 from .transport import (TransportParams, front_velocity, run_transport,
                         transport_step, upwind_step)
 

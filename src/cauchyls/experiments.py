@@ -161,7 +161,8 @@ def summary_text(record: RunRecord, setup: RunSetup) -> str:
         "seed": cfg.seed,
         "delta": _fmt(setup.data.delta),
         "eps": _fmt(setup.eps),
-        **({"final_eps": _fmt(record.final_eps)}
+        **({"final_eps": _fmt(record.final_eps),
+            "final_band_nodes": record.final_band_nodes}
            if record.final_eps is not None else {}),
         "stop_reason": record.stop_reason,
         "stop_iteration": record.stop_iteration,

@@ -2,38 +2,55 @@
 
 A scalar profile phi encodes the flux q through a piecewise-linear smoothed
 Heaviside: q = H_eps(phi) ramps from 0 to 1 as phi crosses the band
-[-eps, 0]. The helpers here evaluate the ramp and its derivative, the total
-variation curvature source, the screened-Poisson smoothing used by the
-gradient flow (one matvec by the grid's cached cosine-diagonal inverse, or
-a dense solve when a coupling is added), signed-distance initialization and
-redistancing, and connected-component counts.
+[-eps, 0]. The helpers here evaluate the ramp, its derivative and band, the
+normalized slope inside the total-variation curvature source, the
+screened-Poisson smoothing used by the gradient flow (one matvec by the
+grid's cached cosine-diagonal inverse, or a dense solve when a coupling is
+added), signed-distance initialization and redistancing, and
+connected-component counts.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .grid import GAMMA2, Grid, TraceFn
-from .operator import operator_context
+from .operator import OperatorContext, operator_context
 
 
-def smoothed_heaviside(t: np.ndarray, eps: float) -> np.ndarray:
-    """Piecewise-linear ramp: 0 below -eps, 1 above 0, linear in between."""
+def smoothed_heaviside(t: np.ndarray, eps: float,
+                       band: np.ndarray | None = None) -> np.ndarray:
+    """Piecewise-linear ramp: 0 below -eps, 1 above 0, linear in between.
+
+    band, a boolean array of t's shape, receives the ramp's band, read off
+    the unclipped ramp argument: s = t / eps lies in [-1, 0] exactly when
+    s (s + 1) <= 0. That is band_mask(t, eps) wherever t / eps does not
+    underflow, so for every eps < 2; above, a subnormal t > 0 whose
+    quotient rounds to 0 joins the band.
+    """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    t = np.asarray(t, dtype=float)
-    return np.minimum(np.maximum(t / eps + 1.0, 0.0), 1.0)
+    s = np.asarray(t, dtype=float) / eps
+    ramp = s + 1.0
+    if band is not None:
+        s *= ramp
+        np.less_equal(s, 0.0, out=band)
+    return np.minimum(np.maximum(ramp, 0.0), 1.0)
+
+
+def band_mask(t: np.ndarray, eps: float) -> np.ndarray:
+    """The ramp's band -eps <= t <= 0 as a boolean mask, both kink points
+    included: the support of smoothed_heaviside_deriv. Unchecked."""
+    return (t >= -eps) & (t <= 0.0)
 
 
 def smoothed_heaviside_deriv(t: np.ndarray, eps: float) -> np.ndarray:
     """Derivative of the ramp; the kink points carry the band value 1/eps."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    t = np.asarray(t, dtype=float)
-    return ((t >= -eps) & (t <= 0.0)) / eps
+    return band_mask(np.asarray(t, dtype=float), eps) / eps
 
 
 def sharp_indicator(t: np.ndarray) -> np.ndarray:
@@ -41,68 +58,41 @@ def sharp_indicator(t: np.ndarray) -> np.ndarray:
     return (np.asarray(t, dtype=float) >= 0.0).astype(float)
 
 
-@lru_cache(maxsize=8)
-def _difference_stencil(n: int,
-                        h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (hi, lo, den) of centered_derivative on n nodes of spacing
-    h: node i takes (f[hi[i]] - f[lo[i]]) / den[i]."""
-    if n < 2:
-        raise ValueError("a derivative needs at least two nodes")
-    hi = np.minimum(np.arange(1, n + 1), n - 1)
-    lo = np.maximum(np.arange(-1, n - 1), 0)
-    # h at the ends and 2.0 * h inside, both exact products
-    den = (hi - lo) * h
-    for a in (hi, lo, den):
-        a.flags.writeable = False
-    return hi, lo, den
+def curvature_term(ramp: np.ndarray, derivative: np.ndarray, eta: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized slope u = H' / sqrt(H'^2 + eta^2) of ramp values H =
+    H_eps(phi), with H' = derivative @ ramp, written into out if given.
 
-
-def centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(f, h) of a 1-D f: centered inside, first-order one-sided
-    differences at the two ends, as one gather (the same bits as
-    np.gradient)."""
-    hi, lo, den = _difference_stencil(f.size, h)
-    return (f[hi] - f[lo]) / den
-
-
-def curvature_term(ramp: np.ndarray, h: float, eta: float,
-                   beta: float) -> np.ndarray:
-    """Total-variation curvature source beta * d/dx [ H' / sqrt(H'^2 + eta^2) ]
-    of ramp values H = H_eps(phi) at nodes of spacing h.
-
-    Derivatives are centered with first-order one-sided ends. eta > 0 keeps
-    the normalization away from division by zero on flat stretches.
+    derivative is the context's np.gradient matrix, so the total-variation
+    curvature source is beta * derivative @ u; the Tikhonov flow folds that
+    outer derivative into one matrix with its adjoint. eta > 0 keeps the
+    normalization away from division by zero on flat stretches.
     """
-    g = centered_derivative(ramp, h)
-    norm = g * g
-    norm += eta * eta
-    np.sqrt(norm, out=norm)
-    np.divide(g, norm, out=g)
-    return beta * centered_derivative(g, h)
+    g = np.dot(derivative, ramp)
+    return np.divide(g, np.hypot(g, eta), out=out)
 
 
 class NeumannHelmholtz:
-    """(I - d2/dx2 + coupling) w = rhs on the top-edge nodes of a grid, with
-    zero-flux ends; solve returns w / scale.
+    """(I - d2/dx2 + coupling) w = rhs on the top-edge nodes of a context's
+    grid, with zero-flux ends; solve returns w / scale.
 
     End rows are the centered ghost equations scaled by 1/2, which matches a
     half end cell and keeps the tridiagonal matrix symmetric positive
     definite; rhs and the rows of coupling get the same scaling. coupling is
     a dense nodal matrix. Without coupling, sampled cosines cos(k pi x /
     width) are exact eigenvectors of the discrete system, so w / scale is
-    one matvec by S / scale, with S the smoothing matrix of the grid's
-    cached context (operator_context(grid).smoothing) and S / scale formed
-    on the first uncoupled solve. The trapezoid mean of w then equals that
-    of rhs to rounding. A coupled solve is np.linalg.solve on the dense
-    tridiagonal matrix plus the coupling, the matrix built on the first
-    coupled solve. Nothing is factorized.
+    one matvec by S / scale, with S the context's smoothing matrix
+    (ctx.smoothing) and S / scale formed on the first uncoupled solve. The
+    trapezoid mean of w then equals that of rhs to rounding. A coupled solve
+    is np.linalg.solve on the dense tridiagonal matrix plus the coupling,
+    the matrix built on the first coupled solve. Nothing is factorized.
     """
 
-    def __init__(self, grid: Grid, scale: float = 1.0):
-        self.grid = grid
+    def __init__(self, ctx: OperatorContext, scale: float = 1.0):
+        self.ctx = ctx
         self.scale = scale
         # the end-row scaling, applied to rhs and to coupling's rows
-        self._half_ends = np.ones(grid.nx + 1)
+        self._half_ends = np.ones(ctx.grid.nx + 1)
         self._half_ends[[0, -1]] = 0.5
         self._smoothing: np.ndarray | None = None
         self._dense: np.ndarray | None = None
@@ -111,12 +101,11 @@ class NeumannHelmholtz:
               coupling: np.ndarray | None = None) -> np.ndarray:
         if coupling is None:
             if self._smoothing is None:
-                self._smoothing = (operator_context(self.grid).smoothing
-                                   / self.scale)
+                self._smoothing = self.ctx.smoothing / self.scale
             # the BLAS gemv of @, without the cost of its ufunc dispatch
             return np.dot(self._smoothing, rhs)
         if self._dense is None:
-            n, h = self.grid.nx + 1, self.grid.hx
+            n, h = self.ctx.grid.nx + 1, self.ctx.grid.hx
             inv_h2 = 1.0 / (h * h)
             diag = np.full(n, 1.0 + 2.0 * inv_h2)
             diag[[0, -1]] = 0.5 + inv_h2
@@ -130,8 +119,8 @@ class NeumannHelmholtz:
 def solve_helmholtz_neumann(rhs: TraceFn,
                             coupling: np.ndarray | None = None) -> TraceFn:
     """One NeumannHelmholtz solve on the top edge of rhs's grid."""
-    return rhs.with_values(NeumannHelmholtz(rhs.grid).solve(rhs.values,
-                                                            coupling))
+    solver = NeumannHelmholtz(operator_context(rhs.grid))
+    return rhs.with_values(solver.solve(rhs.values, coupling))
 
 
 def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],

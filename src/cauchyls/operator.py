@@ -83,12 +83,13 @@ class OperatorContext:
     top trace) and compute_offset_z (bottom Dirichlet -> bottom conormal
     trace).
 
-    The dense matrices (maps, smoothing, normal) are built the first time
-    they are read, so a context that only transforms, as on a synthesis
-    grid, builds none. Nothing is factorized. forward and adjoint apply the
-    maps with np.dot, the BLAS gemv of @ without the cost of its ufunc
-    dispatch. Every array a context holds is read-only, since the per-grid
-    cache (operator_context) shares one context between all its callers.
+    The dense matrices (maps, smoothing, derivative, normal) are built the
+    first time they are read, so a context that only transforms, as on a
+    synthesis grid, builds none. Nothing is factorized. forward and adjoint
+    apply the maps with np.dot, the BLAS gemv of @ without the cost of its
+    ufunc dispatch. Every array a context holds is read-only, since the
+    per-grid cache (operator_context) shares one context between all its
+    callers.
     """
 
     def __init__(self, grid: Grid):
@@ -170,6 +171,15 @@ class OperatorContext:
         eigenvalue mu_k.
         """
         return self.matrices(1.0 / (1.0 + self.mu))[0]
+
+    @cached_property
+    def derivative(self) -> np.ndarray:
+        """D, the np.gradient matrix on the top-edge nodes: centered
+        differences inside and first-order one-sided ones at the two ends.
+        Column j is np.gradient of the unit vector e_j."""
+        d = np.gradient(np.eye(self.grid.nx + 1), self.grid.hx, axis=0)
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def normal(self) -> np.ndarray:

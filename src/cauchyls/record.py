@@ -58,8 +58,9 @@ class RunRecord:
 
     Histories include the initial state, so their length is the number of
     completed iterations plus one. errors is None when no truth was supplied.
-    asymp_gap is an optional diagnostic stream some methods fill in, and
-    final_eps the band width a Tikhonov run ended with.
+    asymp_gap is an optional diagnostic stream some methods fill in;
+    final_eps is the band width a Tikhonov run ended with, and
+    final_band_nodes the number of nodes in that band at the stop.
     residual_evaluations counts the iterates whose residual run_flow
     computed, one forward apply each; the others repeat their predecessor's.
     """
@@ -75,6 +76,7 @@ class RunRecord:
     wall_time: float = 0.0
     asymp_gap: list[float] | None = None
     final_eps: float | None = None
+    final_band_nodes: int | None = None
     residual_evaluations: int = 0
 
     def record(self, residuals: list[float], errors: list[float] | None,

@@ -3,10 +3,16 @@
 Each iteration evaluates the data misfit of the current smoothed flux,
 pulls it back through the adjoint, adds the curvature source, gates by the
 ramp derivative and smooths the update in H1 with the inverse of a
-screened-Poisson operator with zero-flux ends, one matvec by the grid's
-cached smoothing matrix. The profile then takes one explicit Euler step of
-length 1/alpha. The update direction is the descent composition: the
-negated adjoint-applied residual plus the curvature term.
+screened-Poisson operator with zero-flux ends. The profile then takes one
+explicit Euler step of length 1/alpha. The update direction is the descent
+composition: the negated adjoint-applied residual plus the curvature term.
+
+Every factor that stays fixed is folded into a matrix built once: the TV
+source's outer derivative and the adjoint are one per-run matrix applied to
+the stacked [normalized slope; residual], once per evaluated flux, and the
+gate's 1/eps and the step length 1/alpha scale the grid's cached smoothing
+matrix once per band width. A step is then the band mask, one matvec and
+one addition.
 
 Two options change the flow. The implicit step keeps the misfit linearized
 at the current profile inside the smoothing solve (a Levenberg-Marquardt
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (NeumannHelmholtz, curvature_term, redistance,
-                       smoothed_heaviside, smoothed_heaviside_deriv)
+from .levelset import (NeumannHelmholtz, band_mask, curvature_term,
+                       redistance, smoothed_heaviside)
 from .operator import CauchyData, OperatorContext
 from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
                      RunRecord, run_flow)
@@ -84,8 +90,9 @@ class TikhonovParams:
         if self.eps_min is not None and not 0 < self.eps_min <= (
                 math.inf if self.eps is None else self.eps):
             raise ValueError("eps_min must lie in (0, eps]")
-        # curvature_term divides by sqrt(H'^2 + eta^2), which is 0 on the
-        # ramp's flat stretches once eta^2 underflows
+        # eta smooths the TV normalization sqrt(H'^2 + eta^2); once eta^2
+        # underflows, that root is |H'| in floating point, and eta no
+        # longer smooths anything
         if not (self.eta > 0 and self.eta * self.eta > 0):
             raise ValueError("eta must be positive, with eta^2 above 0 "
                              "in floating point")
@@ -96,31 +103,56 @@ class TikhonovParams:
         return self.eps if self.eps is not None else 2.0 * grid.hx
 
 
-def tikhonov_step(phi: np.ndarray, ramp: np.ndarray, grad: np.ndarray,
-                  eps: float, ctx: OperatorContext, params: TikhonovParams,
-                  helmholtz: NeumannHelmholtz) -> np.ndarray:
-    """The profile values after one flow step.
+def lift_matrix(ctx: OperatorContext, beta: float) -> np.ndarray:
+    """[beta D | -F*] (n x 2n), with D the context's derivative and F* its
+    adjoint matrix: lift @ [u; r] is the drive beta D u - F* r. Built once
+    per run."""
+    return np.hstack((beta * ctx.derivative, -ctx.maps[1]))
 
-    ramp is H_eps(phi), grad the adjoint-applied residual and helmholtz the
-    NeumannHelmholtz of the context grid with scale params.alpha, so the
-    explicit step applies S^-1 / alpha as one matvec by the grid's cached
-    smoothing matrix, scaled once per run. Nothing is checked here:
-    run_tikhonov checks its inputs once per run.
+
+def tikhonov_direction(ramp: np.ndarray, r: np.ndarray, ctx: OperatorContext,
+                       lift: np.ndarray, eta: float,
+                       stack: np.ndarray) -> np.ndarray:
+    """The drive beta D u - F* r of ramp values H_eps(phi) and their
+    residual r, with u curvature_term's normalized slope: the TV source
+    minus the adjoint-applied residual, as one gemv by lift_matrix(ctx,
+    beta) on [u; r], which is written into stack (2 n values). The drive
+    depends on the flux alone, so run_flow asks for it once per evaluation
+    that a step follows."""
+    n = ramp.size
+    curvature_term(ramp, ctx.derivative, eta, out=stack[:n])
+    stack[n:] = r
+    return np.dot(lift, stack)
+
+
+def tikhonov_step(phi: np.ndarray, drive: np.ndarray, band: np.ndarray,
+                  eps: float, ctx: OperatorContext, params: TikhonovParams,
+                  helmholtz: NeumannHelmholtz
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The profile values after one flow step, and the step dphi.
+
+    drive is tikhonov_direction's drive for the ramp of phi, band the ramp's
+    band at phi (see smoothed_heaviside) and helmholtz the NeumannHelmholtz
+    of the context with scale params.alpha * eps. The gate H'_eps(phi) is
+    band / eps, so with 1/eps in the scale the drive is gated by the band
+    alone, and the explicit step is one matvec by S / (alpha eps), formed
+    once per band width. The implicit step solves with the gate band / eps
+    in its coupling and is capped at MAX_STEP_CELLS grid cells. Nothing is
+    checked here: run_tikhonov checks its inputs once per run.
     """
-    h = ctx.grid.hx
-    drive = curvature_term(ramp, h, params.eta, params.beta)
-    drive -= grad
-    gate = smoothed_heaviside_deriv(phi, eps)
-    drive *= gate
+    # drive serves every step until the next evaluation, so it stays as is
+    gated = drive * band
     if params.step == STEP_EXPLICIT:
-        return phi + helmholtz.solve(drive)
-    coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
-    dphi = helmholtz.solve(drive, coupling)
-    cap = MAX_STEP_CELLS * h
-    largest = float(abs(dphi).max())
-    if largest > cap:
-        dphi *= cap / largest
-    return phi + dphi
+        dphi = helmholtz.solve(gated)
+    else:
+        gate = band / eps
+        coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
+        dphi = helmholtz.solve(gated, coupling)
+        cap = MAX_STEP_CELLS * ctx.grid.hx
+        largest = float(abs(dphi).max())
+        if largest > cap:
+            dphi *= cap / largest
+    return phi + dphi, dphi
 
 
 def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -135,25 +167,42 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     """
     eps = params.resolve_eps(ctx.grid)
     h = ctx.grid.hx
-    helmholtz = NeumannHelmholtz(ctx.grid, params.alpha)
+    n = ctx.grid.nx + 1
+    lift = lift_matrix(ctx, params.beta)
+    helmholtz = NeumannHelmholtz(ctx, params.alpha * eps)
+    # the band of the iterate the indicator saw last, which the step gets,
+    # and the stacked vector of the drive
+    band = np.empty(n, dtype=bool)
+    stack = np.empty(2 * n)
     stalls = 0
+    # max|dphi| >= |dphi|_2 / sqrt(n), so a step whose 2-norm exceeds
+    # sqrt(2 n) times the larger stall threshold is neither a stall nor a
+    # narrowing; the factor 2 covers the rounding of the norm
+    moving = math.sqrt(2 * n) * max(
+        STAGNATION_TOL / params.alpha,
+        0.0 if params.eps_min is None else NARROW_TOL_CELLS * h)
 
     def indicator(phi: np.ndarray) -> np.ndarray:
-        return smoothed_heaviside(phi, eps)
+        return smoothed_heaviside(phi, eps, band)
 
     def direction(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return ctx.adjoint(r)
+        return tikhonov_direction(q, r, ctx, lift, params.eta, stack)
 
     def step(phi: np.ndarray, q: np.ndarray,
-             grad: np.ndarray) -> tuple[np.ndarray, str | None]:
-        nonlocal eps, stalls
-        new = tikhonov_step(phi, q, grad, eps, ctx, params, helmholtz)
-        dphi_inf = float(abs(new - phi).max())
+             drive: np.ndarray) -> tuple[np.ndarray, str | None]:
+        nonlocal eps, helmholtz, stalls
+        new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
+                                  helmholtz)
+        if math.sqrt(np.dot(dphi, dphi)) > moving:
+            stalls = 0
+            return new, None
+        dphi_inf = float(abs(dphi).max())
         if params.eps_min is not None and eps > params.eps_min \
                 and dphi_inf <= NARROW_TOL_CELLS * h:
             # the mid-level set is taken on the ramp of the band the step used
             ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
+            helmholtz = NeumannHelmholtz(ctx, params.alpha * eps)
             stalls = 0
             return redistance(ramp, ctx.grid.xs, h, eps), None
         stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
@@ -162,4 +211,6 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     out = run_flow(phi0, data, ctx, params, indicator, direction, step,
                    truth, snapshot_iters)
     out.final_eps = eps
+    out.final_band_nodes = int(np.count_nonzero(
+        band_mask(out.final_phi.values, eps)))
     return out

@@ -166,6 +166,32 @@ def test_summary_reports_final_band(tmp_path):
     assert f"final_eps = {record.final_eps:.17g}" in summary
 
 
+@pytest.mark.parametrize("cfg, in_band", [
+    (exp2_config(0.5), True),
+    # eps 1e-3 cells: no node ever lies in the band
+    (replace(exp2_config(0.5), eps_cells=1e-3), False),
+    (replace(transport_benchmark_config(), max_iters=5), None),
+], ids=["exp2", "exp2_empty_band_stall", "transport"])
+def test_summary_reports_final_band_nodes(tmp_path, cfg, in_band):
+    """Tikhonov runs count the nodes with -eps <= phi <= 0 at the stop,
+    right after final_eps; transport has no band and writes no row."""
+    record, setup = run_config(cfg)
+    out = write_run_outputs(record, setup, tmp_path / "run")
+    rows = dict(line.split(" = ") for line in
+                (out / "summary.txt").read_text().splitlines())
+    if in_band is None:
+        assert "final_band_nodes" not in rows and "final_eps" not in rows
+        return
+    phi = record.final_phi.values
+    eps = record.final_eps
+    nodes = int(rows["final_band_nodes"])
+    assert nodes == record.final_band_nodes \
+        == np.count_nonzero((phi >= -eps) & (phi <= 0.0))
+    assert (nodes > 0) == in_band
+    keys = list(rows)
+    assert keys.index("final_band_nodes") == keys.index("final_eps") + 1
+
+
 def test_summary_reports_iteration_rate(tmp_path):
     record, setup = run_config(_tiny())
     out = write_run_outputs(record, setup, tmp_path / "run")

@@ -2,13 +2,14 @@
 of map applies it makes, and the benchmark tracer's view of that loop.
 
 run_tikhonov and run_transport iterate on raw value arrays with per-run
-constants (quadrature weights, the scaled smoothing matrix), and run_flow
-observes the iterates no stop rule reads in chunks of OBSERVE_CHUNK
-evaluations. The reference loops below carry traces from step to step,
-apply the checked apply_forward/apply_adjoint, take norms with
-l2_norm_trace, observe every iterate as it comes and rebuild the
-NeumannHelmholtz at every step, as the iteration was before it moved to
-arrays; the two must agree bit for bit.
+constants (quadrature weights, the scaled smoothing matrix, Tikhonov's
+stacked drive matrix), and run_flow observes the iterates no stop rule
+reads in chunks of OBSERVE_CHUNK evaluations. The reference loops below
+carry traces from step to step, apply the checked apply_forward (and
+transport's apply_adjoint), take norms with l2_norm_trace, observe every
+iterate as it comes and rebuild Tikhonov's per-run matrices and band at
+every step, as the iteration was before it moved to arrays; the two must
+agree bit for bit.
 """
 
 import importlib.util
@@ -23,7 +24,7 @@ import pytest
 from cauchyls import (apply_adjoint, apply_forward, front_velocity,
                       l2_norm_trace, quadrature_weights, sharp_indicator,
                       smoothed_heaviside, tikhonov_step, transport_step)
-from cauchyls import record
+from cauchyls import record, tikhonov
 from cauchyls.config import METHOD_TRANSPORT
 from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
                                   execute, prepare,
@@ -32,7 +33,8 @@ from cauchyls.levelset import NeumannHelmholtz, redistance
 from cauchyls.record import (OBSERVE_CHUNK, STOP_DISCREPANCY,
                              STOP_MAX_ITERS, STOP_STAGNATION,
                              STOP_TARGET_ERROR, RunRecord, observe)
-from cauchyls.tikhonov import NARROW_FACTOR, NARROW_TOL_CELLS
+from cauchyls.tikhonov import (NARROW_FACTOR, NARROW_TOL_CELLS, lift_matrix,
+                               tikhonov_direction)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -71,17 +73,21 @@ def _reference(setup, params, indicator, step):
 def _tikhonov_reference(setup, params):
     eps = params.resolve_eps(setup.grid)
     h = setup.grid.hx
+    n = setup.grid.nx + 1
     narrow_tol = NARROW_TOL_CELLS * h
 
     def step(phi, q, r):
         nonlocal eps
-        grad = apply_adjoint(setup.ctx, r).values
-        helmholtz = NeumannHelmholtz(setup.grid, params.alpha)
-        new = tikhonov_step(phi.values, q.values, grad, eps, setup.ctx,
-                            params, helmholtz)
-        dphi_inf = np.max(np.abs(new - phi.values))
+        band = np.empty(n, dtype=bool)
+        smoothed_heaviside(phi.values, eps, band)
+        drive = tikhonov_direction(q.values, r.values, setup.ctx,
+                                   lift_matrix(setup.ctx, params.beta),
+                                   params.eta, np.empty(2 * n))
+        helmholtz = NeumannHelmholtz(setup.ctx, params.alpha * eps)
+        new, dphi = tikhonov_step(phi.values, drive, band, eps, setup.ctx,
+                                  params, helmholtz)
         if params.eps_min is not None and eps > params.eps_min \
-                and dphi_inf <= narrow_tol:
+                and np.max(np.abs(dphi)) <= narrow_tol:
             ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
             return phi.with_values(redistance(ramp, setup.grid.xs, h, eps))
@@ -228,27 +234,30 @@ def test_transport_repeats_across_chunk_boundaries_match_the_reference():
     # exp2's moving ramp changes its bytes at every iterate
     (replace(exp2_config(1.0), max_iters=50), (STOP_MAX_ITERS, 50), 51),
     # a band that holds no node: the ramp keeps its bytes, and one residual
-    # and one adjoint serve the whole run
+    # and one drive serve the whole run
     (replace(exp2_config(0.5), eps_cells=1e-3), (STOP_STAGNATION, 10), 1),
 ], ids=["transport_target", "transport_40", "exp2", "exp2_empty_band"])
-def test_maps_applied_once_per_indicator_change(cfg, stop, applies):
+def test_maps_applied_once_per_indicator_change(monkeypatch, cfg, stop,
+                                                applies):
     """The loop applies the forward map to iterate 0 and to every iterate
-    whose indicator differs from its predecessor's, and the adjoint to each
-    of those residuals that a step follows."""
+    whose indicator differs from its predecessor's. Each of those residuals
+    that a step follows is pulled back once: by the adjoint for transport,
+    by the stacked drive matrix of tikhonov_direction for Tikhonov, which
+    never calls the adjoint apply."""
     cfg = replace(cfg, snapshot_iters=tuple(range(stop[1] + 1)))
     setup = prepare(cfg)
-    calls = {"forward": 0, "adjoint": 0}
+    calls = {"forward": 0, "adjoint": 0, "lift": 0}
 
-    def counted(name):
-        apply = getattr(setup.ctx, name)
-
-        def wrapper(values):
+    def counted(name, apply):
+        def wrapper(*args):
             calls[name] += 1
-            return apply(values)
+            return apply(*args)
         return wrapper
 
-    for name in calls:
-        setattr(setup.ctx, name, counted(name))
+    for name in ("forward", "adjoint"):
+        setattr(setup.ctx, name, counted(name, getattr(setup.ctx, name)))
+    monkeypatch.setattr(tikhonov, "tikhonov_direction",
+                        counted("lift", tikhonov.tikhonov_direction))
     rec = execute(setup)
     assert (rec.stop_reason, rec.stop_iteration) == stop
     qs = [rec.snapshots[k][1] for k in range(stop[1] + 1)]
@@ -256,7 +265,10 @@ def test_maps_applied_once_per_indicator_change(cfg, stop, applies):
              for k, q in enumerate(qs)]
     assert calls["forward"] == rec.residual_evaluations == sum(fresh) \
         == applies
-    assert calls["adjoint"] == sum(fresh[:-1])
+    pulled, unused = ("adjoint", "lift") if cfg.method == METHOD_TRANSPORT \
+        else ("lift", "adjoint")
+    assert calls[pulled] == sum(fresh[:-1])
+    assert calls[unused] == 0
 
 
 # -- the benchmark tracer sees the loop ---------------------------------------

@@ -1,15 +1,17 @@
 """The per-iteration kernels against the formulations they replaced.
 
 Each reference below is an earlier, plainer form of a kernel the two flows
-call at every step: the np.clip ramp, the np.where gate, the slice-based
-derivative, the _half_ends copy before the coupled Helmholtz solve, the
-dm/dp upwind step and transport's np.array_equal check of its indicator.
-Those kernels must give the same bytes on every finite input.
+call at every step: the np.clip ramp, the np.where gate, the _half_ends
+copy before the coupled Helmholtz solve, the dm/dp upwind step and
+transport's np.array_equal check of its indicator. Those kernels must give
+the same bytes on every finite input.
 
-Two kernels replaced a banded solve with a closed form, which rounds
-differently: the uncoupled Helmholtz smoothing (a matvec by the cosine-
-diagonal inverse) and the transport velocity (cumulative sums). They must
-agree with scipy's banded solve to 1e-12 relative on bounded inputs.
+Some kernels replaced a solve or a chain of calls with a closed form or a
+matrix product, which rounds differently: the uncoupled Helmholtz smoothing
+(a matvec by the cosine-diagonal inverse), the transport velocity
+(cumulative sums) and the Tikhonov step (per-run matrices in place of
+gather derivatives, a separate adjoint and the 1/eps gate). They must agree
+with the reference to 1e-12 relative on bounded inputs.
 """
 
 import numpy as np
@@ -18,10 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
-from cauchyls import (build_grid, front_velocity, sharp_indicator,
-                      smoothed_heaviside, smoothed_heaviside_deriv,
-                      upwind_step)
-from cauchyls.levelset import NeumannHelmholtz, centered_derivative
+from cauchyls import (TikhonovParams, build_grid, front_velocity,
+                      operator_context, sharp_indicator, smoothed_heaviside,
+                      smoothed_heaviside_deriv, tikhonov_step, upwind_step)
+from cauchyls.levelset import NeumannHelmholtz
+from cauchyls.tikhonov import (MAX_STEP_CELLS, lift_matrix,
+                               tikhonov_direction)
 
 
 def _clip_ramp(t, eps):
@@ -33,12 +37,12 @@ def _where_gate(t, eps):
     return np.where((t >= -eps) & (t <= 0.0), 1.0 / eps, 0.0)
 
 
-def _slice_derivative(f, h):
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (f[1] - f[0]) / h
-    out[-1] = (f[-1] - f[-2]) / h
-    return out
+def _gather_derivative(f, h):
+    """np.gradient(f, h) as one gather (f[hi] - f[lo]) / den."""
+    n = f.size
+    hi = np.minimum(np.arange(1, n + 1), n - 1)
+    lo = np.maximum(np.arange(-1, n - 1), 0)
+    return (f[hi] - f[lo]) / ((hi - lo) * h)
 
 
 def _half_ends(a):
@@ -92,10 +96,53 @@ def test_gate_is_the_where_gate(t, eps):
     assert _same_bytes(smoothed_heaviside_deriv(t, eps), _where_gate(t, eps))
 
 
+def _kinks(eps):
+    """The two kink points of the ramp and their floating-point
+    neighbours, by name."""
+    return {"-eps-": np.nextafter(-eps, -np.inf), "-eps": -eps,
+            "-eps+": np.nextafter(-eps, 0.0), "0-": np.nextafter(0.0, -1.0),
+            "-0": -0.0, "0": 0.0, "0+": np.nextafter(0.0, 1.0)}
+
+
+KINK_PROFILE = ["-eps-", "-eps", "-eps+", "0-", "-0", "0", "0+"]
+# the band as the ramp reads it is exact below eps = 2 (see
+# smoothed_heaviside)
+BAND_EPS = st.one_of(st.floats(1e-3, 1.999),
+                     st.floats(min_value=0.0, max_value=1.999,
+                               exclude_min=True))
+
+
 @settings(max_examples=100, deadline=None)
-@given(PROFILE, POSITIVE)
-def test_derivative_is_the_slice_derivative(f, h):
-    assert _same_bytes(centered_derivative(f, h), _slice_derivative(f, h))
+@given(PROFILE, BAND_EPS, st.booleans())
+@example(np.array([]), 1.0 / 16.0, True)
+@example(np.array([]), 0.3, True)
+@example(np.array([]), 5e-324, True)
+@example(np.array([]), 1.999, True)
+def test_ramp_band_is_the_where_gate_support(t, eps, with_kinks):
+    """The band smoothed_heaviside reads off its unclipped argument is the
+    support of the np.where gate, kinks and their neighbours included, and
+    asking for it leaves the ramp's bytes as they were."""
+    if with_kinks:
+        kinks = _kinks(eps)
+        t = np.concatenate((t, [kinks[name] for name in KINK_PROFILE]))
+    band = np.empty(t.size, dtype=bool)
+    ramp = smoothed_heaviside(t, eps, band)
+    assert _same_bytes(ramp, _clip_ramp(t, eps))
+    assert np.array_equal(band, _where_gate(t, eps) != 0.0)
+    if with_kinks:
+        # in: the two kinks, -eps+, 0- and -0; out: -eps- and 0+
+        assert band[-7:].tolist() == [False, True, True, True, True, True,
+                                      False]
+
+
+def test_ramp_band_sliver_above_eps_two():
+    """From eps = 2 on, a subnormal t > 0 whose quotient t / eps rounds to
+    0 reads as the kink t = 0 and joins the band; the gate leaves it out."""
+    t = np.array([5e-324, 1e-323, 0.0, -5e-324])
+    band = np.empty(t.size, dtype=bool)
+    smoothed_heaviside(t, 2.0, band)
+    assert band.tolist() == [True, False, True, True]
+    assert (_where_gate(t, 2.0) != 0.0).tolist() == [False, False, True, True]
 
 
 def _helmholtz_matrix(n, h):
@@ -124,7 +171,7 @@ def test_helmholtz_solve_is_the_half_ends_solve(rhs, seed, scale):
     n = rhs.size
     grid = build_grid(1.0, 1.0, n - 1)
     diag, off = _helmholtz_matrix(n, grid.hx)
-    solver = NeumannHelmholtz(grid, scale)
+    solver = NeumannHelmholtz(operator_context(grid), scale)
     ab = np.vstack([np.concatenate(([0.0], off)), diag])
     assert _agrees(solver.solve(rhs),
                    solveh_banded(ab, _half_ends(rhs)) / scale)
@@ -132,6 +179,67 @@ def test_helmholtz_solve_is_the_half_ends_solve(rhs, seed, scale):
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     coupled = np.linalg.solve(dense + _half_ends(coupling), _half_ends(rhs))
     assert _same_bytes(solver.solve(rhs, coupling), coupled / scale)
+
+
+def _gather_step(phi, r, eps, ctx, params):
+    """dphi of the Tikhonov step before the per-run matrices: gather
+    derivatives and sqrt(g^2 + eta^2) for the curvature, a separate
+    adjoint, the np.where gate and S / alpha after the gate's 1/eps; the
+    implicit step's coupled solve with the half-ends copies and its cap."""
+    h = ctx.grid.hx
+    g = _gather_derivative(smoothed_heaviside(phi, eps), h)
+    g = g / np.sqrt(g * g + params.eta * params.eta)
+    drive = params.beta * _gather_derivative(g, h) - ctx.maps[1] @ r
+    gate = _where_gate(phi, eps)
+    drive = drive * gate
+    if params.step == "explicit":
+        return (ctx.smoothing / params.alpha) @ drive
+    diag, off = _helmholtz_matrix(phi.size, h)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
+    dphi = np.linalg.solve(dense + _half_ends(coupling),
+                           _half_ends(drive)) / params.alpha
+    cap = MAX_STEP_CELLS * h
+    largest = np.abs(dphi).max()
+    return dphi * (cap / largest) if largest > cap else dphi
+
+
+@st.composite
+def _step_cases(draw):
+    """(nx, eps in cells, profile in units of eps or kink names, residual
+    seed, alpha, beta): bounded profiles through and around the band."""
+    nx = draw(st.sampled_from([8, 16, 64]))
+    entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(KINK_PROFILE))
+    return (nx, draw(st.floats(0.25, 8.0)),
+            draw(st.lists(entries, min_size=nx + 1, max_size=nx + 1)),
+            draw(st.integers(0, 2 ** 31 - 1)), draw(st.floats(1.0, 1e3)),
+            draw(st.sampled_from([0.0, 1e-3, 1e-1])))
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit"])
+@settings(max_examples=40, deadline=None)
+@given(_step_cases())
+@example((8, 4.0, KINK_PROFILE + [-0.5, 2.0], 1, 100.0, 1e-3))
+@example((8, 0.5, KINK_PROFILE + [-0.5, 2.0], 2, 1.0, 1e-1))
+def test_tikhonov_step_is_the_gather_step(kind, case):
+    nx, eps_cells, codes, seed, alpha, beta = case
+    ctx = operator_context(build_grid(1.0, 0.5, nx))
+    eps = eps_cells * ctx.grid.hx
+    kinks = _kinks(eps)
+    phi = np.array([kinks[c] if isinstance(c, str) else c * eps
+                    for c in codes])
+    r = np.random.default_rng(seed).normal(size=nx + 1)
+    params = TikhonovParams(alpha=alpha, beta=beta, eps=eps, step=kind)
+    band = np.empty(nx + 1, dtype=bool)
+    ramp = smoothed_heaviside(phi, eps, band)
+    assert np.array_equal(band, _where_gate(phi, eps) != 0.0)
+    drive = tikhonov_direction(ramp, r, ctx, lift_matrix(ctx, beta),
+                               params.eta, np.empty(2 * (nx + 1)))
+    new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
+                              NeumannHelmholtz(ctx, alpha * eps))
+    ref = _gather_step(phi, r, eps, ctx, params)
+    assert np.abs(dphi - ref).max() <= CLOSED_FORM_RTOL * np.abs(ref).max()
+    assert _same_bytes(new, phi + dphi)
 
 
 def _banded_velocity(q, grad, eps_clamp, h):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
 from cauchyls import (GAMMA2, TraceFn, build_grid, component_count,
-                      curvature_term, init_levelset, sharp_indicator,
-                      smoothed_heaviside, smoothed_heaviside_deriv,
-                      solve_helmholtz_neumann, trace_from_function)
-from cauchyls.levelset import (NeumannHelmholtz, centered_derivative,
-                               redistance)
+                      curvature_term, init_levelset, operator_context,
+                      sharp_indicator, smoothed_heaviside,
+                      smoothed_heaviside_deriv, solve_helmholtz_neumann,
+                      trace_from_function)
+from cauchyls.levelset import NeumannHelmholtz, redistance
+from cauchyls.tikhonov import lift_matrix
 
 
 # -- one-sided ramp projector -------------------------------------------------
@@ -217,27 +218,24 @@ def test_redistance_without_fronts_and_at_walls():
 def test_curvature_vanishes_on_flat_profiles():
     g = build_grid(1.0, 0.5, 32)
     ramp = smoothed_heaviside(np.full(g.nx + 1, 0.3), 0.1)
-    out = curvature_term(ramp, g.hx, eta=1e-6, beta=1e-3)
+    out = curvature_term(ramp, operator_context(g).derivative, eta=1e-6)
     assert np.allclose(out, 0.0)
 
 
 def test_curvature_scales_linearly_in_beta():
+    # the source beta * D u: the lift's first block times the slope u
     g = build_grid(1.0, 0.5, 64)
+    ctx, n = operator_context(g), g.nx + 1
     phi = init_levelset(g, ((0.3, 0.6),), 4 * g.hx)
     ramp = smoothed_heaviside(phi.values, 4 * g.hx)
-    a = curvature_term(ramp, g.hx, eta=1e-6, beta=1e-3)
-    b = curvature_term(ramp, g.hx, eta=1e-6, beta=2e-3)
+    u = curvature_term(ramp, ctx.derivative, eta=1e-6)
+    a = lift_matrix(ctx, 1e-3)[:, :n] @ u
+    b = lift_matrix(ctx, 2e-3)[:, :n] @ u
+    assert np.abs(a).max() > 0
     assert np.allclose(b, 2.0 * a)
 
 
 # -- array kernels that replaced library calls --------------------------------
-
-def test_centered_derivative_is_np_gradient():
-    rng = np.random.default_rng(13)
-    for n, h in [(5, 0.25), (65, 1 / 64), (257, 1 / 256)]:
-        f = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
-        assert np.array_equal(centered_derivative(f, h), np.gradient(f, h))
-
 
 def test_factored_helmholtz_is_solveh_banded():
     # the grid's cached cosine-diagonal inverse is the banded solve, to
@@ -248,7 +246,7 @@ def test_factored_helmholtz_is_solveh_banded():
     ab[0, 1:] = -inv_h2
     ab[1, :] = 1.0 + 2.0 * inv_h2
     ab[1, 0] = ab[1, -1] = 0.5 + inv_h2
-    solver = NeumannHelmholtz(g)
+    solver = NeumannHelmholtz(operator_context(g))
     rng = np.random.default_rng(14)
     for _ in range(20):
         rhs = rng.normal(size=g.nx + 1)

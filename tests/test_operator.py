@@ -211,7 +211,8 @@ def test_context_maps_are_built_on_first_use_and_read_only(grid16):
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
     r = trace_from_function(grid16, GAMMA1, lambda x: np.cos(np.pi * x))
     ctx = OperatorContext(grid16)
-    assert not {"maps", "smoothing", "normal"} & vars(ctx).keys()
+    assert not {"maps", "smoothing", "derivative", "normal"} \
+        & vars(ctx).keys()
     forward, adjoint = ctx.maps
     for m in (forward, adjoint):
         assert m.shape == (grid16.nx + 1, grid16.nx + 1)
@@ -283,6 +284,22 @@ def test_normal_matrix_is_cached_adjoint_times_forward(grid16):
     assert not normal.flags.writeable
 
 
+@pytest.mark.parametrize("nx", [4, 16, 64, 256])
+def test_derivative_is_np_gradient_per_column(nx):
+    """Column j of the derivative matrix is np.gradient of e_j: centered
+    inside, one-sided at the ends, so D @ f is np.gradient(f, hx)."""
+    ctx = OperatorContext(build_grid(1.0, 1.0, nx))
+    d = ctx.derivative
+    assert d.shape == (nx + 1, nx + 1) and not d.flags.writeable
+    for j, e in enumerate(np.eye(nx + 1)):
+        ref = np.gradient(e, ctx.grid.hx)
+        assert np.abs(d[:, j] - ref).max() <= 1e-14 * np.abs(ref).max()
+    f = np.random.default_rng(nx).normal(size=nx + 1)
+    ref = np.gradient(f, ctx.grid.hx)
+    assert np.abs(d @ f - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert ctx.derivative is d
+
+
 # -- the per-grid cache -----------------------------------------------------
 
 def test_contexts_on_equal_grids_share_their_maps(grid16):
@@ -296,6 +313,7 @@ def test_contexts_on_equal_grids_share_their_maps(grid16):
     assert not any(a is b for a, b in zip(other.maps, ctx.maps))
     # the lazily built matrices belong to the grid's one context
     assert twin.normal is ctx.normal and twin.smoothing is ctx.smoothing
+    assert twin.derivative is ctx.derivative
 
 
 @pytest.mark.parametrize("nx", [16, 64, 256, 1024])
@@ -313,7 +331,7 @@ def test_applies_give_the_bytes_of_the_matmul(nx):
 def test_every_cached_array_is_read_only(grid16):
     ctx = operator_context(grid16)
     arrays = (ctx.mu, *ctx.symbols, ctx._weights, ctx._norms, *ctx.maps,
-              ctx.smoothing, ctx.normal)
+              ctx.smoothing, ctx.derivative, ctx.normal)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from cauchyls import tikhonov
-from cauchyls import (GAMMA1, GAMMA2, TikhonovParams, TraceFn, apply_adjoint,
-                      apply_forward, init_levelset, l2_norm_trace,
+from cauchyls import (GAMMA1, GAMMA2, OperatorContext, TikhonovParams,
+                      TraceFn, apply_forward, build_grid, init_levelset, l2_norm_trace,
+                      operator_context,
                       run_tikhonov, smoothed_heaviside, synthesize_cauchy_data,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
 from cauchyls.experiments import execute, exp1_config, exp2_config, prepare
 from cauchyls.levelset import NeumannHelmholtz
 from cauchyls.record import STAGNATION_STEPS
+from cauchyls.tikhonov import lift_matrix, tikhonov_direction
 
 
 def _problem(ctx, grid, noise=0.0, seed=3):
@@ -35,9 +37,16 @@ def _residual(phi, eps, data, ctx):
 
 def _step(phi, eps, data, ctx, params):
     """tikhonov_step from profile values phi alone."""
-    grad = apply_adjoint(ctx, _residual(phi, eps, data, ctx)).values
-    return tikhonov_step(phi, smoothed_heaviside(phi, eps), grad, eps, ctx,
-                         params, NeumannHelmholtz(ctx.grid, params.alpha))
+    n = phi.size
+    band = np.empty(n, dtype=bool)
+    ramp = smoothed_heaviside(phi, eps, band)
+    drive = tikhonov_direction(ramp, _residual(phi, eps, data, ctx).values,
+                               ctx, lift_matrix(ctx, params.beta),
+                               params.eta, np.empty(2 * n))
+    new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
+                              NeumannHelmholtz(ctx, params.alpha * eps))
+    assert np.array_equal(new, phi + dphi)
+    return new
 
 
 def test_params_validation():
@@ -235,10 +244,11 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
     and so narrows the band; the stall count starts again from there."""
     calls = 0
 
-    def stub_step(phi, ramp, grad, eps, ctx, params, helmholtz):
+    def stub_step(phi, drive, band, eps, ctx, params, helmholtz):
         nonlocal calls
         calls += 1
-        return phi if calls == 10 else phi + 1e-3
+        dphi = np.full(phi.size, 0.0 if calls == 10 else 1e-3)
+        return phi + dphi, dphi
 
     monkeypatch.setattr(tikhonov, "tikhonov_step", stub_step)
     cfg = replace(exp2_config(0.5), alpha=1e-12, eps_min_cells=1.0,
@@ -248,3 +258,18 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
     assert rec.final_eps < setup.eps
     assert (rec.stop_reason, rec.stop_iteration) == \
         ("stagnation", 10 + STAGNATION_STEPS)
+
+
+def test_run_uses_the_context_it_is_given():
+    """A run on an uncached context reads every matrix from that context:
+    it does not even look the grid up in the per-grid cache, so the cache
+    gains no second context for the grid."""
+    grid = build_grid(1.0, 0.5, 48)
+    ctx = OperatorContext(grid)
+    truth, data, phi0 = _problem(ctx, grid)
+    for step in ("explicit", "implicit"):
+        before = operator_context.cache_info()
+        run_tikhonov(phi0, data, ctx, TikhonovParams(step=step, max_iters=3),
+                     truth=truth)
+        assert operator_context.cache_info() == before
+    assert {"smoothing", "derivative", "normal"} <= vars(ctx).keys()
