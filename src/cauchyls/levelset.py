@@ -5,9 +5,9 @@ Heaviside: q = H_eps(phi) ramps from 0 to 1 as phi crosses the band
 [-eps, 0]. The helpers here evaluate the ramp, its derivative and band, the
 normalized slope inside the total-variation curvature source, the
 screened-Poisson smoothing used by the gradient flow (one matvec by the
-grid's cached cosine-diagonal inverse, or a dense solve when a coupling is
-added), signed-distance initialization and redistancing, and
-connected-component counts.
+context's cached cosine-diagonal inverse, or a dense solve on its cached
+Neumann matrix when a coupling is added), signed-distance initialization
+and redistancing, and connected-component counts.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ def smoothed_heaviside(t: np.ndarray, eps: float,
 
     band, a boolean array of t's shape, receives the ramp's band, read off
     the unclipped ramp argument: s = t / eps lies in [-1, 0] exactly when
-    s (s + 1) <= 0. That is band_mask(t, eps) wherever t / eps does not
-    underflow, so for every eps < 2; above, a subnormal t > 0 whose
-    quotient rounds to 0 joins the band.
+    s (s + 1) <= 0. That is the support of smoothed_heaviside_deriv
+    wherever t / eps does not underflow, so for every eps < 2; above, a
+    subnormal t > 0 whose quotient rounds to 0 joins the band.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -40,17 +40,12 @@ def smoothed_heaviside(t: np.ndarray, eps: float,
     return np.minimum(np.maximum(ramp, 0.0), 1.0)
 
 
-def band_mask(t: np.ndarray, eps: float) -> np.ndarray:
-    """The ramp's band -eps <= t <= 0 as a boolean mask, both kink points
-    included: the support of smoothed_heaviside_deriv. Unchecked."""
-    return (t >= -eps) & (t <= 0.0)
-
-
 def smoothed_heaviside_deriv(t: np.ndarray, eps: float) -> np.ndarray:
-    """Derivative of the ramp; the kink points carry the band value 1/eps."""
+    """Derivative of the ramp: 1/eps on -eps <= t <= 0, kinks included."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return band_mask(np.asarray(t, dtype=float), eps) / eps
+    t = np.asarray(t, dtype=float)
+    return ((t >= -eps) & (t <= 0.0)) / eps
 
 
 def sharp_indicator(t: np.ndarray) -> np.ndarray:
@@ -72,55 +67,23 @@ def curvature_term(ramp: np.ndarray, derivative: np.ndarray, eta: float,
     return np.divide(g, np.hypot(g, eta), out=out)
 
 
-class NeumannHelmholtz:
-    """(I - d2/dx2 + coupling) w = rhs on the top-edge nodes of a context's
-    grid, with zero-flux ends; solve returns w / scale.
-
-    End rows are the centered ghost equations scaled by 1/2, which matches a
-    half end cell and keeps the tridiagonal matrix symmetric positive
-    definite; rhs and the rows of coupling get the same scaling. coupling is
-    a dense nodal matrix. Without coupling, sampled cosines cos(k pi x /
-    width) are exact eigenvectors of the discrete system, so w / scale is
-    one matvec by S / scale, with S the context's smoothing matrix
-    (ctx.smoothing) and S / scale formed on the first uncoupled solve. The
-    trapezoid mean of w then equals that of rhs to rounding. A coupled solve
-    is np.linalg.solve on the dense tridiagonal matrix plus the coupling,
-    the matrix built on the first coupled solve. Nothing is factorized.
-    """
-
-    def __init__(self, ctx: OperatorContext, scale: float = 1.0):
-        self.ctx = ctx
-        self.scale = scale
-        # the end-row scaling, applied to rhs and to coupling's rows
-        self._half_ends = np.ones(ctx.grid.nx + 1)
-        self._half_ends[[0, -1]] = 0.5
-        self._smoothing: np.ndarray | None = None
-        self._dense: np.ndarray | None = None
-
-    def solve(self, rhs: np.ndarray,
-              coupling: np.ndarray | None = None) -> np.ndarray:
-        if coupling is None:
-            if self._smoothing is None:
-                self._smoothing = self.ctx.smoothing / self.scale
-            # the BLAS gemv of @, without the cost of its ufunc dispatch
-            return np.dot(self._smoothing, rhs)
-        if self._dense is None:
-            n, h = self.ctx.grid.nx + 1, self.ctx.grid.hx
-            inv_h2 = 1.0 / (h * h)
-            diag = np.full(n, 1.0 + 2.0 * inv_h2)
-            diag[[0, -1]] = 0.5 + inv_h2
-            off = np.full(n - 1, -inv_h2)
-            self._dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        b = rhs * self._half_ends
-        return np.linalg.solve(
-            self._dense + coupling * self._half_ends[:, None], b) / self.scale
+def helmholtz_solve(ctx: OperatorContext, rhs: np.ndarray,
+                    coupling: np.ndarray | None = None) -> np.ndarray:
+    """w with (I - d2/dx2 + coupling) w = rhs and zero-flux ends on the top
+    edge of the context's grid. Uncoupled, one matvec by ctx.smoothing;
+    with a dense nodal coupling, np.linalg.solve on ctx.neumann plus the
+    coupling, rhs and the coupling's rows scaled by neumann's end weights."""
+    if coupling is None:
+        return np.dot(ctx.smoothing, rhs)
+    w = ctx._weights
+    return np.linalg.solve(ctx.neumann + coupling * w[:, None], rhs * w)
 
 
 def solve_helmholtz_neumann(rhs: TraceFn,
                             coupling: np.ndarray | None = None) -> TraceFn:
-    """One NeumannHelmholtz solve on the top edge of rhs's grid."""
-    solver = NeumannHelmholtz(operator_context(rhs.grid))
-    return rhs.with_values(solver.solve(rhs.values, coupling))
+    """helmholtz_solve on the top edge of rhs's grid."""
+    return rhs.with_values(
+        helmholtz_solve(operator_context(rhs.grid), rhs.values, coupling))
 
 
 def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],

@@ -51,6 +51,8 @@ class CauchyData:
         if self.g1.part is not GAMMA1 or self.g2.part is not GAMMA1 \
                 or self.z.part is not GAMMA1:
             raise ValueError("Cauchy data and offset live on the bottom edge")
+        if not self.g1.grid == self.g2.grid == self.z.grid:
+            raise ValueError("Cauchy data and offset live on one grid")
         if not self.delta >= 0:
             raise ValueError("noise magnitude cannot be negative")
 
@@ -83,13 +85,13 @@ class OperatorContext:
     top trace) and compute_offset_z (bottom Dirichlet -> bottom conormal
     trace).
 
-    The dense matrices (maps, smoothing, derivative, normal) are built the
-    first time they are read, so a context that only transforms, as on a
-    synthesis grid, builds none. Nothing is factorized. forward and adjoint
-    apply the maps with np.dot, the BLAS gemv of @ without the cost of its
-    ufunc dispatch. Every array a context holds is read-only, since the
-    per-grid cache (operator_context) shares one context between all its
-    callers.
+    The dense matrices (maps, smoothing, neumann, derivative, normal) are
+    built the first time they are read, so a context that only transforms,
+    as on a synthesis grid, builds none. Nothing is factorized. forward and
+    adjoint apply the maps with np.dot, the BLAS gemv of @ without the cost
+    of its ufunc dispatch. Every array a context holds is read-only, since
+    the per-grid cache (operator_context) shares one context between all
+    its callers.
     """
 
     def __init__(self, grid: Grid):
@@ -165,12 +167,25 @@ class OperatorContext:
     def smoothing(self) -> np.ndarray:
         """S = C diag(1 / (1 + mu_k)) C^-1 on the top-edge nodes.
 
-        S is the inverse of I - d2/dx2 with zero-flux ends, the uncoupled
-        levelset.NeumannHelmholtz system: the DCT-I diagonalizes the Neumann
-        second difference (Strang, SIAM Review 41, 1999), with the x-stencil
-        eigenvalue mu_k.
+        S is the inverse of I - d2/dx2 with zero-flux ends (neumann before
+        its end rows are halved), the uncoupled levelset.helmholtz_solve:
+        the DCT-I diagonalizes the Neumann second difference (Strang, SIAM
+        Review 41, 1999), with the x-stencil eigenvalue mu_k.
         """
         return self.matrices(1.0 / (1.0 + self.mu))[0]
+
+    @cached_property
+    def neumann(self) -> np.ndarray:
+        """I - d2/dx2 with zero-flux ends on the top-edge nodes, its end rows
+        halved (a half end cell keeps it symmetric positive definite). Only
+        the implicit Tikhonov step reads it."""
+        n, inv_h2 = self.grid.nx + 1, 1.0 / (self.grid.hx * self.grid.hx)
+        off = np.full(n - 1, -inv_h2)
+        neumann = np.diag(np.full(n, 1.0 + 2.0 * inv_h2)) \
+            + np.diag(off, 1) + np.diag(off, -1)
+        neumann[[0, -1], [0, -1]] = 0.5 + inv_h2
+        neumann.setflags(write=False)
+        return neumann
 
     @cached_property
     def derivative(self) -> np.ndarray:

@@ -110,8 +110,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
              truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
     """Iterate a level-set flow phi -> step(phi, q, d) to a stop rule.
 
-    The loop works on nodal value arrays. phi0 and truth are top-edge
-    traces on the context grid, checked once here. indicator(phi) maps
+    The loop works on nodal value arrays. phi0, truth (top-edge traces) and
+    data lie on the context grid, checked once here. indicator(phi) maps
     profile values to flux values q. direction(q, r), with r the values of
     the residual F q - rhs on the bottom edge, gives d, what the flow's step
     needs of q and r. step(phi, q, d) returns the next profile values and
@@ -147,6 +147,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
                          "whenever the data carries noise (delta > 0)")
+    if data.g2.grid != ctx.grid:
+        raise ValueError("the data must lie on the context grid")
     for name, t in (("profile", phi0), ("truth", truth)):
         if t is not None and (t.part is not GAMMA2 or t.grid != ctx.grid):
             raise ValueError(f"the {name} must be a top-edge trace on the "

@@ -10,9 +10,9 @@ composition: the negated adjoint-applied residual plus the curvature term.
 Every factor that stays fixed is folded into a matrix built once: the TV
 source's outer derivative and the adjoint are one per-run matrix applied to
 the stacked [normalized slope; residual], once per evaluated flux, and the
-gate's 1/eps and the step length 1/alpha scale the grid's cached smoothing
-matrix once per band width. A step is then the band mask, one matvec and
-one addition.
+gate's 1/eps and the step length 1/alpha scale the context's cached
+smoothing matrix once per band width. A step is then the band mask, one
+matvec and one addition.
 
 Two options change the flow. The implicit step keeps the misfit linearized
 at the current profile inside the smoothing solve (a Levenberg-Marquardt
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (NeumannHelmholtz, band_mask, curvature_term,
-                       redistance, smoothed_heaviside)
+from .levelset import (curvature_term, helmholtz_solve, redistance,
+                       smoothed_heaviside)
 from .operator import CauchyData, OperatorContext
 from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
                      RunRecord, run_flow)
@@ -127,27 +127,25 @@ def tikhonov_direction(ramp: np.ndarray, r: np.ndarray, ctx: OperatorContext,
 
 def tikhonov_step(phi: np.ndarray, drive: np.ndarray, band: np.ndarray,
                   eps: float, ctx: OperatorContext, params: TikhonovParams,
-                  helmholtz: NeumannHelmholtz
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  smooth: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The profile values after one flow step, and the step dphi.
 
-    drive is tikhonov_direction's drive for the ramp of phi, band the ramp's
-    band at phi (see smoothed_heaviside) and helmholtz the NeumannHelmholtz
-    of the context with scale params.alpha * eps. The gate H'_eps(phi) is
-    band / eps, so with 1/eps in the scale the drive is gated by the band
-    alone, and the explicit step is one matvec by S / (alpha eps), formed
-    once per band width. The implicit step solves with the gate band / eps
-    in its coupling and is capped at MAX_STEP_CELLS grid cells. Nothing is
-    checked here: run_tikhonov checks its inputs once per run.
+    drive is tikhonov_direction's drive for the ramp of phi and band the
+    ramp's band at phi (see smoothed_heaviside). The gate H'_eps(phi) is
+    band / eps, so with 1/eps in the scale 1 / (alpha eps) the drive is
+    gated by the band alone: the explicit step is one matvec by smooth =
+    ctx.smoothing / (alpha eps). The implicit step ignores smooth: it takes
+    helmholtz_solve with the gate in the coupling, divides by alpha eps and
+    caps the step at MAX_STEP_CELLS grid cells. Nothing is checked here.
     """
     # drive serves every step until the next evaluation, so it stays as is
     gated = drive * band
     if params.step == STEP_EXPLICIT:
-        dphi = helmholtz.solve(gated)
+        dphi = np.dot(smooth, gated)
     else:
         gate = band / eps
         coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
-        dphi = helmholtz.solve(gated, coupling)
+        dphi = helmholtz_solve(ctx, gated, coupling) / (params.alpha * eps)
         cap = MAX_STEP_CELLS * ctx.grid.hx
         largest = float(abs(dphi).max())
         if largest > cap:
@@ -166,10 +164,14 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     the stall count; record.final_eps is the band width the run ended with.
     """
     eps = params.resolve_eps(ctx.grid)
+    if params.eps_min is not None and not params.eps_min <= eps:
+        raise ValueError(f"eps_min must lie in (0, eps], here eps = {eps:g}")
     h = ctx.grid.hx
     n = ctx.grid.nx + 1
     lift = lift_matrix(ctx, params.beta)
-    helmholtz = NeumannHelmholtz(ctx, params.alpha * eps)
+    # the explicit step's matrix, per band width; an implicit run builds none
+    explicit = params.step == STEP_EXPLICIT
+    smooth = ctx.smoothing / (params.alpha * eps) if explicit else None
     # the band of the iterate the indicator saw last, which the step gets,
     # and the stacked vector of the drive
     band = np.empty(n, dtype=bool)
@@ -190,9 +192,8 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     def step(phi: np.ndarray, q: np.ndarray,
              drive: np.ndarray) -> tuple[np.ndarray, str | None]:
-        nonlocal eps, helmholtz, stalls
-        new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
-                                  helmholtz)
+        nonlocal eps, smooth, stalls
+        new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params, smooth)
         if math.sqrt(np.dot(dphi, dphi)) > moving:
             stalls = 0
             return new, None
@@ -202,7 +203,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
             # the mid-level set is taken on the ramp of the band the step used
             ramp = smoothed_heaviside(new, eps)
             eps = max(NARROW_FACTOR * eps, params.eps_min)
-            helmholtz = NeumannHelmholtz(ctx, params.alpha * eps)
+            smooth = ctx.smoothing / (params.alpha * eps) if explicit else None
             stalls = 0
             return redistance(ramp, ctx.grid.xs, h, eps), None
         stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
@@ -211,6 +212,6 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     out = run_flow(phi0, data, ctx, params, indicator, direction, step,
                    truth, snapshot_iters)
     out.final_eps = eps
-    out.final_band_nodes = int(np.count_nonzero(
-        band_mask(out.final_phi.values, eps)))
+    # the band the indicator read off the final iterate at the final eps
+    out.final_band_nodes = int(np.count_nonzero(band))
     return out

@@ -138,6 +138,14 @@ def test_nan_delta_rejected(grid64):
         CauchyData(g1=zero, g2=zero, delta=float("nan"), z=zero)
 
 
+def test_cauchy_data_lives_on_one_grid(grid64, grid64_h1):
+    zero, other = zero_trace(grid64, GAMMA1), zero_trace(grid64_h1, GAMMA1)
+    for g1, g2, z in ((other, zero, zero), (zero, other, zero),
+                      (zero, zero, other)):
+        with pytest.raises(ValueError, match="one grid"):
+            CauchyData(g1=g1, g2=g2, delta=0.0, z=z)
+
+
 def test_synthesis_validates_trace_homes(ctx64, grid64):
     with pytest.raises(ValueError):
         synthesize_cauchy_data(zero_trace(grid64, GAMMA1),

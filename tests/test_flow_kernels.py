@@ -29,7 +29,7 @@ from cauchyls.config import METHOD_TRANSPORT
 from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
                                   execute, prepare,
                                   transport_benchmark_config)
-from cauchyls.levelset import NeumannHelmholtz, redistance
+from cauchyls.levelset import redistance
 from cauchyls.record import (OBSERVE_CHUNK, STOP_DISCREPANCY,
                              STOP_MAX_ITERS, STOP_STAGNATION,
                              STOP_TARGET_ERROR, RunRecord, observe)
@@ -83,9 +83,9 @@ def _tikhonov_reference(setup, params):
         drive = tikhonov_direction(q.values, r.values, setup.ctx,
                                    lift_matrix(setup.ctx, params.beta),
                                    params.eta, np.empty(2 * n))
-        helmholtz = NeumannHelmholtz(setup.ctx, params.alpha * eps)
+        smooth = setup.ctx.smoothing / (params.alpha * eps)
         new, dphi = tikhonov_step(phi.values, drive, band, eps, setup.ctx,
-                                  params, helmholtz)
+                                  params, smooth)
         if params.eps_min is not None and eps > params.eps_min \
                 and np.max(np.abs(dphi)) <= narrow_tol:
             ramp = smoothed_heaviside(new, eps)

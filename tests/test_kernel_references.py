@@ -23,7 +23,7 @@ from scipy.linalg import solveh_banded
 from cauchyls import (TikhonovParams, build_grid, front_velocity,
                       operator_context, sharp_indicator, smoothed_heaviside,
                       smoothed_heaviside_deriv, tikhonov_step, upwind_step)
-from cauchyls.levelset import NeumannHelmholtz
+from cauchyls.levelset import helmholtz_solve
 from cauchyls.tikhonov import (MAX_STEP_CELLS, lift_matrix,
                                tikhonov_direction)
 
@@ -171,14 +171,16 @@ def test_helmholtz_solve_is_the_half_ends_solve(rhs, seed, scale):
     n = rhs.size
     grid = build_grid(1.0, 1.0, n - 1)
     diag, off = _helmholtz_matrix(n, grid.hx)
-    solver = NeumannHelmholtz(operator_context(grid), scale)
+    ctx = operator_context(grid)
     ab = np.vstack([np.concatenate(([0.0], off)), diag])
-    assert _agrees(solver.solve(rhs),
-                   solveh_banded(ab, _half_ends(rhs)) / scale)
+    banded = solveh_banded(ab, _half_ends(rhs))
+    assert _agrees(helmholtz_solve(ctx, rhs), banded)
+    # the explicit Tikhonov step's per-band-width matrix
+    assert _agrees(np.dot(ctx.smoothing / scale, rhs), banded / scale)
     coupling = np.random.default_rng(seed).normal(size=(n, n))
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     coupled = np.linalg.solve(dense + _half_ends(coupling), _half_ends(rhs))
-    assert _same_bytes(solver.solve(rhs, coupling), coupled / scale)
+    assert _same_bytes(helmholtz_solve(ctx, rhs, coupling), coupled)
 
 
 def _gather_step(phi, r, eps, ctx, params):
@@ -236,7 +238,7 @@ def test_tikhonov_step_is_the_gather_step(kind, case):
     drive = tikhonov_direction(ramp, r, ctx, lift_matrix(ctx, beta),
                                params.eta, np.empty(2 * (nx + 1)))
     new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
-                              NeumannHelmholtz(ctx, alpha * eps))
+                              ctx.smoothing / (alpha * eps))
     ref = _gather_step(phi, r, eps, ctx, params)
     assert np.abs(dphi - ref).max() <= CLOSED_FORM_RTOL * np.abs(ref).max()
     assert _same_bytes(new, phi + dphi)

@@ -211,7 +211,7 @@ def test_context_maps_are_built_on_first_use_and_read_only(grid16):
     q = trace_from_function(grid16, GAMMA2, lambda x: np.cos(np.pi * x))
     r = trace_from_function(grid16, GAMMA1, lambda x: np.cos(np.pi * x))
     ctx = OperatorContext(grid16)
-    assert not {"maps", "smoothing", "derivative", "normal"} \
+    assert not {"maps", "smoothing", "neumann", "derivative", "normal"} \
         & vars(ctx).keys()
     forward, adjoint = ctx.maps
     for m in (forward, adjoint):
@@ -313,7 +313,7 @@ def test_contexts_on_equal_grids_share_their_maps(grid16):
     assert not any(a is b for a, b in zip(other.maps, ctx.maps))
     # the lazily built matrices belong to the grid's one context
     assert twin.normal is ctx.normal and twin.smoothing is ctx.smoothing
-    assert twin.derivative is ctx.derivative
+    assert twin.derivative is ctx.derivative and twin.neumann is ctx.neumann
 
 
 @pytest.mark.parametrize("nx", [16, 64, 256, 1024])
@@ -331,7 +331,7 @@ def test_applies_give_the_bytes_of_the_matmul(nx):
 def test_every_cached_array_is_read_only(grid16):
     ctx = operator_context(grid16)
     arrays = (ctx.mu, *ctx.symbols, ctx._weights, ctx._norms, *ctx.maps,
-              ctx.smoothing, ctx.derivative, ctx.normal)
+              ctx.smoothing, ctx.neumann, ctx.derivative, ctx.normal)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError, TraceFn,
-                      apply_forward, build_grid, l2_norm_trace,
-                      quadrature_weights, zero_trace)
+from cauchyls import (GAMMA1, GAMMA2, CauchyData, SolverError,
+                      TikhonovParams, TraceFn, TransportParams, apply_forward,
+                      build_grid, l2_norm_trace, quadrature_weights,
+                      run_tikhonov, run_transport, zero_trace)
 from cauchyls.data import weighted_norm
 from cauchyls.record import (STAGNATION_STEPS, STOP_DISCREPANCY,
                              STOP_MAX_ITERS, STOP_REASONS, STOP_STAGNATION,
@@ -138,3 +139,31 @@ def test_run_flow_rejects_a_stop_outside_the_table(ctx16, grid16):
     with pytest.raises(ValueError, match="wandered_off"):
         run_flow(zero_trace(grid16, GAMMA2), data, ctx16, params,
                  lambda phi: phi, lambda q, r: r, step)
+
+
+def _inputs(grid):
+    """A zero profile, truth and Cauchy pair on grid, by name."""
+    zero1 = zero_trace(grid, GAMMA1)
+    return {"profile": zero_trace(grid, GAMMA2),
+            "truth": zero_trace(grid, GAMMA2),
+            "data": CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)}
+
+
+@pytest.mark.parametrize("run, params", [
+    (run_tikhonov, TikhonovParams(max_iters=3)),
+    (run_transport, TransportParams(max_iters=3)),
+], ids=["tikhonov", "transport"])
+@pytest.mark.parametrize("name, other", [
+    ("profile", build_grid(1.0, 0.5, 32)),
+    ("truth", build_grid(1.0, 1.0, 16)),
+    # the same nodes on another height: the wrong operator, same shapes
+    ("data", build_grid(1.0, 1.0, 16)),
+    ("data", build_grid(1.0, 0.5, 32)),
+], ids=["profile-nx", "truth-height", "data-height", "data-nx"])
+def test_flows_reject_inputs_off_the_context_grid(ctx16, grid16, run, params,
+                                                  name, other):
+    inputs = _inputs(grid16)
+    inputs[name] = _inputs(other)[name]
+    with pytest.raises(ValueError, match=f"^the {name} must"):
+        run(inputs["profile"], inputs["data"], ctx16, params,
+            truth=inputs["truth"])

@@ -13,7 +13,7 @@ from cauchyls import (GAMMA1, GAMMA2, OperatorContext, TikhonovParams,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
 from cauchyls.experiments import execute, exp1_config, exp2_config, prepare
-from cauchyls.levelset import NeumannHelmholtz
+from cauchyls.levelset import helmholtz_solve
 from cauchyls.record import STAGNATION_STEPS
 from cauchyls.tikhonov import lift_matrix, tikhonov_direction
 
@@ -44,7 +44,7 @@ def _step(phi, eps, data, ctx, params):
                                ctx, lift_matrix(ctx, params.beta),
                                params.eta, np.empty(2 * n))
     new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params,
-                              NeumannHelmholtz(ctx, params.alpha * eps))
+                              ctx.smoothing / (params.alpha * eps))
     assert np.array_equal(new, phi + dphi)
     return new
 
@@ -81,6 +81,17 @@ def test_step_and_band_options_validated():
         TikhonovParams(eps=0.01, eps_min=0.02)
     assert TikhonovParams(step="implicit", eps_min=0.01).eps_min == 0.01
     assert TikhonovParams(eps=0.02, eps_min=0.02).eps_min == 0.02
+
+
+def test_band_floor_checked_against_the_default_eps(ctx64, grid64):
+    # eps = None resolves to two cells at run time, so only the run can
+    # compare the floor with it
+    truth, data, phi0 = _problem(ctx64, grid64)
+    params = TikhonovParams(eps_min=1.0, max_iters=3)
+    with pytest.raises(ValueError, match=r"eps_min must lie in \(0, eps\]"):
+        run_tikhonov(phi0, data, ctx64, params, truth=truth)
+    floor = TikhonovParams(eps_min=2 * grid64.hx, max_iters=3)
+    assert run_tikhonov(phi0, data, ctx64, floor).final_eps == 2 * grid64.hx
 
 
 def test_default_eps_is_two_cells(grid64):
@@ -225,16 +236,31 @@ def test_band_continuation_ends_binary_on_the_truth(ctx64, grid64):
     assert rec.components[-1] == 1
 
 
-def test_implicit_runs_on_one_grid_share_one_gauss_newton_matrix():
-    # the Gauss-Newton matrix is built once per grid, on the grid's one
-    # cached context, so a second implicit run reuses the first run's
-    cfg = replace(exp1_config(), max_iters=2)
+def test_implicit_runs_on_one_grid_share_one_gauss_newton_matrix(
+        monkeypatch):
+    # the Gauss-Newton and the dense Neumann matrix are built once per grid,
+    # on the grid's one cached context, so a second implicit run reuses the
+    # first run's, and narrowing the band rebuilds neither. At alpha 1e12
+    # every step is short enough to narrow, so the band halves from 4 cells
+    # to its floor of 1/4 cell in the first four steps.
+    solved = []
+
+    def solve(ctx, rhs, coupling=None):
+        solved.append((ctx.normal, ctx.neumann))
+        return helmholtz_solve(ctx, rhs, coupling)
+
+    monkeypatch.setattr(tikhonov, "helmholtz_solve", solve)
+    cfg = replace(exp1_config(), alpha=1e12, max_iters=6)
     normals = []
     for setup in (prepare(cfg), prepare(cfg)):
-        run_tikhonov(setup.phi0, setup.data, setup.ctx,
-                     cfg.tikhonov_params(setup.grid.hx), setup.truth)
+        rec = run_tikhonov(setup.phi0, setup.data, setup.ctx,
+                           cfg.tikhonov_params(setup.grid.hx), setup.truth)
+        assert rec.final_eps == 0.25 * setup.grid.hx
         normals.append(vars(setup.ctx)["normal"])
     assert normals[0] is normals[1]
+    assert len(solved) == 2 * cfg.max_iters
+    assert all(normal is solved[0][0] and neumann is solved[0][1]
+               for normal, neumann in solved)
 
 
 def test_band_narrowing_restarts_the_stall_count(monkeypatch):
@@ -244,7 +270,7 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
     and so narrows the band; the stall count starts again from there."""
     calls = 0
 
-    def stub_step(phi, drive, band, eps, ctx, params, helmholtz):
+    def stub_step(phi, drive, band, eps, ctx, params, smooth):
         nonlocal calls
         calls += 1
         dphi = np.full(phi.size, 0.0 if calls == 10 else 1e-3)
@@ -263,13 +289,16 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
 def test_run_uses_the_context_it_is_given():
     """A run on an uncached context reads every matrix from that context:
     it does not even look the grid up in the per-grid cache, so the cache
-    gains no second context for the grid."""
+    gains no second context for the grid. Only the explicit step reads the
+    smoothing matrix."""
     grid = build_grid(1.0, 0.5, 48)
     ctx = OperatorContext(grid)
     truth, data, phi0 = _problem(ctx, grid)
-    for step in ("explicit", "implicit"):
+    for step in ("implicit", "explicit"):
         before = operator_context.cache_info()
         run_tikhonov(phi0, data, ctx, TikhonovParams(step=step, max_iters=3),
                      truth=truth)
         assert operator_context.cache_info() == before
-    assert {"smoothing", "derivative", "normal"} <= vars(ctx).keys()
+        assert ("smoothing" in vars(ctx)) == (step == "explicit")
+    assert {"smoothing", "neumann", "derivative", "normal"} \
+        <= vars(ctx).keys()
