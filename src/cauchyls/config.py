@@ -59,7 +59,6 @@ class RunConfig:
     max_iters: int = 5000
     target_error: float | None = None
     dt: float = 1.0
-    eps_clamp: float = 0.1
     truth_intervals: tuple[Interval, ...] = ((0.2, 0.4), (0.6, 0.8))
     init_intervals: tuple[Interval, ...] = ((0.4, 0.6),)
     init_constant: float | None = None
@@ -158,8 +157,8 @@ class RunConfig:
 
     def transport_params(self) -> TransportParams:
         return TransportParams(
-            dt=self.dt, eps_clamp=self.eps_clamp, tau=self.tau,
-            max_iters=self.max_iters, target_error=self.target_error)
+            dt=self.dt, tau=self.tau, max_iters=self.max_iters,
+            target_error=self.target_error)
 
 
 def _parse_interval_list(text: str, key: str) -> tuple[Interval, ...]:
@@ -201,7 +200,6 @@ _KEYS = {
     "method.max_iters": ("max_iters", lambda v, k: int(v)),
     "method.target_error": ("target_error", lambda v, k: float(v)),
     "method.dt": ("dt", lambda v, k: float(v)),
-    "method.eps_clamp": ("eps_clamp", lambda v, k: float(v)),
     "truth.intervals": ("truth_intervals", _parse_interval_list),
     "init.intervals": ("init_intervals", _parse_interval_list),
     "init.constant": ("init_constant", lambda v, k: float(v)),

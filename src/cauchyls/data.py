@@ -49,19 +49,14 @@ def synthesize_cauchy_data(true_q: TraceFn, g1_fine: TraceFn,
     """Exact Cauchy pair on the inversion grid from the fine grid's bottom
     flux (operator.bottom_flux: cosine transforms, no dense maps).
 
-    true_q and g1_fine live on ctx_fine's grid; the fine grid must be nested
-    in the inversion grid (equal grids are allowed for same-grid closure
-    tests); bottom_flux rejects them otherwise. The offset z is computed on
-    the inversion grid from the injected Dirichlet datum.
+    true_q and g1_fine live on ctx_fine's grid, nested in the inversion grid
+    or equal to it (ratio 1, as in same-grid closure tests); bottom_flux and
+    restrict_trace reject them otherwise. The offset z is computed on the
+    inversion grid from the injected Dirichlet datum.
     """
-    fine, inv = ctx_fine.grid, ctx_inv.grid
-    g2_fine = bottom_flux(ctx_fine, true_q, g1_fine)
-
-    if fine == inv:
-        g1, g2 = g1_fine, g2_fine
-    else:
-        g1 = restrict_trace(g1_fine, inv)
-        g2 = restrict_trace(g2_fine, inv)
+    inv = ctx_inv.grid
+    g1 = restrict_trace(g1_fine, inv)
+    g2 = restrict_trace(bottom_flux(ctx_fine, true_q, g1_fine), inv)
     z = compute_offset_z(ctx_inv, g1)
     return CauchyData(g1=g1, g2=g2, delta=0.0, z=z)
 

@@ -149,15 +149,14 @@ def redistance(vals: np.ndarray, x: np.ndarray, h: float,
     return np.clip(phi, -3.0 * eps, 3.0 * eps)
 
 
-def component_count(q: np.ndarray,
-                    threshold: float = 0.5) -> int | np.ndarray:
-    """Number of maximal runs of nodes with q > threshold.
+def component_count(q: np.ndarray) -> int | np.ndarray:
+    """Components of the mid-level set, maximal runs of nodes with q > 1/2.
 
     A 2-D q is a stack of rows, and the result the array of their counts:
     one rising-edge count per row.
     """
-    above = np.asarray(q, dtype=float) > threshold
-    # a run starts at each rising edge and at a first node above threshold
+    above = np.asarray(q, dtype=float) > 0.5
+    # a run starts at each rising edge and at a first node above 1/2
     counts = np.add.reduce(above[..., 1:] > above[..., :-1], axis=-1) \
         + np.add.reduce(above[..., :1], axis=-1)
     return int(counts) if above.ndim == 1 else counts

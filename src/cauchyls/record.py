@@ -8,6 +8,7 @@ flow measure is at most STAGNATION_TOL. All are in STOP_REASONS.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -105,16 +106,15 @@ class RunRecord:
 def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
              indicator: Callable[[np.ndarray], np.ndarray],
              direction: Callable[[np.ndarray, np.ndarray], Any],
-             step: Callable[[np.ndarray, np.ndarray, Any],
-                            tuple[np.ndarray, str | None]],
+             step: Callable[[np.ndarray, Any], tuple[np.ndarray, str | None]],
              truth: TraceFn | None = None, snapshot_iters=()) -> RunRecord:
-    """Iterate a level-set flow phi -> step(phi, q, d) to a stop rule.
+    """Iterate a level-set flow phi -> step(phi, d) to a stop rule.
 
     The loop works on nodal value arrays. phi0, truth (top-edge traces) and
     data lie on the context grid, checked once here. indicator(phi) maps
     profile values to flux values q. direction(q, r), with r the values of
     the residual F q - rhs on the bottom edge, gives d, what the flow's step
-    needs of q and r. step(phi, q, d) returns the next profile values and
+    needs of q and r. step(phi, d) returns the next profile values and
     None, or the STOP_REASONS name of a stop of its flow that holds there.
     None of the three validates its input (run_flow checks each profile
     for finiteness and builds TraceFns only for final_phi and final_q) or
@@ -142,7 +142,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     named; for noisy data (delta > 0) at the first residual norm at most
     params.tau * delta, which requires tau > 1; at params.target_error when
     a truth flux is supplied; after params.max_iters steps. A name outside
-    STOP_REASONS raises ValueError, and a non-finite profile SolverError.
+    STOP_REASONS raises ValueError, and a non-finite profile or live
+    residual norm SolverError.
     """
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
@@ -199,6 +200,9 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             serves.append(1)
             if live_residual:
                 res_norm = weighted_norm(r, w)
+                if not math.isfinite(res_norm):
+                    raise SolverError(f"iteration {k}: the residual norm is "
+                                      f"not finite")
                 norms.append(res_norm)
             if live_error:
                 err = weighted_norm(q - target, w)
@@ -221,7 +225,7 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
             k += 1
             if not directed:
                 d, directed = direction(q, r), True
-            phi, stop = step(phi, q, d)
+            phi, stop = step(phi, d)
             if not np.isfinite(phi).all():
                 raise SolverError(f"iteration {k}: the level-set step "
                                   f"produced non-finite values")

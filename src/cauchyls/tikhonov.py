@@ -190,8 +190,8 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     def direction(q: np.ndarray, r: np.ndarray) -> np.ndarray:
         return tikhonov_direction(q, r, ctx, lift, params.eta, stack)
 
-    def step(phi: np.ndarray, q: np.ndarray,
-             drive: np.ndarray) -> tuple[np.ndarray, str | None]:
+    def step(phi: np.ndarray, drive: np.ndarray
+             ) -> tuple[np.ndarray, str | None]:
         nonlocal eps, smooth, stalls
         new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params, smooth)
         if math.sqrt(np.dot(dphi, dphi)) > moving:

@@ -22,18 +22,15 @@ from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
                      RunRecord, run_flow)
 
 VELOCITY_FLOOR = 1e-12
+# front_velocity's floor on |2q - 1|
+SIGN_CLAMP = 0.1
 
 
 @dataclass(frozen=True)
 class TransportParams:
-    """Step cap dt and indicator-sign clamp eps_clamp.
-
-    eps_clamp only acts on a fractional indicator: the sharp indicator has
-    |2q - 1| = 1 at every node.
-    """
+    """Step cap dt, discrepancy factor tau, iteration cap and target error."""
 
     dt: float = 1.0
-    eps_clamp: float = 0.1
     tau: float = 1.5
     max_iters: int = 5000
     target_error: float | None = None
@@ -41,19 +38,16 @@ class TransportParams:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.eps_clamp <= 1:
-            raise ValueError("eps_clamp must lie in (0, 1]")
         if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
 
 
-def front_velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
-                   h: float) -> np.ndarray:
+def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     """Velocity V = psi' with -psi'' = f = 2 * grad / (2q - 1) on nodes of
     spacing h; grad is the adjoint-applied residual.
 
     psi vanishes at both ends of the top edge. The denominator is clamped
-    away from zero at eps_clamp, with sign +1 at an exact zero; that only
+    away from zero at SIGN_CLAMP, with sign +1 at an exact zero; that only
     acts on a fractional q, since a sharp q has |2q - 1| = 1. V is the
     centered difference of the discrete Dirichlet solution psi inside and
     zero at the two end nodes, in closed form: on nodes 0..m, with c_0 = 0
@@ -64,7 +58,7 @@ def front_velocity(q: np.ndarray, grad: np.ndarray, eps_clamp: float,
     """
     s = 2.0 * q[1:-1] - 1.0
     # 2q - 1 is +0.0, never -0.0, at q = 1/2, so copysign gives sign +1
-    s = np.copysign(np.maximum(np.abs(s), eps_clamp), s)
+    s = np.copysign(np.maximum(np.abs(s), SIGN_CLAMP), s)
     # the same V_i = 2 h (e - c_i + g_i / 2) in g = f / 2 and its sums;
     # short of overflow and underflow, the factors of two are exact
     g = grad[1:-1] / s
@@ -142,11 +136,10 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     stalls = 0
 
     def direction(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
-        v = front_velocity(q, ctx.adjoint(r), params.eps_clamp, h)
+        v = front_velocity(q, ctx.adjoint(r), h)
         return v, float(np.max(np.abs(v)))
 
-    def step(phi: np.ndarray, q: np.ndarray,
-             velocity: tuple[np.ndarray, float]
+    def step(phi: np.ndarray, velocity: tuple[np.ndarray, float]
              ) -> tuple[np.ndarray, str | None]:
         nonlocal stalls
         v, vmax = velocity

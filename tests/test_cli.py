@@ -76,8 +76,9 @@ def test_inputs_that_would_crash_later_exit_2(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("line, fragment", [
-    # not a key: transport's step length has no option
+    # not keys: transport's step length and sign clamp have no option
     ("method.cfl_max = 0.9", "unknown key 'method.cfl_max'"),
+    ("method.eps_clamp = 0.1", "unknown key 'method.eps_clamp'"),
     # eta^2 underflows to 0
     ("method.eta = 1e-300", "error: method.eta "),
 ])
@@ -127,6 +128,24 @@ def test_non_finite_iterate_exits_3(out_root, tmp_path, capsys):
     assert main(["solve", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: iteration 1") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["tikhonov", "transport"])
+def test_overflowing_residual_norm_exits_3(out_root, tmp_path, capsys,
+                                           method):
+    # noise of size 1e155 squares past the largest double in the residual
+    # norm, where the discrepancy stop could never fire; at 1e154 it still
+    # fires on the initial iterate
+    base = (f"geometry.nx = 16\nmethod = {method}\nmethod.max_iters = 3\n"
+            f"output.directory = runs/n\n")
+    cfg = _write_cfg(tmp_path, f"{base}data.noise_level = 1e154\n")
+    assert main(["solve", cfg]) == 0
+    assert "stopped at iteration 0 (discrepancy)" in capsys.readouterr().out
+    cfg = _write_cfg(tmp_path, f"{base}data.noise_level = 1e155\n")
+    assert main(["solve", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: iteration 0: the residual norm") \
         and err.count("\n") == 1
 
 
@@ -284,6 +303,16 @@ def test_unknown_experiment_name(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_experiment_exp1_end_to_end(out_root, capsys):
+    # exact data: the seed splits into the two inclusions, then the band
+    # narrows until the target error fires
+    assert main(["experiment", "exp1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("exp1: stop target_error@326") \
+        and "split at iter 26" in out
+    assert (out_root / "runs" / "exp1" / "history.csv").is_file()
+
+
 def test_experiment_exp3_end_to_end(out_root, capsys):
     # the noisy run stops by discrepancy after a handful of iterations
     assert main(["experiment", "exp3"]) == 0
@@ -317,7 +346,6 @@ _VALUES = {
     "method.tau": st.floats(0.5, 3.0),
     "method.target_error": st.floats(-0.1, 1.0),
     "method.dt": st.floats(1e-4, 10.0),
-    "method.eps_clamp": st.floats(0.0, 1.5),
     "truth.intervals": _pairs(st.floats(-0.1, 1.1)),
     "init.intervals": _pairs(st.floats(-0.1, 1.1)),
     "init.constant": st.floats(-2.0, 2.0),

@@ -26,7 +26,6 @@ method.tau = 2.0
 method.max_iters = 123
 method.target_error = 0.05
 method.dt = 0.25
-method.eps_clamp = 0.2
 
 truth.intervals = 0.2:0.4, 0.6:0.8
 init.intervals = 0.45:0.55
@@ -44,7 +43,7 @@ def test_full_round_trip():
     assert cfg.alpha == 50.0 and cfg.beta == 0.002 and cfg.eps_cells == 3.0
     assert cfg.tau == 2.0 and cfg.max_iters == 123
     assert cfg.target_error == 0.05
-    assert cfg.dt == 0.25 and cfg.eps_clamp == 0.2
+    assert cfg.dt == 0.25
     assert cfg.truth_intervals == ((0.2, 0.4), (0.6, 0.8))
     assert cfg.init_intervals == ((0.45, 0.55),)
     assert cfg.noise_level == 0.1 and cfg.seed == 99
@@ -87,7 +86,7 @@ def test_malformed_lines_rejected(line, fragment):
     "geometry.height = 0",
     "method = magic",
     "method.alpha = -1",
-    # not a key: transport's step length has no option
+    # not keys: transport's step length and sign clamp have no option
     "method.cfl_max = 0.99",
     "method.cfl_max = 1e-300",
     "method.eps_clamp = 2",
@@ -97,6 +96,7 @@ def test_malformed_lines_rejected(line, fragment):
     "method.step = magic",
     "method.eps_min_cells = 0",
     "method.eps_cells = 2\nmethod.eps_min_cells = 3",
+    "data.noise_level = -0.1",
     "data.seed = -1",
     "output.snapshots = 0, -3",
     "geometry.nx = 1025\ngeometry.refine = 1",
@@ -155,7 +155,6 @@ def test_non_finite_field_set_in_code_rejected(field, value):
     ("method.eta = 0", "method.eta"),
     ("method.max_iters = -1", "method.max_iters"),
     ("method.dt = 0", "method.dt"),
-    ("method.eps_clamp = 0", "method.eps_clamp"),
     # eta^2 underflows to 0, where curvature_term would divide 0 by 0
     ("method.eta = 1e-300", "method.eta"),
 ])
@@ -179,8 +178,7 @@ def test_params_take_every_field_from_the_config():
     # would keep the params default
     cfg = replace(RunConfig(), alpha=7.0, beta=0.5, eps_cells=3.0,
                   eps_min_cells=0.5, step="implicit", eta=1e-3, tau=2.5,
-                  max_iters=9, target_error=0.25, dt=0.125,
-                  eps_clamp=0.5).validate()
+                  max_iters=9, target_error=0.25, dt=0.125).validate()
     for params in (cfg.tikhonov_params(0.25), cfg.transport_params()):
         default = type(params)()
         for f in fields(params):

@@ -144,6 +144,9 @@ def test_cauchy_data_lives_on_one_grid(grid64, grid64_h1):
                       (zero, zero, other)):
         with pytest.raises(ValueError, match="one grid"):
             CauchyData(g1=g1, g2=g2, delta=0.0, z=z)
+    # every part lives on the bottom edge
+    with pytest.raises(ValueError, match="bottom edge"):
+        CauchyData(g1=zero_trace(grid64, GAMMA2), g2=zero, delta=0.0, z=zero)
 
 
 def test_synthesis_validates_trace_homes(ctx64, grid64):

@@ -107,7 +107,7 @@ def _transport_reference(setup, params):
 
     def step(phi, q, r):
         grad = apply_adjoint(setup.ctx, r).values
-        v = front_velocity(q.values, grad, params.eps_clamp, h)
+        v = front_velocity(q.values, grad, h)
         new, dt = transport_step(phi.values, v, float(np.max(np.abs(v))),
                                  params.dt, h)
         dts.append(dt)

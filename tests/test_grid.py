@@ -87,6 +87,9 @@ def test_transfer_rejects_non_nested_grids():
     b = build_grid(1.0, 0.5, 8)
     with pytest.raises(ValueError):
         restrict_trace(zero_trace(a, GAMMA2), b)
+    # grids of another rectangle are not nested
+    with pytest.raises(ValueError, match="different rectangles"):
+        restrict_trace(zero_trace(build_grid(1.0, 1.0, 8), GAMMA2), b)
 
 
 def test_grid_guards():

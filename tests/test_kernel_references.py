@@ -26,6 +26,7 @@ from cauchyls import (TikhonovParams, build_grid, front_velocity,
 from cauchyls.levelset import helmholtz_solve
 from cauchyls.tikhonov import (MAX_STEP_CELLS, lift_matrix,
                                tikhonov_direction)
+from cauchyls.transport import SIGN_CLAMP
 
 
 def _clip_ramp(t, eps):
@@ -270,9 +271,9 @@ def test_velocity_is_the_banded_poisson_velocity(nx, seed, sharp, size):
         q = sharp_indicator(q - 0.5)
     grad = size * rng.uniform(-1.0, 1.0, size=nx + 1)
     h = 1.0 / nx
-    v = front_velocity(q, grad, 0.1, h)
+    v = front_velocity(q, grad, h)
     assert v[0] == 0.0 and v[-1] == 0.0
-    assert _agrees(v, _banded_velocity(q, grad, 0.1, h))
+    assert _agrees(v, _banded_velocity(q, grad, SIGN_CLAMP, h))
 
 
 @st.composite

@@ -38,6 +38,14 @@ def test_ramp_derivative_values(t, eps, expected):
     assert smoothed_heaviside_deriv(np.array([t]), eps)[0] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("ramp", [smoothed_heaviside,
+                                  smoothed_heaviside_deriv])
+def test_ramp_rejects_a_band_of_no_width(ramp):
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps"):
+            ramp(np.zeros(3), eps)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3.0))
 def test_ramp_monotone_and_bounded(t1, t2, eps):
@@ -117,6 +125,8 @@ def test_init_levelset_rejects_bad_intervals():
         init_levelset(g, ((0.4, 0.4),), 0.1)
     with pytest.raises(ValueError):
         init_levelset(g, ((0.1, 0.5), (0.4, 0.8)), 0.1)
+    with pytest.raises(ValueError, match="eps"):
+        init_levelset(g, ((0.4, 0.6),), 0.0)
 
 
 # -- screened Poisson solve ---------------------------------------------------

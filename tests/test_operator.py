@@ -366,6 +366,8 @@ def test_decay_slope_recovers_synthetic_rate():
     k = np.arange(1, 30)
     sigma = np.exp(-0.8 * k)
     assert decay_slope(sigma) == pytest.approx(-0.8, abs=1e-9)
+    with pytest.raises(ValueError, match="at least 30 singular values"):
+        decay_slope(sigma, 2, 30)
 
 
 def test_spectrum_decay_steepens_with_height(ctx64, ctx64_h1):

@@ -139,6 +139,16 @@ def test_coefficient_below_its_bound_is_rejected():
             MixedSolver(g, Coefficient(fn=lambda x, y: bad + 0 * x), pattern)
     MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x, alpha=0.5),
                 pattern)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        Coefficient(alpha=0.0)
+
+
+def test_field_validation_rejects_bad_values():
+    g = build_grid(1.0, 0.5, 8)
+    with pytest.raises(ValueError, match="shape"):
+        Field(g, np.zeros((g.nx + 1, g.ny + 1)))
+    with pytest.raises(ValueError, match="finite"):
+        Field(g, np.full((g.ny + 1, g.nx + 1), np.inf))
 
 
 def test_spec_requires_every_part():

@@ -96,7 +96,7 @@ def test_run_flow_stop_rules_and_precedence(ctx16, grid16, stall, delta,
     def indicator(phi):
         return truth.values if phi[0] >= N else np.zeros_like(truth.values)
 
-    def step(phi, q, d):
+    def step(phi, d):
         phi = phi + 1.0
         return phi, STOP_STAGNATION if stall and phi[0] >= N else None
 
@@ -116,7 +116,7 @@ def test_run_flow_names_the_step_that_breaks_down(ctx16, grid16):
     zero1 = zero_trace(grid16, GAMMA1)
     data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
 
-    def step(phi, q, d):
+    def step(phi, d):
         # 1 -> 1e308 -> overflow
         return phi * 1e308, None
 
@@ -132,7 +132,7 @@ def test_run_flow_rejects_a_stop_outside_the_table(ctx16, grid16):
     zero1 = zero_trace(grid16, GAMMA1)
     data = CauchyData(g1=zero1, g2=zero1, delta=0.0, z=zero1)
 
-    def step(phi, q, d):
+    def step(phi, d):
         return phi, "wandered_off"
 
     params = SimpleNamespace(tau=1.5, max_iters=5, target_error=None)
