@@ -61,7 +61,6 @@ class RunConfig:
     dt: float = 1.0
     truth_intervals: tuple[Interval, ...] = ((0.2, 0.4), (0.6, 0.8))
     init_intervals: tuple[Interval, ...] = ((0.4, 0.6),)
-    init_constant: float | None = None
     noise_level: float = 0.0
     seed: int = 7
     output_dir: str = "runs/run"
@@ -125,8 +124,6 @@ class RunConfig:
         if self.noise_level > 0 and not self.tau > 1:
             raise ConfigError("the discrepancy principle requires method.tau > 1 "
                               "when data.noise_level > 0")
-        if self.target_error is not None and self.target_error <= 0:
-            raise ConfigError("method.target_error must be positive")
         if self.truth_intervals is None:
             raise ConfigError("truth.intervals is required: the data are "
                               "synthesized from it")
@@ -202,7 +199,6 @@ _KEYS = {
     "method.dt": ("dt", lambda v, k: float(v)),
     "truth.intervals": ("truth_intervals", _parse_interval_list),
     "init.intervals": ("init_intervals", _parse_interval_list),
-    "init.constant": ("init_constant", lambda v, k: float(v)),
     "data.noise_level": ("noise_level", lambda v, k: float(v)),
     "data.seed": ("seed", lambda v, k: int(v)),
     "output.directory": ("output_dir", lambda v, k: v.strip()),

@@ -19,7 +19,7 @@ import numpy as np
 from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError, RunConfig
 from .data import l2_norm_trace, synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
-from .levelset import init_levelset
+from .levelset import init_levelset, interval_mask
 from .operator import CauchyData, OperatorContext, operator_context
 from .record import RunRecord
 from .tikhonov import STEP_IMPLICIT, run_tikhonov
@@ -32,11 +32,7 @@ EXPERIMENT_NAMES = ("exp1", "exp2", "exp3")
 
 def indicator_trace(grid: Grid, intervals) -> TraceFn:
     """Nodal indicator of a union of intervals on the top edge."""
-    x = grid.xs
-    vals = np.zeros(x.size)
-    for a, b in intervals:
-        vals[(x >= a) & (x <= b)] = 1.0
-    return TraceFn(grid, GAMMA2, vals)
+    return TraceFn(grid, GAMMA2, interval_mask(grid.xs, intervals).astype(float))
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
         data = with_noise(data, cfg.noise_level, cfg.seed)
 
     eps = cfg.eps_cells * grid.hx
-    phi0 = init_levelset(grid, cfg.init_intervals, eps,
-                         constant=cfg.init_constant)
+    phi0 = init_levelset(grid, cfg.init_intervals, eps)
     truth = indicator_trace(grid, cfg.truth_intervals)
     return RunSetup(cfg=cfg, grid=grid, ctx=ctx, data=data, phi0=phi0,
                     truth=truth, eps=eps)

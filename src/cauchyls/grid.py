@@ -1,10 +1,11 @@
-"""Rectangular grids, boundary bookkeeping and trace transfer.
+"""Rectangular grids, boundary bookkeeping and edge-trace transfer.
 
 The domain is the open strip (0, width) x (0, height), discretized with a
 uniform node-centered grid. The boundary splits into three named parts:
 the bottom edge (where Cauchy data lives), the top edge (where the unknown
 flux lives) and the two lateral sides. Corner nodes are owned by the
 horizontal edges so that every boundary node belongs to exactly one part.
+Only edge traces transfer between nested grids; side traces are rejected.
 """
 
 from __future__ import annotations
@@ -137,38 +138,26 @@ def quadrature_weights(grid: Grid, part: BoundaryPart) -> np.ndarray:
     return np.full(2 * (grid.ny - 1), grid.hy)
 
 
-def _check_nested(fine: Grid, coarse: Grid) -> tuple[int, int]:
+def _check_nested(fine: Grid, coarse: Grid, part: BoundaryPart) -> int:
+    if part is GAMMA3:
+        raise ValueError("only edge traces transfer between grids")
     if (fine.width, fine.height) != (coarse.width, coarse.height):
         raise ValueError("grids cover different rectangles")
     if fine.nx % coarse.nx or fine.ny % coarse.ny:
         raise ValueError("fine grid is not nested in the coarse grid")
-    return fine.nx // coarse.nx, fine.ny // coarse.ny
+    return fine.nx // coarse.nx
 
 
 def restrict_trace(t: TraceFn, coarse: Grid) -> TraceFn:
-    """Injection of a fine-grid trace onto a nested coarse grid (no smoothing)."""
-    kx, ky = _check_nested(t.grid, coarse)
-    if t.part in (GAMMA1, GAMMA2):
-        return TraceFn(coarse, t.part, t.values[::kx].copy())
-    nf, nc = t.grid.ny, coarse.ny
-    j = np.arange(1, nc) * ky  # fine side index of each coarse side node
-    left, right = t.values[: nf - 1], t.values[nf - 1 :]
-    return TraceFn(coarse, t.part, np.concatenate([left[j - 1], right[j - 1]]))
+    """Injection of an edge trace onto a nested coarser grid (no smoothing)."""
+    kx = _check_nested(t.grid, coarse, t.part)
+    return TraceFn(coarse, t.part, t.values[::kx].copy())
 
 
 def prolong_trace(t: TraceFn, fine: Grid) -> TraceFn:
-    """Linear interpolation of a coarse trace onto a nested fine grid.
+    """Linear interpolation of a coarse edge trace onto a nested fine grid.
 
     Restricting the result recovers the coarse trace exactly.
     """
-    kx, ky = _check_nested(fine, t.grid)
-    if t.part in (GAMMA1, GAMMA2):
-        vals = np.interp(fine.xs, t.grid.xs, t.values)
-        return TraceFn(fine, t.part, vals)
-    # sides: interpolate in y per side, extending flat past the end nodes
-    yc = np.arange(1, t.grid.ny) * t.grid.hy
-    yf = np.arange(1, fine.ny) * fine.hy
-    nc = t.grid.ny
-    left = np.interp(yf, yc, t.values[: nc - 1])
-    right = np.interp(yf, yc, t.values[nc - 1 :])
-    return TraceFn(fine, t.part, np.concatenate([left, right]))
+    _check_nested(fine, t.grid, t.part)
+    return TraceFn(fine, t.part, np.interp(fine.xs, t.grid.xs, t.values))

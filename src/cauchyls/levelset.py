@@ -6,8 +6,9 @@ Heaviside: q = H_eps(phi) ramps from 0 to 1 as phi crosses the band
 normalized slope inside the total-variation curvature source, the
 screened-Poisson smoothing used by the gradient flow (one matvec by the
 context's cached cosine-diagonal inverse, or a dense solve on its cached
-Neumann matrix when a coupling is added), signed-distance initialization
-and redistancing, and connected-component counts.
+Neumann matrix when a coupling is added), interval membership, the
+signed distance to a set of fronts (interval ends for initialization,
+1/2-crossings for redistancing) and connected-component counts.
 """
 
 from __future__ import annotations
@@ -86,21 +87,33 @@ def solve_helmholtz_neumann(rhs: TraceFn,
         helmholtz_solve(operator_context(rhs.grid), rhs.values, coupling))
 
 
-def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
-                  eps: float, constant: float | None = None) -> TraceFn:
-    """Signed-distance-like profile for a union of intervals on the top edge.
+def interval_mask(x: np.ndarray, intervals) -> np.ndarray:
+    """Membership of each x in a union of closed intervals [a, b]."""
+    inside = np.zeros(x.size, dtype=bool)
+    for a, b in intervals:
+        inside |= (x >= a) & (x <= b)
+    return inside
 
-    phi(x) = dist(x, complement of D) - dist(x, D), clipped to [-3 eps,
-    3 eps], so crossings start with unit slope. An empty union gives the
-    constant -3 eps; passing constant short-circuits to that value.
+
+def _signed_distance(x: np.ndarray, fronts: np.ndarray,
+                     inside: np.ndarray) -> np.ndarray:
+    """Distance from each node x to the nearest front, positive where inside
+    and negative elsewhere; +-inf when there is no front."""
+    dist = np.abs(x[:, None] - fronts[None, :]).min(axis=1, initial=np.inf)
+    return np.where(inside, dist, -dist)
+
+
+def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
+                  eps: float) -> TraceFn:
+    """Signed-distance profile for a union of disjoint intervals on the top
+    edge, clipped to [-3 eps, 3 eps], so crossings start with unit slope.
+
+    The fronts are the interval ends: for disjoint intervals the nearest
+    end is the nearest boundary point of the union, inside and outside. An
+    empty union has no front and gives the constant -3 eps.
     """
-    x = grid.xs
-    if constant is not None:
-        return TraceFn(grid, GAMMA2, np.full(x.size, float(constant)))
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if len(intervals) == 0:
-        return TraceFn(grid, GAMMA2, np.full(x.size, -3.0 * eps))
     ivals = sorted((float(a), float(b)) for a, b in intervals)
     for a, b in ivals:
         if not a < b:
@@ -108,19 +121,9 @@ def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
     for (_, b0), (a1, _) in zip(ivals, ivals[1:]):
         if b0 >= a1:
             raise ValueError("intervals must be disjoint")
-
-    dist_to_d = np.full(x.size, np.inf)
-    dist_inside = np.full(x.size, np.inf)
-    inside = np.zeros(x.size, dtype=bool)
-    for a, b in ivals:
-        dist_to_d = np.minimum(dist_to_d, np.maximum(np.maximum(a - x, x - b), 0.0))
-        member = (x >= a) & (x <= b)
-        inside |= member
-        # distance to the complement, seen from inside this interval
-        dist_inside = np.where(member,
-                               np.minimum(dist_inside, np.minimum(x - a, b - x)),
-                               dist_inside)
-    phi = np.where(inside, dist_inside, -dist_to_d)
+    x = grid.xs
+    phi = _signed_distance(x, np.array(ivals).reshape(-1),
+                           interval_mask(x, ivals))
     return TraceFn(grid, GAMMA2, np.clip(phi, -3.0 * eps, 3.0 * eps))
 
 
@@ -131,21 +134,18 @@ def redistance(vals: np.ndarray, x: np.ndarray, h: float,
 
     The fronts sit where the piecewise-linear interpolant of q crosses 1/2;
     the side walls are not fronts. The new profile is the signed distance to
-    the nearest front (positive inside) shifted down by eps/2, the ramp
-    value 1/2, and clipped to [-3 eps, 3 eps] like init_levelset. A node
-    therefore stays in the band only if a front lies within eps/2 of it.
+    the nearest front shifted down by eps/2, the ramp value 1/2, and clipped
+    to [-3 eps, 3 eps] like init_levelset, so a q without fronts gives the
+    constant 3 eps or -3 eps. A node therefore stays in the band only if a
+    front lies within eps/2 of it.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     inside = vals > 0.5
     cross = np.flatnonzero(inside[1:] != inside[:-1])
-    if cross.size == 0:
-        phi = np.where(inside, 3.0 * eps, -3.0 * eps)
-    else:
-        lo, hi = vals[cross], vals[cross + 1]
-        fronts = x[cross] + h * (0.5 - lo) / (hi - lo)
-        dist = np.abs(x[:, None] - fronts[None, :]).min(axis=1)
-        phi = np.where(inside, dist, -dist) - 0.5 * eps
+    lo, hi = vals[cross], vals[cross + 1]
+    fronts = x[cross] + h * (0.5 - lo) / (hi - lo)
+    phi = _signed_distance(x, fronts, inside) - 0.5 * eps
     return np.clip(phi, -3.0 * eps, 3.0 * eps)
 
 

@@ -24,7 +24,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import GAMMA1, GAMMA2, BoundaryPart, Grid, TraceFn
+from .grid import (GAMMA1, GAMMA2, BoundaryPart, Grid, TraceFn,
+                   quadrature_weights)
 from .pde import Coefficient, SolverError, conormal_values
 
 # decay_slope fits log(sigma_k) up to this 1-based position by default
@@ -98,11 +99,10 @@ class OperatorContext:
         nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
         self.grid = grid
         k = np.arange(nx + 1)
-        self._weights = np.ones(nx + 1)
-        self._weights[[0, -1]] = 0.5
+        # trapezoid weights over hx, 1/2 at the ends (exact: a power of 2)
+        self._weights = quadrature_weights(grid, GAMMA2) / hx
         # 2 N_k: the FFT of the even extension sums every interior node twice
-        self._norms = np.full(nx + 1, float(nx))
-        self._norms[[0, -1]] = 2.0 * nx
+        self._norms = nx / self._weights
 
         # Eliminating T_k from the top row down leaves the pivot
         # cosh((j + 1) theta) / (hy cosh(j theta)) at j rows below the top

@@ -23,7 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn
+from .grid import (GAMMA1, GAMMA2, GAMMA3, BoundaryPart, Grid, TraceFn,
+                   quadrature_weights)
 
 # relative residual bound every linear solve must meet
 SOLVER_RTOL = 1e-10
@@ -158,8 +159,7 @@ class MixedSolver:
 
         # cell sides each node owns: half cells on edges, quarter cells at
         # corners
-        sx = np.full(nx + 1, hx)
-        sx[0] = sx[-1] = 0.5 * hx
+        sx = quadrature_weights(g, GAMMA2)
         sy = np.full(ny + 1, hy)
         sy[0] = sy[-1] = 0.5 * hy
 

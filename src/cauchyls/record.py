@@ -130,12 +130,13 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
 
     Per evaluation, run_flow computes only the values a stop rule reads: the
     residual norm when the data carries noise (delta > 0), and the error
-    when a truth and params.target_error are both given. Every other
-    history value is observed in batches: the q and r arrays of up to
-    OBSERVE_CHUNK evaluations wait on a pending list, with the number of
-    iterates each serves, and one weighted_norm and one observe call over
-    their stacks give the values when the list is full and at the stop.
-    Each value has the bytes of its per-iterate computation.
+    when a truth and params.target_error are both given. The history is
+    observed in batches, the same way for every run: the q and r arrays of
+    up to OBSERVE_CHUNK evaluations wait on a pending list, with the number
+    of iterates each serves, and one weighted_norm and one observe call
+    over their stacks give the values when the list is full and at the
+    stop. Each value has the bytes of its per-iterate computation, so a
+    recorded value equals the one its stop rule read.
 
     params supplies tau, max_iters and target_error. After recording an
     iterate run_flow stops, in this order of precedence: at a stop the step
@@ -168,20 +169,17 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     target_error = params.target_error if live_error else -np.inf
     res_norm = err = np.inf
     max_iters = params.max_iters
-    # the pending evaluations: q, r, the iterates each serves and the live
-    # residual norms and errors
-    qs, rs, serves, norms, errors = [], [], [], [], []
+    # the pending evaluations: q, r and the iterates each serves
+    qs, rs, serves = [], [], []
 
     def flush():
-        res = norms if live_residual else weighted_norm(np.array(rs), w)
-        errs, comps = observe(np.array(qs), None if live_error else target, w)
-        if live_error:
-            errs = errors
+        res = weighted_norm(np.array(rs), w)
+        errs, comps = observe(np.array(qs), target, w)
         out.record(np.repeat(res, serves).tolist(),
                    None if target is None
                    else np.repeat(errs, serves).tolist(),
                    np.repeat(comps, serves).tolist())
-        for pending in (qs, rs, serves, norms, errors):
+        for pending in (qs, rs, serves):
             pending.clear()
 
     k = 0
@@ -203,10 +201,8 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
                 if not math.isfinite(res_norm):
                     raise SolverError(f"iteration {k}: the residual norm is "
                                       f"not finite")
-                norms.append(res_norm)
             if live_error:
                 err = weighted_norm(q - target, w)
-                errors.append(err)
             out.residual_evaluations += 1
         else:
             serves[-1] += 1

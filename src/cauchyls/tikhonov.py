@@ -98,6 +98,8 @@ class TikhonovParams:
                              "in floating point")
         if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
+        if self.target_error is not None and not self.target_error > 0:
+            raise ValueError("target_error must be positive")
 
     def resolve_eps(self, grid) -> float:
         return self.eps if self.eps is not None else 2.0 * grid.hx

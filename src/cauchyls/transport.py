@@ -40,6 +40,8 @@ class TransportParams:
             raise ValueError("dt must be positive")
         if not self.max_iters >= 0:
             raise ValueError("max_iters cannot be negative")
+        if self.target_error is not None and not self.target_error > 0:
+            raise ValueError("target_error must be positive")
 
 
 def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:

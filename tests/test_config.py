@@ -133,8 +133,7 @@ def test_validation_requires_a_truth():
 @pytest.mark.parametrize("field, value", [
     ("alpha", math.nan), ("beta", math.nan), ("eta", math.nan),
     ("dt", math.nan), ("target_error", math.nan), ("eps_cells", math.inf),
-    ("noise_level", math.nan), ("init_constant", math.nan),
-    ("width", math.nan),
+    ("noise_level", math.nan), ("width", math.nan),
 ])
 def test_non_finite_field_set_in_code_rejected(field, value):
     # a config built in code meets the checks a parsed one does
@@ -155,6 +154,7 @@ def test_non_finite_field_set_in_code_rejected(field, value):
     ("method.eta = 0", "method.eta"),
     ("method.max_iters = -1", "method.max_iters"),
     ("method.dt = 0", "method.dt"),
+    ("method.target_error = -1", "method.target_error"),
     # eta^2 underflows to 0, where curvature_term would divide 0 by 0
     ("method.eta = 1e-300", "method.eta"),
 ])

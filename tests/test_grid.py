@@ -74,12 +74,13 @@ def test_restrict_is_injection_at_shared_nodes():
     assert np.allclose(r.values, np.sin(coarse.xs))
 
 
-def test_restrict_side_trace_round_trip():
+def test_transfer_rejects_a_side_trace():
     coarse = build_grid(1.0, 0.5, 8)
     fine = build_grid(1.0, 0.5, 16)
-    t = trace_from_function(coarse, GAMMA3, lambda s: 3.0 * s - 1.0)
-    back = restrict_trace(prolong_trace(t, fine), coarse)
-    assert np.allclose(back.values, t.values)
+    with pytest.raises(ValueError, match="only edge traces"):
+        restrict_trace(zero_trace(fine, GAMMA3), coarse)
+    with pytest.raises(ValueError, match="only edge traces"):
+        prolong_trace(zero_trace(coarse, GAMMA3), fine)
 
 
 def test_transfer_rejects_non_nested_grids():

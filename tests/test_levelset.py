@@ -107,10 +107,37 @@ def test_init_levelset_signs_and_clipping():
     assert abs((phi.values[k + 1] - phi.values[k]) / g.hx) == pytest.approx(1.0)
 
 
-def test_init_levelset_constant_mode():
+def _init_reference(x, ivals, eps):
+    """Per node: the least distance to an interval end, positive on closed
+    membership, clipped to [-3 eps, 3 eps]."""
+    out = []
+    for xi in x:
+        d = min((abs(xi - e) for iv in ivals for e in iv), default=np.inf)
+        inside = any(a <= xi <= b for a, b in ivals)
+        out.append(min(max(d if inside else -d, -3 * eps), 3 * eps))
+    return np.array(out)
+
+
+@st.composite
+def _disjoint_intervals(draw):
+    """Up to four disjoint intervals in (0, 1); the ends are drawn as node
+    positions of the 16-cell grid or as free floats, so some land on
+    nodes."""
+    end = st.one_of(st.integers(1, 15).map(lambda i: i / 16),
+                    st.floats(0.01, 0.99))
+    ends = sorted(set(draw(st.lists(end, max_size=8))))
+    return tuple(zip(ends[::2], ends[1::2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_disjoint_intervals(), st.sampled_from([0.5, 1.0, 4.0]))
+def test_init_levelset_is_the_signed_distance_to_the_interval_ends(
+        ivals, eps_cells):
     g = build_grid(1.0, 0.5, 16)
-    phi = init_levelset(g, ((0.2, 0.4),), 0.1, constant=-0.7)
-    assert np.all(phi.values == -0.7)
+    eps = eps_cells * g.hx
+    phi = init_levelset(g, ivals, eps).values
+    ref = _init_reference(g.xs, ivals, eps)
+    assert phi.tobytes() == ref.tobytes()
 
 
 def test_init_levelset_empty_union_is_deep_outside():

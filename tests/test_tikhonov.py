@@ -64,6 +64,11 @@ def test_params_validation():
     assert TikhonovParams(eta=1e-160).eta == 1e-160
     with pytest.raises(ValueError):
         TikhonovParams(max_iters=-1)
+    # a target error that is not positive would never stop the run
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^target_error "):
+            TikhonovParams(target_error=bad)
+    assert TikhonovParams(target_error=None).target_error is None
 
 
 def test_nan_beta_rejected():

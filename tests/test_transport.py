@@ -27,6 +27,11 @@ def test_params_validation():
         TransportParams(dt=0.0)
     with pytest.raises(ValueError):
         TransportParams(max_iters=-1)
+    # a target error that is not positive would never stop the run
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^target_error "):
+            TransportParams(target_error=bad)
+    assert TransportParams(target_error=None).target_error is None
 
 
 def test_upwind_shifts_ramp_one_node():
