@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .grid import isotropic_ny
+from .levelset import disjoint_intervals
 from .tikhonov import STEP_EXPLICIT, TikhonovParams
 from .transport import TransportParams
 
@@ -134,12 +135,12 @@ class RunConfig:
                     raise ConfigError(f"{name}: need 0 < a < b < width, "
                                       f"got {a}:{b}")
         # the initial profile is a signed distance, so its intervals may
-        # neither overlap nor touch; the truth is a union of any intervals
-        ivals = sorted(self.init_intervals)
-        for (a0, b0), (a1, b1) in zip(ivals, ivals[1:]):
-            if b0 >= a1:
-                raise ConfigError(f"init.intervals must be disjoint, got "
-                                  f"{a0}:{b0} and {a1}:{b1}")
+        # neither overlap nor touch; the truth is a union of any intervals.
+        # Each has 0 < a < b by now, so only overlaps raise here
+        try:
+            disjoint_intervals(self.init_intervals)
+        except ValueError as exc:
+            raise ConfigError(f"init.{exc}") from None
         return self
 
     def tikhonov_params(self, hx: float) -> TikhonovParams:

@@ -3,7 +3,9 @@
 Each experiment is an ordinary RunConfig. Data is always synthesized on a
 refine-times finer nested grid so the inversion never commits the inverse
 crime, and noise (when requested) is calibrated to the exact relative level
-before the run starts.
+before the run starts. The noise-free part of a setup is built once per
+geometry and process (exact_problem), so runs that differ only in their
+noise share it.
 """
 
 from __future__ import annotations
@@ -12,15 +14,18 @@ import os
 import re
 from itertools import chain
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .config import METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError, RunConfig
+from .config import (METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError,
+                     Interval, RunConfig)
 from .data import l2_norm_trace, synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
-from .levelset import init_levelset, interval_mask
-from .operator import CauchyData, OperatorContext, operator_context
+from .levelset import disjoint_intervals, init_levelset, interval_mask
+from .operator import (GRID_CACHE_SIZE, CauchyData, OperatorContext,
+                       operator_context)
 from .record import RunRecord
 from .tikhonov import STEP_IMPLICIT, run_tikhonov
 from .transport import run_transport
@@ -48,22 +53,47 @@ class RunSetup:
     eps: float
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def exact_problem(grid: Grid, refine: int,
+                  truth_intervals: tuple[Interval, ...],
+                  init_intervals: tuple[Interval, ...],
+                  eps: float) -> tuple[CauchyData, TraceFn, TraceFn]:
+    """The noise-free part of a run on grid: the exact Cauchy data,
+    synthesized on the refine-times finer grid, the truth and phi0.
+
+    Built once per process for the last GRID_CACHE_SIZE keys, so a sweep
+    over noise seeds and levels builds it once; an exception is not kept,
+    so it raises again on the next call. The intervals are tuples of float
+    pairs, which hash. Every array is read-only, since all runs of a key
+    share them, as all runs of a grid share its OperatorContext. The
+    contexts stay with operator_context alone.
+    """
+    fine = build_grid(grid.width, grid.height, grid.nx * refine,
+                      grid.ny * refine)
+    data = synthesize_cauchy_data(indicator_trace(fine, truth_intervals),
+                                  zero_trace(fine, GAMMA1),
+                                  operator_context(fine),
+                                  operator_context(grid))
+    truth = indicator_trace(grid, truth_intervals)
+    phi0 = init_levelset(grid, init_intervals, eps)
+    for t in (data.g1, data.g2, data.z, truth, phi0):
+        t.values.setflags(write=False)
+    return data, truth, phi0
+
+
 def prepare(cfg: RunConfig) -> RunSetup:
+    """Validate cfg and set up its run: the grid's cached context, the
+    cached exact_problem and, for noise_level > 0, the noisy data."""
     cfg = cfg.validate()
     grid = build_grid(cfg.width, cfg.height, cfg.nx, cfg.ny)
-    fine = build_grid(cfg.width, cfg.height, grid.nx * cfg.refine,
-                      grid.ny * cfg.refine)
     ctx = operator_context(grid)
-
-    true_q_fine = indicator_trace(fine, cfg.truth_intervals)
-    data = synthesize_cauchy_data(true_q_fine, zero_trace(fine, GAMMA1),
-                                  operator_context(fine), ctx)
+    eps = cfg.eps_cells * grid.hx
+    data, truth, phi0 = exact_problem(
+        grid, cfg.refine,
+        tuple((float(a), float(b)) for a, b in cfg.truth_intervals),
+        disjoint_intervals(cfg.init_intervals), eps)
     if cfg.noise_level > 0:
         data = with_noise(data, cfg.noise_level, cfg.seed)
-
-    eps = cfg.eps_cells * grid.hx
-    phi0 = init_levelset(grid, cfg.init_intervals, eps)
-    truth = indicator_trace(grid, cfg.truth_intervals)
     return RunSetup(cfg=cfg, grid=grid, ctx=ctx, data=data, phi0=phi0,
                     truth=truth, eps=eps)
 
@@ -157,7 +187,8 @@ def summary_text(record: RunRecord, setup: RunSetup) -> str:
         "delta": _fmt(setup.data.delta),
         "eps": _fmt(setup.eps),
         **({"final_eps": _fmt(record.final_eps),
-            "final_band_nodes": record.final_band_nodes}
+            "final_band_nodes": record.final_band_nodes,
+            "final_step_cells": _fmt(record.final_step_cells)}
            if record.final_eps is not None else {}),
         "stop_reason": record.stop_reason,
         "stop_iteration": record.stop_iteration,

@@ -103,10 +103,26 @@ def _signed_distance(x: np.ndarray, fronts: np.ndarray,
     return np.where(inside, dist, -dist)
 
 
+def disjoint_intervals(intervals: Sequence[tuple[float, float]]
+                       ) -> tuple[tuple[float, float], ...]:
+    """The intervals as sorted (a, b) float pairs, each with a < b and no
+    two overlapping or touching; ValueError otherwise."""
+    ivals = tuple(sorted((float(a), float(b)) for a, b in intervals))
+    for a, b in ivals:
+        if not a < b:
+            raise ValueError(f"degenerate interval ({a}, {b})")
+    for (a0, b0), (a1, b1) in zip(ivals, ivals[1:]):
+        if b0 >= a1:
+            raise ValueError(f"intervals must be disjoint, got {a0}:{b0} "
+                             f"and {a1}:{b1}")
+    return ivals
+
+
 def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
                   eps: float) -> TraceFn:
     """Signed-distance profile for a union of disjoint intervals on the top
-    edge, clipped to [-3 eps, 3 eps], so crossings start with unit slope.
+    edge (see disjoint_intervals), clipped to [-3 eps, 3 eps], so crossings
+    start with unit slope.
 
     The fronts are the interval ends: for disjoint intervals the nearest
     end is the nearest boundary point of the union, inside and outside. An
@@ -114,13 +130,7 @@ def init_levelset(grid: Grid, intervals: Sequence[tuple[float, float]],
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    ivals = sorted((float(a), float(b)) for a, b in intervals)
-    for a, b in ivals:
-        if not a < b:
-            raise ValueError(f"degenerate interval ({a}, {b})")
-    for (_, b0), (a1, _) in zip(ivals, ivals[1:]):
-        if b0 >= a1:
-            raise ValueError("intervals must be disjoint")
+    ivals = disjoint_intervals(intervals)
     x = grid.xs
     phi = _signed_distance(x, np.array(ivals).reshape(-1),
                            interval_mask(x, ivals))

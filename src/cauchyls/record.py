@@ -3,7 +3,8 @@
 run_flow owns the paper's stop rules (discrepancy, target error, the cap)
 and the reuse of the work that depends on the flux q alone. run_tikhonov
 and run_transport own stagnation, STAGNATION_STEPS steps in a row whose
-flow measure is at most STAGNATION_TOL. All are in STOP_REASONS.
+flow measure is at most STAGNATION_TOL, and run_transport owns cycle, a
+return to an indicator the run has left. All are in STOP_REASONS.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITERS = "max_iters"
 STOP_TARGET_ERROR = "target_error"
 STOP_STAGNATION = "stagnation"
+STOP_CYCLE = "cycle"
 
 STOP_REASONS = (STOP_DISCREPANCY, STOP_MAX_ITERS, STOP_TARGET_ERROR,
-                STOP_STAGNATION)
+                STOP_STAGNATION, STOP_CYCLE)
 
 STAGNATION_TOL = 1e-14
 STAGNATION_STEPS = 10
@@ -60,8 +62,9 @@ class RunRecord:
     Histories include the initial state, so their length is the number of
     completed iterations plus one. errors is None when no truth was supplied.
     asymp_gap is an optional diagnostic stream some methods fill in;
-    final_eps is the band width a Tikhonov run ended with, and
-    final_band_nodes the number of nodes in that band at the stop.
+    final_eps is the band width a Tikhonov run ended with,
+    final_band_nodes the number of nodes in that band at the stop and
+    final_step_cells the size max|dphi| / h of its last step, in cells.
     residual_evaluations counts the iterates whose residual run_flow
     computed, one forward apply each; the others repeat their predecessor's.
     """
@@ -78,6 +81,7 @@ class RunRecord:
     asymp_gap: list[float] | None = None
     final_eps: float | None = None
     final_band_nodes: int | None = None
+    final_step_cells: float | None = None
     residual_evaluations: int = 0
 
     def record(self, residuals: list[float], errors: list[float] | None,

@@ -163,7 +163,9 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     The last three are record.run_flow's stops; stagnation is this flow's,
     on the smoothing output alpha * max|dphi|. With params.eps_min set, the
     band narrows instead while it can (see TikhonovParams), which restarts
-    the stall count; record.final_eps is the band width the run ended with.
+    the stall count; record.final_eps is the band width the run ended with,
+    and record.final_step_cells max|dphi| / h of the last step, nan when
+    the run took none.
     """
     eps = params.resolve_eps(ctx.grid)
     if params.eps_min is not None and not params.eps_min <= eps:
@@ -179,6 +181,8 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     band = np.empty(n, dtype=bool)
     stack = np.empty(2 * n)
     stalls = 0
+    # the last step's dphi, measured once at the stop
+    last = None
     # max|dphi| >= |dphi|_2 / sqrt(n), so a step whose 2-norm exceeds
     # sqrt(2 n) times the larger stall threshold is neither a stall nor a
     # narrowing; the factor 2 covers the rounding of the norm
@@ -194,8 +198,9 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     def step(phi: np.ndarray, drive: np.ndarray
              ) -> tuple[np.ndarray, str | None]:
-        nonlocal eps, smooth, stalls
+        nonlocal eps, smooth, stalls, last
         new, dphi = tikhonov_step(phi, drive, band, eps, ctx, params, smooth)
+        last = dphi
         if math.sqrt(np.dot(dphi, dphi)) > moving:
             stalls = 0
             return new, None
@@ -216,4 +221,6 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     out.final_eps = eps
     # the band the indicator read off the final iterate at the final eps
     out.final_band_nodes = int(np.count_nonzero(band))
+    out.final_step_cells = (math.nan if last is None
+                            else float(abs(last).max()) / h)
     return out

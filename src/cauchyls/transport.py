@@ -18,8 +18,8 @@ import numpy as np
 from .grid import TraceFn
 from .levelset import sharp_indicator
 from .operator import CauchyData, OperatorContext
-from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
-                     RunRecord, run_flow)
+from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_CYCLE,
+                     STOP_STAGNATION, RunRecord, run_flow)
 
 VELOCITY_FLOOR = 1e-12
 # front_velocity's floor on |2q - 1|
@@ -120,9 +120,14 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     Each iteration is one transport_step of length min(dt, 0.5 h / max|V|),
     so fronts move at most half a cell per iteration. Discrepancy, target
-    error and the cap are record.run_flow's stops; stagnation is this
-    flow's, on the velocity max|V|. With truth, the record's asymp_gap
-    holds the discrete violation of the error-contraction identity
+    error and the cap are record.run_flow's stops. Stagnation, on the
+    velocity max|V|, and cycle are this flow's. The flow contracts the
+    error on consistent data, so a return to an indicator the run has left
+    shows that the discrete flow has lost that property: the step after
+    the first such revisit names cycle, and the run ends instead of
+    cycling to the cap. For that the bytes of every indicator left are
+    kept, one entry per residual evaluation. With truth, the record's
+    asymp_gap holds the discrete violation of the error-contraction identity
     d/dt ||q - truth||^2 = -2 ||residual||^2, that is
     (e[k+1]^2 - e[k]^2) / dt_k + 2 r[k]^2 for each step k; it is recorded,
     not asserted.
@@ -136,18 +141,27 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     h = ctx.grid.hx
     dts = []
     stalls = 0
+    # run_flow asks for a direction once per change of q, so every entry
+    # is an indicator the run has left when the next q arrives
+    visited = set()
 
-    def direction(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    def direction(q: np.ndarray, r: np.ndarray
+                  ) -> tuple[np.ndarray, float, bool]:
+        b = q.tobytes()
+        revisit = b in visited
+        visited.add(b)
         v = front_velocity(q, ctx.adjoint(r), h)
-        return v, float(np.max(np.abs(v)))
+        return v, float(np.max(np.abs(v))), revisit
 
-    def step(phi: np.ndarray, velocity: tuple[np.ndarray, float]
+    def step(phi: np.ndarray, velocity: tuple[np.ndarray, float, bool]
              ) -> tuple[np.ndarray, str | None]:
         nonlocal stalls
-        v, vmax = velocity
+        v, vmax, revisit = velocity
         phi, dt = transport_step(phi, v, vmax, params.dt, h)
         dts.append(dt)
         stalls = stalls + 1 if vmax <= STAGNATION_TOL else 0
+        if revisit:
+            return phi, STOP_CYCLE
         return phi, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
     out = run_flow(phi0, data, ctx, params, sharp_indicator, direction,

@@ -109,6 +109,12 @@ def test_validation_failures(text):
         parse_config(text)
 
 
+def test_overlapping_init_intervals_name_the_pair():
+    with pytest.raises(ConfigError, match=r"^init\.intervals must be "
+                       r"disjoint, got 0\.2:0\.4 and 0\.4:0\.6$"):
+        parse_config("init.intervals = 0.4:0.6, 0.2:0.4")
+
+
 def test_implicit_step_validates_at_any_cosine_path_width():
     # every config is on the cosine path, where the dense maps (and so the
     # implicit step's normal matrix) exist at any width the grid bound allows

@@ -11,7 +11,7 @@ from cauchyls import (GAMMA1, GAMMA2, CauchyData, OperatorContext, TraceFn,
                       add_noise, apply_forward, build_grid, l2_norm_trace,
                       operator_context, synthesize_cauchy_data, trace_inner,
                       trace_from_function, with_noise, zero_trace)
-from cauchyls.experiments import execute, exp2_config, prepare
+from cauchyls.experiments import execute, exact_problem, exp2_config, prepare
 
 
 def test_l2_norm_of_sine_mode(grid64):
@@ -108,8 +108,10 @@ def test_finer_grid_synthesis_keeps_discretization_gap(grid64):
 
 def test_run_builds_no_dense_matrix_on_the_synthesis_grid():
     # prepare puts the synthesis grid's context in the per-grid cache next
-    # to the inversion grid's; only the latter ever builds its maps
+    # to the inversion grid's; only the latter ever builds its maps. The
+    # exact problem is cleared too, or a warm one would skip the synthesis
     operator_context.cache_clear()
+    exact_problem.cache_clear()
     setup = prepare(replace(exp2_config(0.5), max_iters=2))
     execute(setup)
     assert operator_context.cache_info().currsize == 2

@@ -5,14 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cauchyls import MixedSolver, RunConfig
-from cauchyls.experiments import (EXP2_REL_RESIDUAL, exp1_config, exp2_config,
-                                  exp3_config, execute, history_csv,
-                                  indicator_trace, sigma_csv, snapshot_csv,
+from cauchyls import Grid, MixedSolver, RunConfig
+from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
+                                  exp1_config, exp2_config, exp3_config,
+                                  execute, history_csv, indicator_trace,
+                                  sigma_csv, snapshot_csv,
                                   iterations_to_relative_residual, prepare,
                                   resolve_output_dir, run_config,
                                   transport_benchmark_config,
                                   write_run_outputs, OUTPUT_ROOT_ENV)
+from cauchyls.operator import GRID_CACHE_SIZE
+from cauchyls.pde import SolverError
 from cauchyls.record import RunRecord
 
 
@@ -192,6 +195,25 @@ def test_summary_reports_final_band_nodes(tmp_path, cfg, in_band):
     assert keys.index("final_band_nodes") == keys.index("final_eps") + 1
 
 
+def test_summary_reports_final_step_cells(tmp_path):
+    """max|dphi| / h of the last step, right after final_band_nodes; nan
+    when the run took no step."""
+    record, setup = run_config(_tiny(snapshot_iters=(4, 5)))
+    out = write_run_outputs(record, setup, tmp_path / "run")
+    rows = dict(line.split(" = ") for line in
+                (out / "summary.txt").read_text().splitlines())
+    keys = list(rows)
+    assert keys.index("final_step_cells") == \
+        keys.index("final_band_nodes") + 1
+    assert float(rows["final_step_cells"]) == record.final_step_cells
+    last = record.snapshots[5][0] - record.snapshots[4][0]
+    assert record.final_step_cells == pytest.approx(
+        np.abs(last).max() / setup.grid.hx, rel=1e-9)
+    record, setup = run_config(_tiny(max_iters=0))
+    out = write_run_outputs(record, setup, tmp_path / "none")
+    assert "final_step_cells = nan\n" in (out / "summary.txt").read_text()
+
+
 def test_summary_reports_iteration_rate(tmp_path):
     record, setup = run_config(_tiny())
     out = write_run_outputs(record, setup, tmp_path / "run")
@@ -273,3 +295,72 @@ def test_builtin_run_outcomes(cfg, stop, residual, error):
     assert (record.stop_reason, record.stop_iteration) == stop
     assert abs(record.residuals[-1] - residual) <= 1e-10 * residual
     assert abs(record.errors[-1] - error) <= 1e-10 * error
+
+
+# -- the per-process cache of the noise-free problem --------------------------
+
+def _untimed_outputs(out) -> dict[str, str]:
+    """Every output file's text; summary.txt without its timing rows."""
+    return {p.name: "".join(
+        line for line in p.read_text().splitlines(keepends=True)
+        if not line.startswith(("wall_time_s", "iters_per_s")))
+        for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("cfg", [
+    exp2_config(0.5), exp3_config(), replace(exp3_config(), seed=7),
+    transport_benchmark_config()],
+    ids=["exp2", "exp3", "exp3_seed7", "transport"])
+def test_warm_prepare_writes_what_a_cold_one_does(tmp_path, cfg):
+    outputs = []
+    for name in ("cold", "warm"):
+        if name == "cold":
+            exact_problem.cache_clear()
+        hits = exact_problem.cache_info().hits
+        record, setup = run_config(cfg)
+        assert exact_problem.cache_info().hits == hits + (name == "warm")
+        outputs.append(_untimed_outputs(
+            write_run_outputs(record, setup, tmp_path / name)))
+    assert "history.csv" in outputs[0] and "snapshot_0.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_noise_seeds_share_the_read_only_exact_problem():
+    a, b = prepare(exp3_config()), prepare(replace(exp3_config(), seed=7))
+    for t in (a.data.g1, a.data.z, a.phi0, a.truth):
+        assert not t.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0] = 1.0
+    assert (a.data.g1, a.data.z, a.phi0, a.truth) == \
+        (b.data.g1, b.data.z, b.phi0, b.truth)
+    assert a.data.g1 is b.data.g1 and a.data.z is b.data.z
+    assert a.phi0 is b.phi0 and a.truth is b.truth
+    # only the flux datum carries each seed's noise
+    assert not np.array_equal(a.data.g2.values, b.data.g2.values)
+    exact = prepare(exp2_config(0.5)).data
+    assert exact.g1 is a.data.g1 and not exact.g2.values.flags.writeable
+
+
+def test_exact_problem_cache_is_bounded_and_keeps_no_failure():
+    exact_problem.cache_clear()
+    for k in range(GRID_CACHE_SIZE + 2):
+        prepare(_tiny(eps_cells=1.0 + k))
+    info = exact_problem.cache_info()
+    assert info.maxsize == info.currsize == GRID_CACHE_SIZE
+    # the synthesis grid's x-stencil overflows (see operator_context)
+    narrow = Grid(1e-200, 5e-201, 16, 8)
+    for _ in range(2):
+        with np.errstate(over="ignore"), pytest.raises(SolverError):
+            exact_problem(narrow, 2, ((3e-201, 7e-201),),
+                          ((4.5e-201, 5.5e-201),), 4 * narrow.hx)
+    assert exact_problem.cache_info().currsize == GRID_CACHE_SIZE
+
+
+def test_list_valued_intervals_prepare():
+    """A RunConfig built in code may hold lists, which do not hash; the
+    cache keys on their float pairs."""
+    listed = prepare(_tiny(truth_intervals=[[0.3, 0.7]],
+                           init_intervals=[[0.4, 0.6]]))
+    tupled = prepare(_tiny())
+    assert listed.phi0 is tupled.phi0 and listed.truth is tupled.truth
+    assert listed.data is tupled.data

@@ -11,7 +11,7 @@ from cauchyls import (GAMMA2, TraceFn, build_grid, component_count,
                       sharp_indicator, smoothed_heaviside,
                       smoothed_heaviside_deriv, solve_helmholtz_neumann,
                       trace_from_function)
-from cauchyls.levelset import helmholtz_solve, redistance
+from cauchyls.levelset import disjoint_intervals, helmholtz_solve, redistance
 from cauchyls.tikhonov import lift_matrix
 
 
@@ -144,6 +144,20 @@ def test_init_levelset_empty_union_is_deep_outside():
     g = build_grid(1.0, 0.5, 16)
     phi = init_levelset(g, (), 0.1)
     assert np.allclose(phi.values, -0.3)
+
+
+def test_disjoint_intervals_sorts_or_raises():
+    # any sequence of pairs, ints included, becomes sorted float pairs
+    assert disjoint_intervals([[0.6, 0.8], (0.2, 0.4)]) == \
+        ((0.2, 0.4), (0.6, 0.8))
+    assert disjoint_intervals([(0, 1)]) == ((0.0, 1.0),)
+    assert disjoint_intervals(()) == ()
+    with pytest.raises(ValueError, match="degenerate"):
+        disjoint_intervals([(0.4, 0.4)])
+    for touching in ([(0.4, 0.6), (0.2, 0.4)], [(0.2, 0.5), (0.4, 0.6)]):
+        with pytest.raises(ValueError, match="^intervals must be disjoint, "
+                                             "got 0.2:0.[45] and 0.4:0.6$"):
+            disjoint_intervals(touching)
 
 
 def test_init_levelset_rejects_bad_intervals():

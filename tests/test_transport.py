@@ -1,5 +1,7 @@
 """Front transport: upwind scheme, velocity construction, run loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from cauchyls import (GAMMA1, GAMMA2, TransportParams, front_velocity,
                       init_levelset, run_transport, sharp_indicator,
                       synthesize_cauchy_data, transport_step, upwind_step,
                       trace_from_function, zero_trace)
-from cauchyls.experiments import prepare, transport_benchmark_config
+from cauchyls.config import METHOD_TRANSPORT
+from cauchyls.experiments import (execute, exp1_config, exp3_config, prepare,
+                                  transport_benchmark_config)
 from cauchyls.operator import apply_adjoint, apply_forward
 from cauchyls.pde import SolverError
 
@@ -132,9 +136,11 @@ def test_transport_noisy_requires_tau_above_one(ctx64, grid64):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_velocity_stops_at_its_step(bad):
+def test_non_finite_velocity_stops_at_its_step(monkeypatch, bad):
     """A non-finite adjoint value makes the velocity and then the profile
-    non-finite; run_flow's check of the new profile names the iteration."""
+    non-finite; run_flow's check of the new profile names the iteration.
+    The context is the grid's cached one, so the poisoned adjoint is
+    undone after the test."""
     cfg = transport_benchmark_config()
     setup = prepare(cfg)
     adjoint = setup.ctx.adjoint
@@ -144,9 +150,39 @@ def test_non_finite_velocity_stops_at_its_step(bad):
         out[out.size // 2] = bad
         return out
 
-    setup.ctx.adjoint = poisoned
+    monkeypatch.setattr(setup.ctx, "adjoint", poisoned)
     with np.errstate(all="ignore"), pytest.raises(
             SolverError, match="iteration 1: the level-set step produced "
                                "non-finite values"):
         run_transport(setup.phi0, setup.data, setup.ctx,
                       cfg.transport_params(), truth=setup.truth)
+
+
+@pytest.mark.parametrize("cfg, revisit, error", [
+    # exp3's config as transport at 1% noise reaches the truth at iteration
+    # 62 and returns to an indicator it had left at 78; without the rule it
+    # cycled to max_iters@3000 at error 0.177
+    (replace(exp3_config(), method=METHOD_TRANSPORT, dt=0.5, max_iters=3000,
+             noise_level=0.01, seed=1), 78, 0.0),
+    # exp1's data from two seeds: the first revisit at 9; without the rule
+    # max_iters@3000 at error 0.25
+    (replace(exp1_config(), method=METHOD_TRANSPORT, dt=0.5, max_iters=3000,
+             init_intervals=((0.22, 0.38), (0.62, 0.78))), 9, 0.25),
+], ids=["exp3_transport_1pct", "exp1_two_seeds"])
+def test_transport_stops_on_the_first_revisit(cfg, revisit, error):
+    cfg = replace(cfg, snapshot_iters=tuple(range(revisit + 2)))
+    record = execute(prepare(cfg))
+    assert (record.stop_reason, record.stop_iteration) == ("cycle",
+                                                           revisit + 1)
+    assert record.errors[-1] == pytest.approx(error, abs=1e-12)
+    # the indicators the run left, in order; the one at the revisit is the
+    # first that repeats one of them
+    qs = [record.snapshots[k][1] for k in range(revisit + 1)]
+    changes = [k for k in range(1, revisit + 1)
+               if not np.array_equal(qs[k], qs[k - 1])]
+    assert changes[-1] == revisit
+    seen = [qs[0]]
+    for k in changes[:-1]:
+        assert not any(np.array_equal(qs[k], q) for q in seen)
+        seen.append(qs[k])
+    assert any(np.array_equal(qs[revisit], q) for q in seen[:-1])
