@@ -42,7 +42,9 @@ def indicator_trace(grid: Grid, intervals) -> TraceFn:
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a method run needs, derived from one RunConfig."""
+    """Everything a method run needs, derived from one RunConfig. phi0,
+    truth and the data's g1 and z (g2 too on exact data) are the shared,
+    read-only arrays of exact_problem."""
 
     cfg: RunConfig
     grid: Grid
