@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import isotropic_ny
 from .levelset import disjoint_intervals
-from .tikhonov import STEP_EXPLICIT, TikhonovParams
+from .tikhonov import TikhonovParams
 from .transport import TransportParams
 
 
@@ -41,7 +41,7 @@ MAX_FINE_CELLS = 1024
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs for one reconstruction run."""
+    """Inputs for one reconstruction run, checked when built."""
 
     width: float = 1.0
     height: float = 0.5
@@ -49,17 +49,17 @@ class RunConfig:
     ny: int | None = None
     refine: int = 2
     method: str = METHOD_TIKHONOV
-    alpha: float = 100.0
-    beta: float = 1e-3
+    alpha: float = TikhonovParams.alpha
+    beta: float = TikhonovParams.beta
     eps_cells: float = 2.0
     # band continuation floor and Tikhonov step kind, see TikhonovParams
     eps_min_cells: float | None = None
-    step: str = STEP_EXPLICIT
-    eta: float = 1e-6
-    tau: float = 1.5
-    max_iters: int = 5000
+    step: str = TikhonovParams.step
+    eta: float = TikhonovParams.eta
+    tau: float = TikhonovParams.tau
+    max_iters: int = TikhonovParams.max_iters
     target_error: float | None = None
-    dt: float = 1.0
+    dt: float = TransportParams.dt
     truth_intervals: tuple[Interval, ...] = ((0.2, 0.4), (0.6, 0.8))
     init_intervals: tuple[Interval, ...] = ((0.4, 0.6),)
     noise_level: float = 0.0
@@ -67,9 +67,9 @@ class RunConfig:
     output_dir: str = "runs/run"
     snapshot_iters: tuple[int, ...] = ()
 
-    def validate(self) -> "RunConfig":
-        """Check every value, parsed or set in code. The method values take
-        the ranges of the params objects, built here as execute builds them."""
+    def __post_init__(self):
+        """Check every value, replace included, and store the list fields
+        as tuples. The method values take the params objects' ranges."""
         # comparisons with nan are false, so a non-finite value would slip
         # through every range check below; no interval end a in
         # 0 < a < width is non-finite
@@ -81,21 +81,18 @@ class RunConfig:
             raise ConfigError("geometry.width and geometry.height must be positive")
         if self.refine < 1:
             raise ConfigError("geometry.refine must be a positive integer")
-        too_big = ConfigError(
-            f"the synthesis grid may have at most {MAX_FINE_CELLS} cells per "
-            f"side: need geometry.nx and ny times geometry.refine <= "
-            f"{MAX_FINE_CELLS}, got nx = {self.nx}, ny = "
-            f"{'round(nx * height / width)' if self.ny is None else self.ny}, "
-            f"refine = {self.refine}")
-        # checked before isotropic_ny, whose float product overflows for a
-        # huge nx or height / width
-        if self.nx * self.refine > MAX_FINE_CELLS or (
-                self.ny is None and self.height > MAX_FINE_CELLS * self.width):
-            raise too_big
-        ny = self.ny if self.ny is not None else isotropic_ny(
-            self.width, self.height, self.nx)
-        if ny * self.refine > MAX_FINE_CELLS:
-            raise too_big
+        # within these bounds isotropic_ny's float product cannot overflow
+        ny = self.ny
+        if ny is None and self.nx * self.refine <= MAX_FINE_CELLS \
+                and self.height <= MAX_FINE_CELLS * self.width:
+            ny = isotropic_ny(self.width, self.height, self.nx)
+        if ny is None or max(self.nx, ny) * self.refine > MAX_FINE_CELLS:
+            raise ConfigError(
+                f"the synthesis grid may have at most {MAX_FINE_CELLS} cells "
+                f"per side: need geometry.nx and ny times geometry.refine <= "
+                f"{MAX_FINE_CELLS}, got nx = {self.nx}, ny = "
+                f"{'round(nx * height / width)' if self.ny is None else self.ny}"
+                f", refine = {self.refine}")
         if self.nx < 4 or ny < 4:
             raise ConfigError(f"geometry.nx and geometry.ny must be at least "
                               f"4, got nx = {self.nx} and ny = {ny} (unless "
@@ -104,7 +101,7 @@ class RunConfig:
             raise ConfigError(f"method must be {METHOD_TIKHONOV} or "
                               f"{METHOD_TRANSPORT}, got {self.method!r}")
         try:
-            self.tikhonov_params(self.width / self.nx)
+            self.tikhonov_params()
             self.transport_params()
         except ValueError as exc:
             # every field a params message names becomes its config key;
@@ -119,6 +116,8 @@ class RunConfig:
         # Path("") is the current directory; "." names it explicitly
         if not self.output_dir:
             raise ConfigError("output.directory cannot be empty")
+        object.__setattr__(self, "snapshot_iters",
+                           tuple(int(k) for k in self.snapshot_iters))
         if any(k < 0 for k in self.snapshot_iters):
             raise ConfigError("output.snapshots cannot hold negative "
                               "iterations")
@@ -128,6 +127,8 @@ class RunConfig:
         if self.truth_intervals is None:
             raise ConfigError("truth.intervals is required: the data are "
                               "synthesized from it")
+        object.__setattr__(self, "truth_intervals", tuple(
+            (float(a), float(b)) for a, b in self.truth_intervals))
         for name, ivals in (("truth.intervals", self.truth_intervals),
                             ("init.intervals", self.init_intervals)):
             for a, b in ivals:
@@ -138,14 +139,14 @@ class RunConfig:
         # neither overlap nor touch; the truth is a union of any intervals.
         # Each has 0 < a < b by now, so only overlaps raise here
         try:
-            disjoint_intervals(self.init_intervals)
+            object.__setattr__(self, "init_intervals",
+                               disjoint_intervals(self.init_intervals))
         except ValueError as exc:
             raise ConfigError(f"init.{exc}") from None
-        return self
 
-    def tikhonov_params(self, hx: float) -> TikhonovParams:
-        """Flow parameters on a grid of x-spacing hx: band widths in cells
-        become lengths."""
+    def tikhonov_params(self) -> TikhonovParams:
+        """Flow parameters; band widths in cells become lengths."""
+        hx = self.width / self.nx
         return TikhonovParams(
             alpha=self.alpha, beta=self.beta, eps=self.eps_cells * hx,
             eta=self.eta, tau=self.tau, max_iters=self.max_iters,
@@ -225,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    return replace(RunConfig(), **updates).validate()
+    return RunConfig(**updates)
 
 
 def load_config(path: str | Path) -> RunConfig:

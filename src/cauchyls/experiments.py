@@ -23,7 +23,7 @@ from .config import (METHOD_TIKHONOV, METHOD_TRANSPORT, ConfigError,
                      Interval, RunConfig)
 from .data import l2_norm_trace, synthesize_cauchy_data, with_noise
 from .grid import GAMMA1, GAMMA2, Grid, TraceFn, build_grid, zero_trace
-from .levelset import disjoint_intervals, init_levelset, interval_mask
+from .levelset import init_levelset, interval_mask
 from .operator import (GRID_CACHE_SIZE, CauchyData, OperatorContext,
                        operator_context)
 from .record import RunRecord
@@ -65,10 +65,9 @@ def exact_problem(grid: Grid, refine: int,
 
     Built once per process for the last GRID_CACHE_SIZE keys, so a sweep
     over noise seeds and levels builds it once; an exception is not kept,
-    so it raises again on the next call. The intervals are tuples of float
-    pairs, which hash. Every array is read-only, since all runs of a key
-    share them, as all runs of a grid share its OperatorContext. The
-    contexts stay with operator_context alone.
+    so it raises again on the next call. Every array is read-only, since
+    all runs of a key share them, as all runs of a grid share its
+    OperatorContext. The contexts stay with operator_context alone.
     """
     fine = build_grid(grid.width, grid.height, grid.nx * refine,
                       grid.ny * refine)
@@ -84,16 +83,13 @@ def exact_problem(grid: Grid, refine: int,
 
 
 def prepare(cfg: RunConfig) -> RunSetup:
-    """Validate cfg and set up its run: the grid's cached context, the
-    cached exact_problem and, for noise_level > 0, the noisy data."""
-    cfg = cfg.validate()
+    """Set up cfg's run: the grid's cached context, the cached
+    exact_problem and, for noise_level > 0, the noisy data."""
     grid = build_grid(cfg.width, cfg.height, cfg.nx, cfg.ny)
     ctx = operator_context(grid)
     eps = cfg.eps_cells * grid.hx
-    data, truth, phi0 = exact_problem(
-        grid, cfg.refine,
-        tuple((float(a), float(b)) for a, b in cfg.truth_intervals),
-        disjoint_intervals(cfg.init_intervals), eps)
+    data, truth, phi0 = exact_problem(grid, cfg.refine, cfg.truth_intervals,
+                                      cfg.init_intervals, eps)
     if cfg.noise_level > 0:
         data = with_noise(data, cfg.noise_level, cfg.seed)
     return RunSetup(cfg=cfg, grid=grid, ctx=ctx, data=data, phi0=phi0,
@@ -102,7 +98,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
 
 def execute(setup: RunSetup) -> RunRecord:
     cfg = setup.cfg
-    run, params = ((run_tikhonov, cfg.tikhonov_params(setup.grid.hx))
+    run, params = ((run_tikhonov, cfg.tikhonov_params())
                    if cfg.method == METHOD_TIKHONOV
                    else (run_transport, cfg.transport_params()))
     return run(setup.phi0, setup.data, setup.ctx, params, truth=setup.truth,

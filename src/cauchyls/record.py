@@ -3,8 +3,9 @@
 run_flow owns the paper's stop rules (discrepancy, target error, the cap)
 and the reuse of the work that depends on the flux q alone. run_tikhonov
 and run_transport own stagnation, STAGNATION_STEPS steps in a row whose
-flow measure is at most STAGNATION_TOL, and run_transport owns cycle, a
-return to an indicator the run has left. All are in STOP_REASONS.
+flow measure is at most STAGNATION_TOL, run_tikhonov owns empty_band, a
+step gated by an empty band, and run_transport owns cycle, a return to an
+indicator the run has left. All are in STOP_REASONS.
 """
 
 from __future__ import annotations
@@ -27,15 +28,24 @@ STOP_MAX_ITERS = "max_iters"
 STOP_TARGET_ERROR = "target_error"
 STOP_STAGNATION = "stagnation"
 STOP_CYCLE = "cycle"
+STOP_EMPTY_BAND = "empty_band"
 
 STOP_REASONS = (STOP_DISCREPANCY, STOP_MAX_ITERS, STOP_TARGET_ERROR,
-                STOP_STAGNATION, STOP_CYCLE)
+                STOP_STAGNATION, STOP_CYCLE, STOP_EMPTY_BAND)
 
 STAGNATION_TOL = 1e-14
 STAGNATION_STEPS = 10
 # run_flow observes the iterates it does not need at once in batches of at
 # most this many evaluations
 OBSERVE_CHUNK = 64
+
+
+def check_stop_rules(params) -> None:
+    """ValueError unless the stop-rule fields run_flow reads are in range."""
+    if not params.max_iters >= 0:
+        raise ValueError("max_iters cannot be negative")
+    if params.target_error is not None and not params.target_error > 0:
+        raise ValueError("target_error must be positive")
 
 
 def observe(q: np.ndarray, truth: np.ndarray | None, w: np.ndarray | None

@@ -31,8 +31,8 @@ from .grid import TraceFn
 from .levelset import (curvature_term, helmholtz_solve, redistance,
                        smoothed_heaviside)
 from .operator import CauchyData, OperatorContext
-from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_STAGNATION,
-                     RunRecord, run_flow)
+from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_EMPTY_BAND,
+                     STOP_STAGNATION, RunRecord, check_stop_rules, run_flow)
 
 STEP_EXPLICIT = "explicit"
 STEP_IMPLICIT = "implicit"
@@ -96,10 +96,7 @@ class TikhonovParams:
         if not (self.eta > 0 and self.eta * self.eta > 0):
             raise ValueError("eta must be positive, with eta^2 above 0 "
                              "in floating point")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters cannot be negative")
-        if self.target_error is not None and not self.target_error > 0:
-            raise ValueError("target_error must be positive")
+        check_stop_rules(self)
 
     def resolve_eps(self, grid) -> float:
         return self.eps if self.eps is not None else 2.0 * grid.hx
@@ -158,14 +155,15 @@ def tikhonov_step(phi: np.ndarray, drive: np.ndarray, band: np.ndarray,
 def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
                  params: TikhonovParams, truth: TraceFn | None = None,
                  snapshot_iters=()) -> RunRecord:
-    """Iterate until stagnation, discrepancy, target error or the cap.
+    """Iterate to stagnation, empty_band, discrepancy, target error or cap.
 
-    The last three are record.run_flow's stops; stagnation is this flow's,
-    on the smoothing output alpha * max|dphi|. With params.eps_min set, the
-    band narrows instead while it can (see TikhonovParams), which restarts
-    the stall count; record.final_eps is the band width the run ended with,
-    and record.final_step_cells max|dphi| / h of the last step, nan when
-    the run took none.
+    The last three are record.run_flow's stops. Stagnation is this flow's,
+    on the smoothing output alpha * max|dphi|, and so is empty_band, a step
+    gated by a band that holds no node, so no step moves phi again. With
+    params.eps_min set, the band narrows instead while it can (see
+    TikhonovParams), which restarts the stall count; record.final_eps is
+    the band width the run ended with, and record.final_step_cells
+    max|dphi| / h of the last step, nan when the run took none.
     """
     eps = params.resolve_eps(ctx.grid)
     if params.eps_min is not None and not params.eps_min <= eps:
@@ -213,6 +211,8 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
             smooth = ctx.smoothing / (params.alpha * eps) if explicit else None
             stalls = 0
             return redistance(ramp, ctx.grid.xs, h, eps), None
+        if not band.any():
+            return new, STOP_EMPTY_BAND
         stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
         return new, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 

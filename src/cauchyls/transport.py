@@ -19,7 +19,7 @@ from .grid import TraceFn
 from .levelset import sharp_indicator
 from .operator import CauchyData, OperatorContext
 from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_CYCLE,
-                     STOP_STAGNATION, RunRecord, run_flow)
+                     STOP_STAGNATION, RunRecord, check_stop_rules, run_flow)
 
 VELOCITY_FLOOR = 1e-12
 # front_velocity's floor on |2q - 1|
@@ -38,10 +38,7 @@ class TransportParams:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters cannot be negative")
-        if self.target_error is not None and not self.target_error > 0:
-            raise ValueError("target_error must be positive")
+        check_stop_rules(self)
 
 
 def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:

@@ -65,8 +65,9 @@ def test_comments_and_blanks_ignored():
 
 
 def test_defaults_validate():
-    assert RunConfig().validate() is not None
-    assert parse_config("").nx == 64
+    # building a RunConfig checks it, so the defaults pass by getting here
+    cfg = RunConfig()
+    assert parse_config("") == cfg and cfg.nx == 64
 
 
 @pytest.mark.parametrize("line, fragment", [
@@ -124,7 +125,7 @@ def test_implicit_step_validates_at_any_cosine_path_width():
 
 def test_target_error_needs_truth():
     with pytest.raises(ConfigError):
-        RunConfig(target_error=0.05, truth_intervals=None).validate()
+        RunConfig(target_error=0.05, truth_intervals=None)
     # an empty truth union is a legal degenerate truth, not a missing one
     cfg = parse_config("method.target_error = 0.05\ntruth.intervals =\n")
     assert cfg.truth_intervals == ()
@@ -133,7 +134,7 @@ def test_target_error_needs_truth():
 def test_validation_requires_a_truth():
     # the data are synthesized from the truth flux
     with pytest.raises(ConfigError, match="truth.intervals"):
-        RunConfig(truth_intervals=None).validate()
+        RunConfig(truth_intervals=None)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -145,7 +146,7 @@ def test_non_finite_field_set_in_code_rejected(field, value):
     # a config built in code meets the checks a parsed one does
     key = next(k for k, (name, _) in _KEYS.items() if name == field)
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        replace(RunConfig(), **{field: value}).validate()
+        replace(RunConfig(), **{field: value})
 
 
 @pytest.mark.parametrize("text, key", [
@@ -184,13 +185,15 @@ def test_params_take_every_field_from_the_config():
     # would keep the params default
     cfg = replace(RunConfig(), alpha=7.0, beta=0.5, eps_cells=3.0,
                   eps_min_cells=0.5, step="implicit", eta=1e-3, tau=2.5,
-                  max_iters=9, target_error=0.25, dt=0.125).validate()
-    for params in (cfg.tikhonov_params(0.25), cfg.transport_params()):
+                  max_iters=9, target_error=0.25, dt=0.125)
+    for params in (cfg.tikhonov_params(), cfg.transport_params()):
         default = type(params)()
         for f in fields(params):
             assert getattr(params, f.name) != getattr(default, f.name), \
                 f.name
-    assert cfg.tikhonov_params(0.25).eps_min == 0.125
+    hx = cfg.width / cfg.nx
+    assert cfg.tikhonov_params().eps == 3.0 * hx
+    assert cfg.tikhonov_params().eps_min == 0.5 * hx
 
 
 def test_output_directory_may_not_be_empty():
@@ -199,7 +202,7 @@ def test_output_directory_may_not_be_empty():
     with pytest.raises(ConfigError, match="output.directory"):
         parse_config("output.directory =\n")
     with pytest.raises(ConfigError, match="output.directory"):
-        RunConfig(output_dir="").validate()
+        RunConfig(output_dir="")
     assert parse_config("output.directory = .\n").output_dir == "."
 
 

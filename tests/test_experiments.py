@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cauchyls import Grid, MixedSolver, RunConfig
+from cauchyls import (Grid, MixedSolver, RunConfig, config, levelset,
+                      parse_config)
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
                                   exp1_config, exp2_config, exp3_config,
                                   execute, history_csv, indicator_trace,
@@ -145,11 +146,12 @@ def test_noisy_run_is_deterministic():
 
 
 def test_builtin_configs_validate():
-    assert exp1_config().validate()
-    assert exp2_config(0.5).validate()
-    assert exp2_config(1.0).validate()
-    assert exp3_config().validate()
-    assert transport_benchmark_config().validate()
+    # a RunConfig checks itself when it is built, replace included
+    for build in (exp1_config, lambda: exp2_config(0.5),
+                  lambda: exp2_config(1.0), exp3_config,
+                  transport_benchmark_config):
+        cfg = build()
+        assert replace(cfg) == cfg
 
 
 def test_exp1_problem_and_band_rule():
@@ -275,12 +277,13 @@ def test_exp2_rel_residual_constant():
      0.007820973143143275, 0.0),
     (replace(transport_benchmark_config(), nx=256), ("target_error", 227),
      0.001954373722174954, 0.0),
-    # the stall stops: the implicit step with band narrowing; a band that
-    # holds no node, so no step moves phi; transport started at the truth
-    # on data made on its own grid, where the velocity is rounding noise
-    (replace(exp1_config(), height=1.0), ("stagnation", 1720),
+    # the stall stops: the implicit step with band narrowing, whose band
+    # ends empty at its floor; a band that holds no node from the start, so
+    # no step moves phi; transport started at the truth on data made on its
+    # own grid, where the velocity is rounding noise
+    (replace(exp1_config(), height=1.0), ("empty_band", 1711),
      0.007843717667839941, 0.7126096406869612),
-    (replace(exp2_config(0.5), eps_cells=1e-3), ("stagnation", 10),
+    (replace(exp2_config(0.5), eps_cells=1e-3), ("empty_band", 1),
      0.2900405101814721, 0.5303300858899106),
     (replace(transport_benchmark_config(), refine=1, target_error=None,
              init_intervals=((0.3, 0.7),)), ("stagnation", 10),
@@ -355,10 +358,57 @@ def test_exact_problem_cache_is_bounded_and_keeps_no_failure():
 
 
 def test_list_valued_intervals_prepare():
-    """A RunConfig built in code may hold lists, which do not hash; the
-    cache keys on their float pairs."""
+    """A RunConfig built in code may get lists, which do not hash; it
+    stores their float pairs, on which the cache keys."""
     listed = prepare(_tiny(truth_intervals=[[0.3, 0.7]],
                            init_intervals=[[0.4, 0.6]]))
     tupled = prepare(_tiny())
     assert listed.phi0 is tupled.phi0 and listed.truth is tupled.truth
     assert listed.data is tupled.data
+
+
+def test_code_built_config_equals_the_parsed_one():
+    """Lists set in code are stored as the parser's tuples, init sorted:
+    the two configs are equal, hash alike and share one exact_problem
+    entry."""
+    parsed = parse_config("truth.intervals = 0.6:0.8, 0.2:0.4\n"
+                          "init.intervals = 0.7:0.75, 0.25:0.35\n"
+                          "output.snapshots = 0, 5\n")
+    built = RunConfig(truth_intervals=[[0.6, 0.8], [0.2, 0.4]],
+                      init_intervals=[(0.7, 0.75), [0.25, 0.35]],
+                      snapshot_iters=[0, np.int64(5)])
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built.truth_intervals == ((0.6, 0.8), (0.2, 0.4))
+    assert built.init_intervals == ((0.25, 0.35), (0.7, 0.75))
+    assert type(built.snapshot_iters[1]) is int
+    exact_problem.cache_clear()
+    a, b = prepare(parsed), prepare(built)
+    info = exact_problem.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert a.phi0 is b.phi0 and a.data is b.data
+
+
+def test_prepare_makes_no_validation_pass(monkeypatch):
+    """A RunConfig checked itself when it was built, so prepare neither
+    checks it again nor converts its intervals."""
+    cfg = exp3_config()
+    # warm the cache: a cold exact_problem builds phi0, whose
+    # init_levelset takes any intervals and checks them itself
+    prepare(cfg)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((RunConfig, "__post_init__"),
+                        (RunConfig, "tikhonov_params"),
+                        (RunConfig, "transport_params"),
+                        (config, "disjoint_intervals"),
+                        (levelset, "disjoint_intervals")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    setup = prepare(cfg)
+    assert calls == []
+    assert setup.cfg is cfg

@@ -31,7 +31,7 @@ from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
                                   transport_benchmark_config)
 from cauchyls.levelset import redistance
 from cauchyls.record import (OBSERVE_CHUNK, STOP_CYCLE, STOP_DISCREPANCY,
-                             STOP_MAX_ITERS, STOP_STAGNATION,
+                             STOP_EMPTY_BAND, STOP_MAX_ITERS,
                              STOP_TARGET_ERROR, RunRecord, observe)
 from cauchyls.tikhonov import (NARROW_FACTOR, NARROW_TOL_CELLS, lift_matrix,
                                tikhonov_direction)
@@ -160,7 +160,7 @@ def test_tikhonov_loop_matches_trace_reference(cfg):
     cfg = replace(cfg, snapshot_iters=tuple(range(cfg.max_iters + 1)))
     setup = prepare(cfg)
     rec = execute(setup)
-    ref = _tikhonov_reference(setup, cfg.tikhonov_params(setup.grid.hx))
+    ref = _tikhonov_reference(setup, cfg.tikhonov_params())
     _assert_same(rec, ref)
     if cfg.eps_min_cells is not None:
         assert rec.final_eps < setup.eps  # the run went past a narrowing
@@ -187,7 +187,7 @@ def _assert_matches_reference(cfg, stop):
     if cfg.method == METHOD_TRANSPORT:
         ref, _ = _transport_reference(setup, cfg.transport_params())
     else:
-        ref = _tikhonov_reference(setup, cfg.tikhonov_params(setup.grid.hx))
+        ref = _tikhonov_reference(setup, cfg.tikhonov_params())
     assert (rec.stop_reason, rec.stop_iteration) == stop
     _assert_same(rec, ref)
     return rec
@@ -254,9 +254,9 @@ def test_transport_repeats_across_chunk_boundaries_match_the_reference(
      (STOP_MAX_ITERS, 40), 4),
     # exp2's moving ramp changes its bytes at every iterate
     (replace(exp2_config(1.0), max_iters=50), (STOP_MAX_ITERS, 50), 51),
-    # a band that holds no node: the ramp keeps its bytes, and one residual
-    # and one drive serve the whole run
-    (replace(exp2_config(0.5), eps_cells=1e-3), (STOP_STAGNATION, 10), 1),
+    # a band that holds no node: the ramp keeps its bytes, one residual and
+    # one drive serve the whole run, and its one step names empty_band
+    (replace(exp2_config(0.5), eps_cells=1e-3), (STOP_EMPTY_BAND, 1), 1),
 ], ids=["transport_target", "transport_40", "exp2", "exp2_empty_band"])
 def test_maps_applied_once_per_indicator_change(monkeypatch, cfg, stop,
                                                 applies):
