@@ -1,11 +1,10 @@
 """Shared iteration loop and history for both reconstruction methods.
 
 run_flow owns the paper's stop rules (discrepancy, target error, the cap)
-and the reuse of the work that depends on the flux q alone. run_tikhonov
-and run_transport own stagnation, STAGNATION_STEPS steps in a row whose
-flow measure is at most STAGNATION_TOL, run_tikhonov owns empty_band, a
-step gated by an empty band, and run_transport owns cycle, a return to an
-indicator the run has left. All are in STOP_REASONS.
+and the reuse of the work that depends on the flux q alone. Both flows own
+stagnation, STAGNATION_STEPS steps in a row whose flow measure is at most
+STAGNATION_TOL; run_tikhonov owns empty_band, a step gated by an empty
+band, and run_transport cycle, a return to an indicator it has left.
 """
 
 from __future__ import annotations

@@ -147,10 +147,8 @@ def test_noisy_run_is_deterministic():
 
 def test_builtin_configs_validate():
     # a RunConfig checks itself when it is built, replace included
-    for build in (exp1_config, lambda: exp2_config(0.5),
-                  lambda: exp2_config(1.0), exp3_config,
-                  transport_benchmark_config):
-        cfg = build()
+    for cfg in (exp1_config(), exp2_config(0.5), exp2_config(1.0),
+                exp3_config(), transport_benchmark_config()):
         assert replace(cfg) == cfg
 
 
