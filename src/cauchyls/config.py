@@ -81,7 +81,7 @@ class RunConfig:
             raise ConfigError("geometry.width and geometry.height must be positive")
         if self.refine < 1:
             raise ConfigError("geometry.refine must be a positive integer")
-        # within these bounds isotropic_ny's float product cannot overflow
+        # within these bounds height / width, and so isotropic_ny, is finite
         ny = self.ny
         if ny is None and self.nx * self.refine <= MAX_FINE_CELLS \
                 and self.height <= MAX_FINE_CELLS * self.width:

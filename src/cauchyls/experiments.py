@@ -172,33 +172,33 @@ def sigma_csv(sigma: np.ndarray) -> str:
 
 
 def summary_text(record: RunRecord, setup: RunSetup) -> str:
+    """key = value lines: the run's inputs, record.rows, the stop and the
+    timing. Floats print as _fmt, other values as they are."""
     cfg = setup.cfg
     rows = {
         "method": cfg.method,
         "nx": cfg.nx,
         "ny": setup.grid.ny,
-        "width": _fmt(cfg.width),
-        "height": _fmt(cfg.height),
+        "width": cfg.width,
+        "height": cfg.height,
         "refine": cfg.refine,
-        "noise_level": _fmt(cfg.noise_level),
+        "noise_level": cfg.noise_level,
         "seed": cfg.seed,
-        "delta": _fmt(setup.data.delta),
-        "eps": _fmt(setup.eps),
-        **({"final_eps": _fmt(record.final_eps),
-            "final_band_nodes": record.final_band_nodes,
-            "final_step_cells": _fmt(record.final_step_cells)}
-           if record.final_eps is not None else {}),
+        "delta": setup.data.delta,
+        "eps": setup.eps,
+        **record.rows,
         "stop_reason": record.stop_reason,
         "stop_iteration": record.stop_iteration,
-        "final_residual": _fmt(record.residuals[-1]),
-        "final_error": _fmt(record.errors[-1]) if record.errors else "nan",
+        "final_residual": record.residuals[-1],
+        "final_error": record.errors[-1] if record.errors else np.nan,
         "final_components": record.components[-1],
         "residual_evaluations": record.residual_evaluations,
         "wall_time_s": f"{record.wall_time:.3f}",
         "iters_per_s": (f"{record.stop_iteration / record.wall_time:.1f}"
                         if record.wall_time > 0 else "nan"),
     }
-    return "".join(f"{k} = {v}\n" for k, v in rows.items())
+    return "".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}\n"
+                   for k, v in rows.items())
 
 
 def write_run_outputs(record: RunRecord, setup: RunSetup,

@@ -73,8 +73,10 @@ class Grid:
 
 
 def isotropic_ny(width: float, height: float, nx: int) -> int:
-    """Row count that makes the cells square: round(nx * height / width)."""
-    return int(round(nx * height / width))
+    """Row count that makes the cells square: round(nx * height / width),
+    with height / width taken first where nx * height overflows."""
+    ny = nx * height / width
+    return int(round(ny if np.isfinite(ny) else nx * (height / width)))
 
 
 def build_grid(width: float, height: float, nx: int, ny: int | None = None) -> Grid:

@@ -223,10 +223,12 @@ def operator_context(grid: Grid) -> OperatorContext:
     return OperatorContext(grid)
 
 
-def _check_trace(grid: Grid, t: TraceFn | None, part: BoundaryPart) -> None:
-    """Reject a trace off the given part of the grid; None passes."""
+def check_trace(grid: Grid, t: TraceFn | None, part: BoundaryPart,
+                name: str) -> None:
+    """Reject a named trace off the given part of the grid; None passes."""
     if t is not None and (t.part is not part or t.grid != grid):
-        raise ValueError(f"expected a {part.value} trace on the context grid")
+        raise ValueError(f"the {name} must be a {part.value} trace on the "
+                         f"context grid")
 
 
 def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
@@ -234,8 +236,8 @@ def bottom_flux(ctx: OperatorContext, q: TraceFn | None = None,
     """Bottom-edge conormal flux of the mixed problem with top flux q and
     bottom Dirichlet datum g1 (None means zero), through the cosine symbols
     of the context grid; no dense map is built."""
-    _check_trace(ctx.grid, q, GAMMA2)
-    _check_trace(ctx.grid, g1, GAMMA1)
+    check_trace(ctx.grid, q, GAMMA2, "flux")
+    check_trace(ctx.grid, g1, GAMMA1, "datum")
     forward, _, offset = ctx.symbols
     hat = np.zeros(ctx.grid.nx + 1)
     if q is not None:
@@ -252,7 +254,7 @@ def compute_offset_z(ctx: OperatorContext, g1: TraceFn) -> TraceFn:
 
 def apply_forward(ctx: OperatorContext, q: TraceFn) -> TraceFn:
     """Bottom-edge flux produced by a top-edge flux q (zero data, zero source)."""
-    _check_trace(ctx.grid, q, GAMMA2)
+    check_trace(ctx.grid, q, GAMMA2, "flux")
     return TraceFn(ctx.grid, GAMMA1, ctx.forward(q.values))
 
 
@@ -263,7 +265,7 @@ def apply_adjoint(ctx: OperatorContext, r: TraceFn) -> TraceFn:
     and returns the negated top-edge Dirichlet trace. Green's identity gives
     <forward(q), r> = <q, adjoint(r)> up to discretization error.
     """
-    _check_trace(ctx.grid, r, GAMMA1)
+    check_trace(ctx.grid, r, GAMMA1, "residual")
     return TraceFn(ctx.grid, GAMMA2, ctx.adjoint(r.values))
 
 

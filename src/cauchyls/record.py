@@ -17,9 +17,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import weighted_norm
-from .grid import GAMMA2, TraceFn, quadrature_weights
+from .grid import GAMMA1, GAMMA2, TraceFn, quadrature_weights
 from .levelset import component_count
-from .operator import CauchyData, OperatorContext
+from .operator import CauchyData, OperatorContext, check_trace
 from .pde import SolverError
 
 STOP_DISCREPANCY = "discrepancy"
@@ -70,12 +70,11 @@ class RunRecord:
 
     Histories include the initial state, so their length is the number of
     completed iterations plus one. errors is None when no truth was supplied.
-    asymp_gap is an optional diagnostic stream some methods fill in;
-    final_eps is the band width a Tikhonov run ended with,
-    final_band_nodes the number of nodes in that band at the stop and
-    final_step_cells the size max|dphi| / h of its last step, in cells.
-    residual_evaluations counts the iterates whose residual run_flow
-    computed, one forward apply each; the others repeat their predecessor's.
+    asymp_gap is an optional diagnostic stream some methods fill in. rows
+    holds the numbers a flow reports at its stop, by name, in the order
+    summary.txt prints them after eps. residual_evaluations counts
+    the iterates whose residual run_flow computed, one forward apply each;
+    the others repeat their predecessor's.
     """
 
     residuals: list[float] = field(default_factory=list)
@@ -88,9 +87,7 @@ class RunRecord:
     final_q: TraceFn | None = None
     wall_time: float = 0.0
     asymp_gap: list[float] | None = None
-    final_eps: float | None = None
-    final_band_nodes: int | None = None
-    final_step_cells: float | None = None
+    rows: dict[str, float | int] = field(default_factory=dict)
     residual_evaluations: int = 0
 
     def record(self, residuals: list[float], errors: list[float] | None,
@@ -162,12 +159,9 @@ def run_flow(phi0: TraceFn, data: CauchyData, ctx: OperatorContext, params,
     if data.delta > 0 and not params.tau > 1:
         raise ValueError("the discrepancy principle requires tau > 1 "
                          "whenever the data carries noise (delta > 0)")
-    if data.g2.grid != ctx.grid:
-        raise ValueError("the data must lie on the context grid")
-    for name, t in (("profile", phi0), ("truth", truth)):
-        if t is not None and (t.part is not GAMMA2 or t.grid != ctx.grid):
-            raise ValueError(f"the {name} must be a top-edge trace on the "
-                             f"context grid")
+    check_trace(ctx.grid, data.g2, GAMMA1, "data")
+    check_trace(ctx.grid, phi0, GAMMA2, "profile")
+    check_trace(ctx.grid, truth, GAMMA2, "truth")
     out = RunRecord()
     t0 = time.perf_counter()
     w = quadrature_weights(ctx.grid, GAMMA2)

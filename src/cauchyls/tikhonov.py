@@ -45,9 +45,9 @@ NARROW_TOL_CELLS = 1e-4
 NARROW_FACTOR = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TikhonovParams:
-    """Flow parameters; eps = None resolves to two grid cells at run time.
+    """Flow parameters; eps is the band width of the ramp H_eps.
 
     step selects the update. "explicit" is the gradient-flow step
     phi += S^-1 [H'(phi) (-F* r + curvature)] / alpha, with S the
@@ -70,7 +70,7 @@ class TikhonovParams:
 
     alpha: float = 100.0
     beta: float = 1e-3
-    eps: float | None = None
+    eps: float
     eta: float = 1e-6
     tau: float = 1.5
     max_iters: int = 5000
@@ -85,10 +85,9 @@ class TikhonovParams:
             raise ValueError("alpha must be positive")
         if not self.beta >= 0:
             raise ValueError("beta cannot be negative")
-        if self.eps is not None and not self.eps > 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.eps_min is not None and not 0 < self.eps_min <= (
-                math.inf if self.eps is None else self.eps):
+        if self.eps_min is not None and not 0 < self.eps_min <= self.eps:
             raise ValueError("eps_min must lie in (0, eps]")
         # eta smooths the TV normalization sqrt(H'^2 + eta^2); once eta^2
         # underflows, that root is |H'| in floating point, and eta no
@@ -97,9 +96,6 @@ class TikhonovParams:
             raise ValueError("eta must be positive, with eta^2 above 0 "
                              "in floating point")
         check_stop_rules(self)
-
-    def resolve_eps(self, grid) -> float:
-        return self.eps if self.eps is not None else 2.0 * grid.hx
 
 
 def lift_matrix(ctx: OperatorContext, beta: float) -> np.ndarray:
@@ -161,13 +157,11 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     on the smoothing output alpha * max|dphi|, and so is empty_band, a step
     gated by a band that holds no node, so no step moves phi again. With
     params.eps_min set, the band narrows instead while it can (see
-    TikhonovParams), which restarts the stall count; record.final_eps is
-    the band width the run ended with, and record.final_step_cells
-    max|dphi| / h of the last step, nan when the run took none.
+    TikhonovParams), which restarts the stall count. record.rows gets
+    final_eps, the band width at the stop, final_band_nodes, its node count,
+    and final_step_cells, max|dphi| / h of the last step (nan for none).
     """
-    eps = params.resolve_eps(ctx.grid)
-    if params.eps_min is not None and not params.eps_min <= eps:
-        raise ValueError(f"eps_min must lie in (0, eps], here eps = {eps:g}")
+    eps = params.eps
     h = ctx.grid.hx
     n = ctx.grid.nx + 1
     lift = lift_matrix(ctx, params.beta)
@@ -218,9 +212,9 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     out = run_flow(phi0, data, ctx, params, indicator, direction, step,
                    truth, snapshot_iters)
-    out.final_eps = eps
-    # the band the indicator read off the final iterate at the final eps
-    out.final_band_nodes = int(np.count_nonzero(band))
-    out.final_step_cells = (math.nan if last is None
-                            else float(abs(last).max()) / h)
+    # the band is the one the indicator read off the final iterate
+    out.rows.update(
+        final_eps=eps, final_band_nodes=int(np.count_nonzero(band)),
+        final_step_cells=(math.nan if last is None
+                          else float(abs(last).max()) / h))
     return out

@@ -124,6 +124,29 @@ def test_degenerate_strip_exits_3(out_root, tmp_path, capsys, command):
     assert err.startswith("solver failure:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "svd"])
+def test_strip_near_the_float_maximum_runs(out_root, tmp_path, capsys,
+                                           command):
+    # nx * height overflows, height / width does not: ny is the isotropic
+    # 16 rows, and the outputs, timing rows aside, are those of ny = 16 given
+    big = ("geometry.width = 1e308\ngeometry.height = 1e308\n"
+           "geometry.nx = 16\nmethod.max_iters = 20\n")
+    outputs = []
+    for name, ny in (("unset", ""), ("given", "geometry.ny = 16\n")):
+        cfg = _write_cfg(tmp_path, f"{big}{ny}output.directory = {name}\n")
+        assert main([command, cfg]) == 0
+        outputs.append({p.name: [line for line in p.read_text().splitlines()
+                                 if not line.startswith(("wall_time_s",
+                                                         "iters_per_s"))]
+                        for p in (out_root / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    summary = "summary.txt" if command == "solve" else "svd_summary.txt"
+    assert "ny = 16" in outputs[0][summary]
+    if command == "solve":
+        assert {"stop_reason = stagnation", "stop_iteration = 10"} \
+            <= set(outputs[0][summary])
+
+
 def test_non_finite_iterate_exits_3(out_root, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "geometry.nx = 16\nmethod.alpha = 1e-310\n"
                                "method.max_iters = 3\n")

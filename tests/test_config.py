@@ -187,10 +187,10 @@ def test_params_take_every_field_from_the_config():
                   eps_min_cells=0.5, step="implicit", eta=1e-3, tau=2.5,
                   max_iters=9, target_error=0.25, dt=0.125)
     for params in (cfg.tikhonov_params(), cfg.transport_params()):
-        default = type(params)()
+        # eps has no default; it is checked below
         for f in fields(params):
-            assert getattr(params, f.name) != getattr(default, f.name), \
-                f.name
+            if f.name != "eps":
+                assert getattr(params, f.name) != f.default, f.name
     hx = cfg.width / cfg.nx
     assert cfg.tikhonov_params().eps == 3.0 * hx
     assert cfg.tikhonov_params().eps_min == 0.5 * hx

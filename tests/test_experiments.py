@@ -10,7 +10,7 @@ from cauchyls import (Grid, MixedSolver, RunConfig, config, levelset,
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
                                   exp1_config, exp2_config, exp3_config,
                                   execute, history_csv, indicator_trace,
-                                  sigma_csv, snapshot_csv,
+                                  sigma_csv, snapshot_csv, summary_text,
                                   iterations_to_relative_residual, prepare,
                                   resolve_output_dir, run_config,
                                   transport_benchmark_config,
@@ -166,7 +166,7 @@ def test_summary_reports_final_band(tmp_path):
     record, setup = run_config(_tiny(eps_min_cells=1.0))
     out = write_run_outputs(record, setup, tmp_path / "run")
     summary = (out / "summary.txt").read_text()
-    assert f"final_eps = {record.final_eps:.17g}" in summary
+    assert f"final_eps = {record.rows['final_eps']:.17g}" in summary
 
 
 @pytest.mark.parametrize("cfg, in_band", [
@@ -186,9 +186,9 @@ def test_summary_reports_final_band_nodes(tmp_path, cfg, in_band):
         assert "final_band_nodes" not in rows and "final_eps" not in rows
         return
     phi = record.final_phi.values
-    eps = record.final_eps
+    eps = record.rows["final_eps"]
     nodes = int(rows["final_band_nodes"])
-    assert nodes == record.final_band_nodes \
+    assert nodes == record.rows["final_band_nodes"] \
         == np.count_nonzero((phi >= -eps) & (phi <= 0.0))
     assert (nodes > 0) == in_band
     keys = list(rows)
@@ -205,13 +205,48 @@ def test_summary_reports_final_step_cells(tmp_path):
     keys = list(rows)
     assert keys.index("final_step_cells") == \
         keys.index("final_band_nodes") + 1
-    assert float(rows["final_step_cells"]) == record.final_step_cells
+    assert float(rows["final_step_cells"]) == record.rows["final_step_cells"]
     last = record.snapshots[5][0] - record.snapshots[4][0]
-    assert record.final_step_cells == pytest.approx(
+    assert record.rows["final_step_cells"] == pytest.approx(
         np.abs(last).max() / setup.grid.hx, rel=1e-9)
     record, setup = run_config(_tiny(max_iters=0))
     out = write_run_outputs(record, setup, tmp_path / "none")
     assert "final_step_cells = nan\n" in (out / "summary.txt").read_text()
+
+
+# summary.txt's rows before and after those of the flow's record.rows
+SUMMARY_INPUTS = ["method", "nx", "ny", "width", "height", "refine",
+                  "noise_level", "seed", "delta", "eps"]
+SUMMARY_OUTCOME = ["stop_reason", "stop_iteration", "final_residual",
+                   "final_error", "final_components", "residual_evaluations",
+                   "wall_time_s", "iters_per_s"]
+
+
+@pytest.mark.parametrize("cfg, flow_rows", [
+    (_tiny(), ["final_eps", "final_band_nodes", "final_step_cells"]),
+    (_tiny(method="transport"), []),
+], ids=["tikhonov", "transport"])
+def test_summary_keys_in_order(tmp_path, cfg, flow_rows):
+    record, setup = run_config(cfg)
+    out = write_run_outputs(record, setup, tmp_path / "run")
+    keys = [line.split(" = ")[0] for line in
+            (out / "summary.txt").read_text().splitlines()]
+    assert keys == SUMMARY_INPUTS + flow_rows + SUMMARY_OUTCOME
+    assert list(record.rows) == flow_rows
+
+
+def test_summary_prints_flow_rows_as_given():
+    """A flow's rows print between eps and stop_reason in insertion order,
+    floats as %.17g and other values as they are."""
+    setup = prepare(_tiny())
+    record = RunRecord(residuals=[0.25], components=[1],
+                       rows={"a": 0.1, "b": 3})
+    lines = summary_text(record, setup).splitlines()
+    at = lines.index(f"eps = {setup.eps:.17g}")
+    assert lines[at + 1:at + 4] == ["a = 0.10000000000000001", "b = 3",
+                                    "stop_reason = max_iters"]
+    # no errors were recorded
+    assert "final_error = nan" in lines
 
 
 def test_summary_reports_iteration_rate(tmp_path):

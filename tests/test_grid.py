@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cauchyls import (GAMMA1, GAMMA2, GAMMA3, TraceFn, build_grid,
                       prolong_trace, quadrature_weights, restrict_trace,
                       trace_from_function, zero_trace)
+from cauchyls.grid import isotropic_ny
 
 
 def test_build_grid_derives_ny_from_height():
@@ -15,6 +16,23 @@ def test_build_grid_derives_ny_from_height():
     assert g.ny == 32
     assert g.hx == pytest.approx(1.0 / 64)
     assert g.hy == pytest.approx(0.5 / 32)
+
+
+def test_isotropic_ny_survives_an_overflowing_product():
+    # 16 * 1e308 overflows; height / width is taken first there
+    assert isotropic_ny(1e308, 1e308, 16) == 16
+    assert isotropic_ny(1e308, 5e307, 16) == 8
+    assert build_grid(1e308, 1e308, 16).ny == 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308),
+       st.integers(4, 1024))
+def test_isotropic_ny_keeps_the_quotient_where_it_is_finite(width, height,
+                                                            nx):
+    ny = nx * height / width
+    if np.isfinite(ny):
+        assert isotropic_ny(width, height, nx) == int(round(ny))
 
 
 def test_boundary_node_counts():

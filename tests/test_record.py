@@ -150,7 +150,8 @@ def _inputs(grid):
 
 
 @pytest.mark.parametrize("run, params", [
-    (run_tikhonov, TikhonovParams(max_iters=3)),
+    (run_tikhonov, TikhonovParams(eps=2 * build_grid(1.0, 0.5, 16).hx,
+                                  max_iters=3)),
     (run_transport, TransportParams(max_iters=3)),
 ], ids=["tikhonov", "transport"])
 @pytest.mark.parametrize("name, other", [

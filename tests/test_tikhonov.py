@@ -49,59 +49,49 @@ def _step(phi, eps, data, ctx, params):
     return new
 
 
-def test_params_validation():
+def test_params_validation(grid64):
+    # the band width has no default
+    with pytest.raises(TypeError, match="eps"):
+        TikhonovParams()
+    eps = 2 * grid64.hx
     with pytest.raises(ValueError):
-        TikhonovParams(alpha=0.0)
+        TikhonovParams(eps=eps, alpha=0.0)
     with pytest.raises(ValueError):
-        TikhonovParams(beta=-1.0)
+        TikhonovParams(eps=eps, beta=-1.0)
     with pytest.raises(ValueError):
         TikhonovParams(eps=0.0)
     with pytest.raises(ValueError):
-        TikhonovParams(eta=0.0)
+        TikhonovParams(eps=eps, eta=0.0)
     # positive, but eta^2 underflows to 0
     with pytest.raises(ValueError, match="^eta "):
-        TikhonovParams(eta=1e-300)
-    assert TikhonovParams(eta=1e-160).eta == 1e-160
+        TikhonovParams(eps=eps, eta=1e-300)
+    assert TikhonovParams(eps=eps, eta=1e-160).eta == 1e-160
     with pytest.raises(ValueError):
-        TikhonovParams(max_iters=-1)
+        TikhonovParams(eps=eps, max_iters=-1)
     # a target error that is not positive would never stop the run
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="^target_error "):
-            TikhonovParams(target_error=bad)
-    assert TikhonovParams(target_error=None).target_error is None
+            TikhonovParams(eps=eps, target_error=bad)
+    assert TikhonovParams(eps=eps, target_error=None).target_error is None
 
 
-def test_nan_beta_rejected():
+def test_nan_beta_rejected(grid64):
     with pytest.raises(ValueError, match="beta"):
-        TikhonovParams(beta=float("nan"))
+        TikhonovParams(eps=2 * grid64.hx, beta=float("nan"))
 
 
-def test_step_and_band_options_validated():
+def test_step_and_band_options_validated(grid64):
+    eps = 2 * grid64.hx
     with pytest.raises(ValueError):
-        TikhonovParams(step="magic")
+        TikhonovParams(eps=eps, step="magic")
     with pytest.raises(ValueError):
-        TikhonovParams(eps_min=0.0)
+        TikhonovParams(eps=eps, eps_min=0.0)
     # the band floor may not exceed the band
     with pytest.raises(ValueError, match="eps_min"):
         TikhonovParams(eps=0.01, eps_min=0.02)
-    assert TikhonovParams(step="implicit", eps_min=0.01).eps_min == 0.01
+    assert TikhonovParams(eps=eps, step="implicit",
+                          eps_min=0.01).eps_min == 0.01
     assert TikhonovParams(eps=0.02, eps_min=0.02).eps_min == 0.02
-
-
-def test_band_floor_checked_against_the_default_eps(ctx64, grid64):
-    # eps = None resolves to two cells at run time, so only the run can
-    # compare the floor with it
-    truth, data, phi0 = _problem(ctx64, grid64)
-    params = TikhonovParams(eps_min=1.0, max_iters=3)
-    with pytest.raises(ValueError, match=r"eps_min must lie in \(0, eps\]"):
-        run_tikhonov(phi0, data, ctx64, params, truth=truth)
-    floor = TikhonovParams(eps_min=2 * grid64.hx, max_iters=3)
-    assert run_tikhonov(phi0, data, ctx64, floor).final_eps == 2 * grid64.hx
-
-
-def test_default_eps_is_two_cells(grid64):
-    assert TikhonovParams().resolve_eps(grid64) == pytest.approx(2 * grid64.hx)
-    assert TikhonovParams(eps=0.07).resolve_eps(grid64) == 0.07
 
 
 def test_residual_vanishes_at_sharp_truth(ctx64, grid64):
@@ -138,7 +128,8 @@ def test_step_returns_new_state(ctx64, grid64):
 
 def test_max_iters_stop_and_history_lengths(ctx64, grid64):
     truth, data, phi0 = _problem(ctx64, grid64)
-    rec = run_tikhonov(phi0, data, ctx64, TikhonovParams(max_iters=10),
+    rec = run_tikhonov(phi0, data, ctx64,
+                       TikhonovParams(eps=2 * grid64.hx, max_iters=10),
                        truth=truth)
     assert rec.stop_reason == "max_iters"
     assert rec.stop_iteration == 10
@@ -152,7 +143,8 @@ def test_max_iters_stop_and_history_lengths(ctx64, grid64):
 
 def test_errors_absent_without_truth(ctx64, grid64):
     _, data, phi0 = _problem(ctx64, grid64)
-    rec = run_tikhonov(phi0, data, ctx64, TikhonovParams(max_iters=3))
+    rec = run_tikhonov(phi0, data, ctx64,
+                       TikhonovParams(eps=2 * grid64.hx, max_iters=3))
     assert rec.errors is None
     assert len(rec.residuals) == 4
 
@@ -161,7 +153,8 @@ def test_target_error_stop(ctx64, grid64):
     truth, data, phi0 = _problem(ctx64, grid64)
     # the init already has some error; a loose target stops immediately
     rec = run_tikhonov(phi0, data, ctx64,
-                       TikhonovParams(max_iters=50, target_error=10.0),
+                       TikhonovParams(eps=2 * grid64.hx, max_iters=50,
+                                      target_error=10.0),
                        truth=truth)
     assert rec.stop_reason == "target_error"
     assert rec.stop_iteration == 0
@@ -170,7 +163,8 @@ def test_target_error_stop(ctx64, grid64):
 def test_noisy_data_requires_tau_above_one(ctx64, grid64):
     _, data, phi0 = _problem(ctx64, grid64, noise=0.1)
     with pytest.raises(ValueError):
-        run_tikhonov(phi0, data, ctx64, TikhonovParams(tau=1.0, max_iters=5))
+        run_tikhonov(phi0, data, ctx64,
+                     TikhonovParams(eps=2 * grid64.hx, tau=1.0, max_iters=5))
 
 
 def test_discrepancy_stop_on_noisy_data(ctx64, grid64):
@@ -186,7 +180,8 @@ def test_discrepancy_stop_on_noisy_data(ctx64, grid64):
 
 def test_snapshots_recorded_at_requested_iterations(ctx64, grid64):
     truth, data, phi0 = _problem(ctx64, grid64)
-    rec = run_tikhonov(phi0, data, ctx64, TikhonovParams(max_iters=5),
+    rec = run_tikhonov(phi0, data, ctx64,
+                       TikhonovParams(eps=2 * grid64.hx, max_iters=5),
                        truth=truth, snapshot_iters=(0, 3, 99))
     assert set(rec.snapshots) == {0, 3}
     phi_snap, q_snap = rec.snapshots[0]
@@ -224,7 +219,7 @@ def test_fixed_band_run_reports_its_eps(ctx64, grid64):
     eps = 4 * grid64.hx
     rec = run_tikhonov(phi0, data, ctx64,
                        TikhonovParams(eps=eps, max_iters=3), truth=truth)
-    assert rec.final_eps == eps
+    assert rec.rows["final_eps"] == eps
 
 
 def test_band_continuation_ends_binary_on_the_truth(ctx64, grid64):
@@ -235,7 +230,7 @@ def test_band_continuation_ends_binary_on_the_truth(ctx64, grid64):
                             eps_min=0.25 * h, step="implicit",
                             max_iters=3000)
     rec = run_tikhonov(phi0, data, ctx64, params, truth=truth)
-    assert rec.final_eps == 0.25 * h
+    assert rec.rows["final_eps"] == 0.25 * h
     # binary on the truth, no node lies in the quarter-cell band, so the
     # first step after the last narrowing moves nothing
     assert rec.stop_reason == "empty_band"
@@ -262,7 +257,7 @@ def test_implicit_runs_on_one_grid_share_one_gauss_newton_matrix(
     for setup in (prepare(cfg), prepare(cfg)):
         rec = run_tikhonov(setup.phi0, setup.data, setup.ctx,
                            cfg.tikhonov_params(), setup.truth)
-        assert rec.final_eps == 0.25 * setup.grid.hx
+        assert rec.rows["final_eps"] == 0.25 * setup.grid.hx
         normals.append(vars(setup.ctx)["normal"])
     assert normals[0] is normals[1]
     assert len(solved) == 2 * cfg.max_iters
@@ -288,7 +283,7 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
                   max_iters=100)
     setup = prepare(cfg)
     rec = execute(setup)
-    assert rec.final_eps < setup.eps
+    assert rec.rows["final_eps"] < setup.eps
     assert (rec.stop_reason, rec.stop_iteration) == \
         ("stagnation", 10 + STAGNATION_STEPS)
 
@@ -303,7 +298,8 @@ def test_run_uses_the_context_it_is_given():
     truth, data, phi0 = _problem(ctx, grid)
     for step in ("implicit", "explicit"):
         before = operator_context.cache_info()
-        run_tikhonov(phi0, data, ctx, TikhonovParams(step=step, max_iters=3),
+        run_tikhonov(phi0, data, ctx,
+                     TikhonovParams(eps=2 * grid.hx, step=step, max_iters=3),
                      truth=truth)
         assert operator_context.cache_info() == before
         assert ("smoothing" in vars(ctx)) == (step == "explicit")
