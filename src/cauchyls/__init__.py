@@ -26,6 +26,6 @@ from .record import RunRecord
 from .tikhonov import (TikhonovParams, lift_matrix, run_tikhonov,
                        tikhonov_direction, tikhonov_step)
 from .transport import (TransportParams, front_velocity, run_transport,
-                        transport_step, upwind_step)
+                        split_velocity, transport_step, upwind_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import chain
+from itertools import chain, groupby
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -143,8 +143,10 @@ SNAPSHOT_HEADER = "x,phi,q"
 SIGMA_HEADER = "k,sigma"
 # floats with 17 significant digits, as _fmt: reruns are byte-identical;
 # each table is one % format of its row format repeated over the flat values
-HISTORY_ROW = "%d,%.17g,%.17g,%d\n"
-SNAPSHOT_ROW = "%.17g,%.17g,%.17g\n"
+# a history row after its iteration number
+HISTORY_VALUES = ",%.17g,%.17g,%d\n"
+# a snapshot row: the node coordinate's text (node_text), phi and q
+SNAPSHOT_ROW = "%s,%.17g,%.17g\n"
 SIGMA_ROW = "%d,%.17g\n"
 SNAPSHOT_NAME = re.compile(r"snapshot_\d+\.csv")
 
@@ -155,14 +157,30 @@ def _table(header: str, row: str, *columns) -> str:
 
 
 def history_csv(record: RunRecord) -> str:
+    """One "%d,%.17g,%.17g,%d" row per iterate: iteration, residual, error
+    (nan without a truth) and components.
+
+    Iterates that repeat an evaluation repeat its values, so each run of
+    equal rows has its values formatted once. Residual and error are
+    norms, never -0.0, so equal values print alike.
+    """
     n = len(record.residuals)
     errors = record.errors if record.errors is not None else [np.nan] * n
-    return _table(HISTORY_HEADER, HISTORY_ROW, range(n), record.residuals,
-                  errors, record.components)
+    rows = "".join(("%d" + HISTORY_VALUES % values) * len(list(run))
+                   for values, run in groupby(zip(record.residuals, errors,
+                                                  record.components)))
+    return HISTORY_HEADER + "\n" + rows % tuple(range(n))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def node_text(grid: Grid) -> tuple[str, ...]:
+    """The _fmt text of grid's top-edge node coordinates, formatted once
+    per grid for every snapshot written on it."""
+    return tuple(map(_fmt, grid.xs.tolist()))
 
 
 def snapshot_csv(grid: Grid, phi: np.ndarray, q: np.ndarray) -> str:
-    return _table(SNAPSHOT_HEADER, SNAPSHOT_ROW, grid.xs.tolist(),
+    return _table(SNAPSHOT_HEADER, SNAPSHOT_ROW, node_text(grid),
                   phi.tolist(), q.tolist())
 
 

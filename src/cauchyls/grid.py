@@ -33,6 +33,8 @@ class BoundaryPart(Enum):
 GAMMA1 = BoundaryPart.GAMMA1
 GAMMA2 = BoundaryPart.GAMMA2
 GAMMA3 = BoundaryPart.GAMMA3
+# the largest node index an array can hold
+INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ class Grid:
             raise ValueError("grid dimensions must be positive")
         if self.nx < 4 or self.ny < 4:
             raise ValueError("need nx >= 4 and ny >= 4")
+        if max(self.nx, self.ny) > INDEX_MAX:
+            raise ValueError("nx and ny must fit a numpy index")
 
     @property
     def hx(self) -> float:
@@ -74,9 +78,15 @@ class Grid:
 
 def isotropic_ny(width: float, height: float, nx: int) -> int:
     """Row count that makes the cells square: round(nx * height / width),
-    with height / width taken first where nx * height overflows."""
+    with height / width taken first where nx * height overflows; ValueError
+    where that is not finite either."""
     ny = nx * height / width
-    return int(round(ny if np.isfinite(ny) else nx * (height / width)))
+    if not np.isfinite(ny):
+        ny = nx * (height / width)
+        if not np.isfinite(ny):
+            raise ValueError(f"a {width!r} x {height!r} grid of {nx} columns "
+                             f"has no finite row count")
+    return int(round(ny))
 
 
 def build_grid(width: float, height: float, nx: int, ny: int | None = None) -> Grid:

@@ -55,9 +55,12 @@ def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     them sum to (psi_m - psi_0) / h = 0. So V_i = h (e - c_i + f_i / 2),
     and no system is solved.
     """
-    s = 2.0 * q[1:-1] - 1.0
+    s = np.multiply(q[1:-1], 2.0)
+    s -= 1.0
     # 2q - 1 is +0.0, never -0.0, at q = 1/2, so copysign gives sign +1
-    s = np.copysign(np.maximum(np.abs(s), SIGN_CLAMP), s)
+    clamped = np.abs(s)
+    np.maximum(clamped, SIGN_CLAMP, out=clamped)
+    np.copysign(clamped, s, out=s)
     # the same V_i = 2 h (e - c_i + g_i / 2) in g = f / 2 and its sums;
     # short of overflow and underflow, the factors of two are exact
     g = grad[1:-1] / s
@@ -71,16 +74,26 @@ def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     return v
 
 
-def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarray:
+def split_velocity(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signed parts (max(v, 0), min(v, 0)) of a velocity v, the form
+    upwind_step and transport_step take it in."""
+    v = np.asarray(v, dtype=float)
+    return np.maximum(v, 0.0), np.minimum(v, 0.0)
+
+
+def upwind_step(phi: np.ndarray, v_plus: np.ndarray, v_minus: np.ndarray,
+                dt: float, h: float) -> np.ndarray:
     """Single first-order upwind update; the caller enforces the CFL bound.
 
-    Interior nodes difference against the upwind neighbor. At the ends only
-    the interior-side difference exists, so outflow uses it and inflow holds
-    the value; under the CFL bound the update is a convex combination and
-    min/max bounds are preserved.
+    The velocity comes split into its signed parts (split_velocity), which
+    depend on the velocity alone, so a caller that steps several times
+    with one velocity splits it once. Interior nodes difference against
+    the upwind neighbor. At the ends only the interior-side difference
+    exists, so outflow uses it and inflow holds the value; under the CFL
+    bound the update is a convex combination and min/max bounds are
+    preserved.
     """
     phi = np.asarray(phi, dtype=float)
-    v = np.asarray(v, dtype=float)
     # diff[i] = (phi[i] - phi[i - 1]) / h, with 0 beyond both ends (no
     # upwind neighbor: inflow holds the value); diff[:-1] is the backward
     # difference at each node and diff[1:] the forward one
@@ -88,26 +101,27 @@ def upwind_step(phi: np.ndarray, v: np.ndarray, dt: float, h: float) -> np.ndarr
     inner = diff[1:-1]
     np.subtract(phi[1:], phi[:-1], out=inner)
     inner /= h
-    flux = np.maximum(v, 0.0)
-    flux *= diff[:-1]
-    downwind = np.minimum(v, 0.0)
-    downwind *= diff[1:]
-    flux += downwind
+    flux = v_plus * diff[:-1]
+    forward = diff[1:]
+    np.multiply(v_minus, forward, out=forward)
+    flux += forward
     flux *= dt
-    return phi - flux
+    return np.subtract(phi, flux, out=flux)
 
 
-def transport_step(phi: np.ndarray, v: np.ndarray, vmax: float,
-                   dt_max: float, h: float) -> tuple[np.ndarray, float]:
+def transport_step(phi: np.ndarray, v_plus: np.ndarray, v_minus: np.ndarray,
+                   vmax: float, dt_max: float, h: float
+                   ) -> tuple[np.ndarray, float]:
     """One upwind step of length dt = min(dt_max, h / (2 max|v|)), and dt;
-    vmax is max|v|.
+    v_plus and v_minus are the signed parts of v (split_velocity) and vmax
+    is max|v|, all three computed once per velocity by the caller.
 
     The cap moves fronts at most half a cell, a Courant number of at most
     1/2, inside the upwind scheme's CFL bound, so the step keeps the
     profile's min/max bounds.
     """
     dt = min(dt_max, 0.5 * h / max(vmax, VELOCITY_FLOOR))
-    return upwind_step(phi, v, dt, h), dt
+    return upwind_step(phi, v_plus, v_minus, dt, h), dt
 
 
 def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
@@ -131,9 +145,11 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
 
     Since fronts move at most half a cell per step, q changes only when a
     front crosses a node, and most iterations leave it as it was. run_flow
-    then reuses its residual and the velocity and vmax that direction
-    computed from it (see run_flow). A non-finite velocity makes the
-    profile non-finite, which run_flow reports.
+    then reuses its residual and what direction computed from it (see
+    run_flow): once per evaluation, direction solves for the velocity V,
+    splits it into its signed parts and takes max|V|, and every step
+    until the next evaluation reads those three. A non-finite velocity
+    makes the profile non-finite, which run_flow reports.
     """
     h = ctx.grid.hx
     dts = []
@@ -143,18 +159,19 @@ def run_transport(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     visited = set()
 
     def direction(q: np.ndarray, r: np.ndarray
-                  ) -> tuple[np.ndarray, float, bool]:
+                  ) -> tuple[np.ndarray, np.ndarray, float, bool]:
         b = q.tobytes()
         revisit = b in visited
         visited.add(b)
         v = front_velocity(q, ctx.adjoint(r), h)
-        return v, float(np.max(np.abs(v))), revisit
+        return *split_velocity(v), float(abs(v).max()), revisit
 
-    def step(phi: np.ndarray, velocity: tuple[np.ndarray, float, bool]
+    def step(phi: np.ndarray,
+             velocity: tuple[np.ndarray, np.ndarray, float, bool]
              ) -> tuple[np.ndarray, str | None]:
         nonlocal stalls
-        v, vmax, revisit = velocity
-        phi, dt = transport_step(phi, v, vmax, params.dt, h)
+        v_plus, v_minus, vmax, revisit = velocity
+        phi, dt = transport_step(phi, v_plus, v_minus, vmax, params.dt, h)
         dts.append(dt)
         stalls = stalls + 1 if vmax <= STAGNATION_TOL else 0
         if revisit:

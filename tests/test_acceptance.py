@@ -17,8 +17,8 @@ from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, MixedSolver,
                       neumann_trace, operator_context, prolong_trace,
                       restrict_trace, singular_values, smoothed_heaviside,
                       smoothed_heaviside_deriv, solve_helmholtz_neumann,
-                      trace_inner, trace_from_function, upwind_step,
-                      zero_trace)
+                      split_velocity, trace_inner, trace_from_function,
+                      upwind_step, zero_trace)
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exp1_config, exp2_config,
                                   exp3_config, history_csv,
                                   iterations_to_relative_residual, run_config,
@@ -284,7 +284,8 @@ def test_criterion_8_unit_invariants():
     phi = rng.uniform(-1, 1, size=65)
     v = rng.uniform(-1, 1, size=65)
     h = 1.0 / 64
-    out = upwind_step(phi, v, 0.9 * h / np.abs(v).max(), h)
+    out = upwind_step(phi, *split_velocity(v), 0.9 * h / np.abs(v).max(),
+                      h)
     checks["upwind"] = out.max() <= phi.max() + 1e-12 \
         and out.min() >= phi.min() - 1e-12
 

@@ -4,13 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cauchyls import (Grid, MixedSolver, RunConfig, config, levelset,
+from cauchyls import (Grid, MixedSolver, RunConfig, build_grid, config,
+                      levelset,
                       parse_config)
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
                                   exp1_config, exp2_config, exp3_config,
                                   execute, history_csv, indicator_trace,
-                                  sigma_csv, snapshot_csv, summary_text,
+                                  node_text, sigma_csv, snapshot_csv,
+                                  summary_text,
                                   iterations_to_relative_residual, prepare,
                                   resolve_output_dir, run_config,
                                   transport_benchmark_config,
@@ -128,6 +132,43 @@ def test_csv_rows_print_each_value_as_17_digit_float(with_errors):
         _reference_row(x, p, qq) for x, p, qq in zip(grid.xs, phi, q))
     assert sigma_csv(vals) == "k,sigma\n" + "".join(
         _reference_row(str(k), s) for k, s in enumerate(vals, start=1))
+
+
+# residual and error norms: zero, subnormal, normal, inf and nan
+_NORMS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, np.inf, np.nan]),
+                   st.floats(min_value=0.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_NORMS, _NORMS, st.integers(0, 40),
+                          st.integers(1, 6)), min_size=1, max_size=30),
+       st.booleans())
+def test_history_csv_is_the_row_by_row_table(runs, with_truth):
+    """Runs of repeated rows, as transport's reused evaluations give, print
+    as every row printed on its own; without a truth the errors are nan."""
+    rows = [(r, e, c) for r, e, c, m in runs for _ in range(m)]
+    rec = RunRecord(residuals=[r for r, _, _ in rows],
+                    errors=[e for _, e, _ in rows] if with_truth else None,
+                    components=[c for _, _, c in rows])
+    errors = rec.errors if with_truth else [np.nan] * len(rows)
+    assert history_csv(rec) == "iter,residual,error,components\n" + "".join(
+        "%d,%.17g,%.17g,%d\n" % row
+        for row in zip(range(len(rows)), rec.residuals, errors,
+                       rec.components))
+
+
+def test_snapshot_csv_keeps_each_grid_its_own_coordinates():
+    """The cached coordinate text of one grid never serves another: grids
+    of another width at the same nx, and of another nx, alternate."""
+    node_text.cache_clear()
+    grids = [build_grid(1.0, 0.5, 16), build_grid(0.7, 0.5, 16),
+             build_grid(0.7, 0.5, 24)]
+    rng = np.random.default_rng(3)
+    for grid in grids + grids[::-1]:
+        phi = rng.normal(size=grid.nx + 1)
+        q = (phi >= 0).astype(float)
+        assert snapshot_csv(grid, phi, q) == "x,phi,q\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % row for row in zip(grid.xs, phi, q))
 
 
 def test_output_root_env_anchors_relative_dirs(monkeypatch, tmp_path):

@@ -23,7 +23,8 @@ import pytest
 
 from cauchyls import (apply_adjoint, apply_forward, front_velocity,
                       l2_norm_trace, quadrature_weights, sharp_indicator,
-                      smoothed_heaviside, tikhonov_step, transport_step)
+                      smoothed_heaviside, split_velocity, tikhonov_step,
+                      transport_step)
 from cauchyls import record, tikhonov
 from cauchyls.config import METHOD_TRANSPORT
 from cauchyls.experiments import (exp1_config, exp2_config, exp3_config,
@@ -123,8 +124,8 @@ def _transport_reference(setup, params):
             current = q.values
         grad = apply_adjoint(setup.ctx, r).values
         v = front_velocity(q.values, grad, h)
-        new, dt = transport_step(phi.values, v, float(np.max(np.abs(v))),
-                                 params.dt, h)
+        new, dt = transport_step(phi.values, *split_velocity(v),
+                                 float(np.max(np.abs(v))), params.dt, h)
         dts.append(dt)
         return phi.with_values(new), STOP_CYCLE if revisit else None
 
@@ -325,7 +326,7 @@ def test_every_instrumented_callable_resolves(tracing):
     # the indicator does not change in the first 5 iterations, so the one
     # velocity, of iterate 0's residual, serves every step
     (replace(transport_benchmark_config(), max_iters=5),
-     ("transport.step",), ("transport.velocity",), 1),
+     ("transport.step", "transport.upwind"), ("transport.velocity",), 1),
 ], ids=["exp2", "transport_benchmark"])
 def test_tracer_sees_one_step_span_per_iteration(tracing, cfg, spans,
                                                  fresh_spans, evaluations):

@@ -25,6 +25,26 @@ def test_isotropic_ny_survives_an_overflowing_product():
     assert build_grid(1e308, 1e308, 16).ny == 16
 
 
+def test_a_row_count_that_is_not_finite_raises_value_error():
+    # 16 * 1e308 overflows, and so does 16 * (1e308 / 1)
+    with pytest.raises(ValueError, match="no finite row count"):
+        isotropic_ny(1.0, 1e308, 16)
+    with pytest.raises(ValueError, match="no finite row count"):
+        build_grid(1.0, 1e308, 16)
+
+
+def test_a_row_count_beyond_a_numpy_index_raises_value_error():
+    # 1.6e301 rows is finite, but no array can be indexed by it
+    with pytest.raises(ValueError, match="numpy index"):
+        build_grid(1e-300, 1.0, 16)
+    big = int(np.iinfo(np.intp).max) + 1
+    for nx, ny in ((big, 16), (16, big)):
+        with pytest.raises(ValueError, match="numpy index"):
+            build_grid(1.0, 1.0, nx, ny)
+    edge = int(np.iinfo(np.intp).max)
+    assert build_grid(1.0, 1.0, 16, edge).ny == edge
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308),
        st.integers(4, 1024))

@@ -22,7 +22,8 @@ from scipy.linalg import solveh_banded
 
 from cauchyls import (TikhonovParams, build_grid, front_velocity,
                       operator_context, sharp_indicator, smoothed_heaviside,
-                      smoothed_heaviside_deriv, tikhonov_step, upwind_step)
+                      smoothed_heaviside_deriv, split_velocity, tikhonov_step,
+                      upwind_step)
 from cauchyls.levelset import helmholtz_solve
 from cauchyls.tikhonov import (MAX_STEP_CELLS, lift_matrix,
                                tikhonov_direction)
@@ -297,7 +298,7 @@ def _upwind_case(draw, entries=FINITE):
           0.5, 0.25))
 def test_upwind_step_is_the_dm_dp_step(case):
     phi, v, dt, h = case
-    assert _same_bytes(upwind_step(phi, v, dt, h),
+    assert _same_bytes(upwind_step(phi, *split_velocity(v), dt, h),
                        _dm_dp_upwind(phi, v, dt, h))
 
 
@@ -306,7 +307,7 @@ def test_upwind_step_is_the_dm_dp_step(case):
     st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf, -np.inf]))))
 def test_upwind_step_keeps_non_finite_velocities_non_finite(case):
     phi, v, dt, h = case
-    out = upwind_step(phi, v, dt, h)
+    out = upwind_step(phi, *split_velocity(v), dt, h)
     ref = _dm_dp_upwind(phi, v, dt, h)
     assert not np.isfinite(out[~np.isfinite(v)]).any()
     assert np.array_equal(np.isfinite(out), np.isfinite(ref))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cauchyls import (GAMMA1, GAMMA2, TransportParams, front_velocity,
                       init_levelset, run_transport, sharp_indicator,
-                      synthesize_cauchy_data, transport_step, upwind_step,
+                      split_velocity, synthesize_cauchy_data, transport_step,
+                      upwind_step,
                       trace_from_function, zero_trace)
 from cauchyls.config import METHOD_TRANSPORT
 from cauchyls.experiments import (execute, exp1_config, exp3_config, prepare,
@@ -43,7 +44,7 @@ def test_upwind_shifts_ramp_one_node():
     n = 33
     h = 1.0 / (n - 1)
     phi = np.linspace(0.0, 1.0, n)
-    out = upwind_step(phi, np.full(n, 1.0), h, h)
+    out = upwind_step(phi, *split_velocity(np.full(n, 1.0)), h, h)
     assert np.allclose(out[1:], phi[:-1])
     assert out[0] == phi[0]  # no inflow information, value held
 
@@ -52,7 +53,7 @@ def test_upwind_leftward_shift():
     n = 33
     h = 1.0 / (n - 1)
     phi = np.linspace(0.0, 1.0, n)
-    out = upwind_step(phi, np.full(n, -1.0), h, h)
+    out = upwind_step(phi, *split_velocity(np.full(n, -1.0)), h, h)
     assert np.allclose(out[:-1], phi[1:])
     assert out[-1] == phi[-1]
 
@@ -66,7 +67,7 @@ def test_upwind_maximum_principle(seed, cfl):
     phi = rng.uniform(-2, 2, size=n)
     v = rng.uniform(-1, 1, size=n)
     dt = cfl * h / np.abs(v).max()
-    out = upwind_step(phi, v, dt, h)
+    out = upwind_step(phi, *split_velocity(v), dt, h)
     assert out.max() <= phi.max() + 1e-12
     assert out.min() >= phi.min() - 1e-12
 
@@ -83,7 +84,7 @@ def test_transport_step_caps_at_half_a_cell(seed, dt_cells, at_rest):
     v = np.zeros(n) if at_rest else rng.uniform(-1, 1, size=n)
     vmax = float(np.max(np.abs(v)))
     dt_max = dt_cells * h
-    out, dt = transport_step(phi, v, vmax, dt_max, h)
+    out, dt = transport_step(phi, *split_velocity(v), vmax, dt_max, h)
     assert 0 < dt <= dt_max
     assert vmax * dt <= 0.5 * h * (1 + 1e-15)
     assert out.max() <= phi.max() + 1e-12
