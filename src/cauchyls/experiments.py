@@ -142,8 +142,9 @@ HISTORY_HEADER = "iter,residual,error,components"
 SNAPSHOT_HEADER = "x,phi,q"
 SIGMA_HEADER = "k,sigma"
 # floats with 17 significant digits, as _fmt: reruns are byte-identical;
-# each table is one % format of its row format repeated over the flat values
-# a history row after its iteration number
+# each table is one % format of its row format repeated over the flat
+# values, and history_csv formats the values after the iteration number
+# once per run of equal rows
 HISTORY_VALUES = ",%.17g,%.17g,%d\n"
 # a snapshot row: the node coordinate's text (node_text), phi and q
 SNAPSHOT_ROW = "%s,%.17g,%.17g\n"

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyls import (Grid, MixedSolver, RunConfig, build_grid, config,
-                      levelset,
-                      parse_config)
+                      levelset, parse_config)
 from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
                                   exp1_config, exp2_config, exp3_config,
                                   execute, history_csv, indicator_trace,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cauchyls import (GAMMA1, GAMMA2, GAMMA3, TraceFn, build_grid,
                       prolong_trace, quadrature_weights, restrict_trace,
                       trace_from_function, zero_trace)
-from cauchyls.grid import isotropic_ny
+from cauchyls.grid import INDEX_MAX, isotropic_ny
 
 
 def test_build_grid_derives_ny_from_height():
@@ -37,12 +37,10 @@ def test_a_row_count_beyond_a_numpy_index_raises_value_error():
     # 1.6e301 rows is finite, but no array can be indexed by it
     with pytest.raises(ValueError, match="numpy index"):
         build_grid(1e-300, 1.0, 16)
-    big = int(np.iinfo(np.intp).max) + 1
-    for nx, ny in ((big, 16), (16, big)):
+    for nx, ny in ((INDEX_MAX + 1, 16), (16, INDEX_MAX + 1)):
         with pytest.raises(ValueError, match="numpy index"):
             build_grid(1.0, 1.0, nx, ny)
-    edge = int(np.iinfo(np.intp).max)
-    assert build_grid(1.0, 1.0, 16, edge).ny == edge
+    assert build_grid(1.0, 1.0, 16, INDEX_MAX).ny == INDEX_MAX
 
 
 @settings(max_examples=200, deadline=None)
