@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import chain, groupby
+from itertools import chain
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -142,10 +142,8 @@ HISTORY_HEADER = "iter,residual,error,components"
 SNAPSHOT_HEADER = "x,phi,q"
 SIGMA_HEADER = "k,sigma"
 # floats with 17 significant digits, as _fmt: reruns are byte-identical;
-# each table is one % format of its row format repeated over the flat
-# values, and history_csv formats the values after the iteration number
-# once per run of equal rows
-HISTORY_VALUES = ",%.17g,%.17g,%d\n"
+# each table is one % format of its row format repeated over the flat values
+HISTORY_ROW = "%d,%.17g,%.17g,%d\n"
 # a snapshot row: the node coordinate's text (node_text), phi and q
 SNAPSHOT_ROW = "%s,%.17g,%.17g\n"
 SIGMA_ROW = "%d,%.17g\n"
@@ -158,19 +156,10 @@ def _table(header: str, row: str, *columns) -> str:
 
 
 def history_csv(record: RunRecord) -> str:
-    """One "%d,%.17g,%.17g,%d" row per iterate: iteration, residual, error
-    (nan without a truth) and components.
-
-    Iterates that repeat an evaluation repeat its values, so each run of
-    equal rows has its values formatted once. Residual and error are
-    norms, never -0.0, so equal values print alike.
-    """
     n = len(record.residuals)
     errors = record.errors if record.errors is not None else [np.nan] * n
-    rows = "".join(("%d" + HISTORY_VALUES % values) * len(list(run))
-                   for values, run in groupby(zip(record.residuals, errors,
-                                                  record.components)))
-    return HISTORY_HEADER + "\n" + rows % tuple(range(n))
+    return _table(HISTORY_HEADER, HISTORY_ROW, range(n), record.residuals,
+                  errors, record.components)
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)

@@ -55,12 +55,9 @@ def front_velocity(q: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     them sum to (psi_m - psi_0) / h = 0. So V_i = h (e - c_i + f_i / 2),
     and no system is solved.
     """
-    s = np.multiply(q[1:-1], 2.0)
-    s -= 1.0
+    s = 2.0 * q[1:-1] - 1.0
     # 2q - 1 is +0.0, never -0.0, at q = 1/2, so copysign gives sign +1
-    clamped = np.abs(s)
-    np.maximum(clamped, SIGN_CLAMP, out=clamped)
-    np.copysign(clamped, s, out=s)
+    s = np.copysign(np.maximum(np.abs(s), SIGN_CLAMP), s)
     # the same V_i = 2 h (e - c_i + g_i / 2) in g = f / 2 and its sums;
     # short of overflow and underflow, the factors of two are exact
     g = grad[1:-1] / s
