@@ -1,25 +1,25 @@
 """Mixed Dirichlet/Neumann finite-volume solver on the strip.
 
-Discretizes -div(a grad u) = f for the one boundary pattern of the Cauchy
-problem: Dirichlet data on the bottom edge, Neumann data on the top edge and
-the sides. Each node owns its cell clipped to the strip (half cells on
-edges, quarter cells at corners) and exchanges a flux with each neighbour
-through the face between them, so the stiffness matrix is the weighted
-graph Laplacian A = Dx^T Cx Dx + Dy^T Cy Dy: Dx and Dy difference nodal
-values across the vertical and horizontal faces, and Cx and Cy hold each
-face's conductance, its averaged coefficient times its length over the node
-spacing. Neumann data enters as the prescribed conormal flux integrated over
-the boundary segment a node owns. In this form A is symmetric and conserves
-flux (A maps constants to zero). u^T A u sums positive conductances times
-squared differences, so it vanishes only for constant u; with the Dirichlet
-bottom rows and columns removed the system is symmetric positive definite,
-and one sparse factorization serves every right-hand side.
+Discretizes -div(grad u) = 0, the unit coefficient without a source, for the
+one boundary pattern of the Cauchy problem: Dirichlet data on the bottom
+edge, Neumann data on the top edge and the sides. Each node owns its cell
+clipped to the strip (half cells on edges, quarter cells at corners) and
+exchanges a flux with each neighbour through the face between them, so the
+stiffness matrix is the weighted graph Laplacian A = Dx^T Cx Dx + Dy^T Cy Dy:
+Dx and Dy difference nodal values across the vertical and horizontal faces,
+and Cx and Cy hold each face's conductance, its length over the node spacing.
+Neumann data enters as the prescribed flux integrated over the boundary
+segment a node owns. In this form A is symmetric and conserves flux (A maps
+constants to zero). u^T A u sums positive conductances times squared
+differences, so it vanishes only for constant u; with the Dirichlet bottom
+rows and columns removed the system is symmetric positive definite, and one
+sparse factorization serves every right-hand side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,34 +36,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Coefficient:
-    """Scalar diffusion coefficient a(x, y) with ellipticity bound alpha.
-
-    fn=None means the constant coefficient 1, which must meet the bound
-    itself; otherwise the bound is validated at every evaluation point used
-    by the assembly.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("ellipticity bound alpha must be positive")
-        if self.fn is None and 1.0 < self.alpha - 1e-14:
-            raise ValueError("coefficient drops below its ellipticity bound")
+    """The unit diffusion coefficient a = 1, the only one of the paper's
+    problem. The assembly and the conormal traces multiply by its values,
+    which is exact."""
 
     def __call__(self, x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        if self.fn is None:
-            return np.ones_like(x)
-        vals = np.asarray(self.fn(x, y), dtype=float)
-        vals = np.broadcast_to(vals, x.shape).copy()
-        # nan compares false with the bound, so it is rejected on its own
-        if not np.isfinite(vals).all():
-            raise ValueError("coefficient values must be finite")
-        if np.any(vals < self.alpha - 1e-14):
-            raise ValueError("coefficient drops below its ellipticity bound")
-        return vals
+        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
 @dataclass(frozen=True)
@@ -122,9 +100,8 @@ class MixedSolver:
     """Assembled and factorized system of the Cauchy problem's pattern.
 
     Dirichlet data on GAMMA1, Neumann data on GAMMA2 and GAMMA3; pattern
-    must name exactly that. Boundary data and sources are supplied per
-    solve, so one factorization is reused across arbitrarily many
-    right-hand sides.
+    must name exactly that. Boundary data is supplied per solve, so one
+    factorization is reused across arbitrarily many right-hand sides.
     """
 
     def __init__(self, grid: Grid, coefficient: Coefficient,
@@ -163,9 +140,9 @@ class MixedSolver:
         sy = np.full(ny + 1, hy)
         sy[0] = sy[-1] = 0.5 * hy
 
-        # face conductances, the coefficient at the face midpoint times the
-        # face length over the node spacing: (ny+1, nx) vertical faces and
-        # (ny, nx+1) horizontal ones, ravelled in face order
+        # face conductances, the coefficient at the face midpoint (1) times
+        # the face length over the node spacing: (ny+1, nx) vertical faces
+        # and (ny, nx+1) horizontal ones, ravelled in face order
         xf = (np.arange(nx) + 0.5) * hx
         yf = (np.arange(ny) + 0.5) * hy
         cx = (a(xf[None, :], g.ys[:, None]) * sy[:, None] / hx).ravel()
@@ -186,31 +163,26 @@ class MixedSolver:
         self._A_fd = A[n_bottom:, :n_bottom].tocsr()
         self._lu = splu(self._A_ff)
 
-        # cached geometry for right-hand side construction
-        self._area = sy[:, None] * sx[None, :]
+        # cached boundary segments for right-hand side construction
         self._seg_x, self._seg_y = sx, sy
 
     # -- right-hand side and solve ------------------------------------------
 
     def solve(self,
               dirichlet: Mapping[BoundaryPart, TraceFn | None] | None = None,
-              neumann: Mapping[BoundaryPart, TraceFn | None] | None = None,
-              f: Field | None = None) -> Field:
+              neumann: Mapping[BoundaryPart, TraceFn | None] | None = None
+              ) -> Field:
         """Solve for the given boundary data; missing traces mean zero.
 
         dirichlet may hold GAMMA1 and neumann GAMMA2 and GAMMA3, each a
-        trace of its own part on the solver's grid; f lives on that grid.
+        trace of its own part on the solver's grid.
         """
         g = self.grid
         nx, ny = g.nx, g.ny
         dirichlet = _traces(g, dirichlet, (GAMMA1,))
         neumann = _traces(g, neumann, (GAMMA2, GAMMA3))
-        if f is not None and f.grid != g:
-            raise ValueError("source field lives on a different grid")
 
         b = np.zeros((ny + 1, nx + 1))
-        if f is not None:
-            b += f.values * self._area
         top = neumann.get(GAMMA2)
         if top is not None:
             b[ny, :] += top.values * self._seg_x
@@ -225,9 +197,12 @@ class MixedSolver:
         return Field(g, np.vstack([u_d, x.reshape(ny, nx + 1)]))
 
     def _checked_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the reduced system for one right-hand side, which must meet
-        the relative residual bound."""
+        """Solve the reduced system for one right-hand side; the solution
+        must be finite and meet the relative residual bound."""
         x = self._lu.solve(rhs)
+        # a non-finite solution can leave a nan residual, which passes ">"
+        if not np.isfinite(x).all():
+            raise SolverError("linear solve gave a non-finite solution")
         res = np.linalg.norm(self._A_ff @ x - rhs)
         if res > SOLVER_RTOL * max(np.linalg.norm(rhs), 1.0):
             raise SolverError(f"linear solve residual {res:.3e} "

@@ -41,40 +41,6 @@ def test_harmonic_solution_second_order_interior_and_trace():
     assert np.log2(t32 / t64) > 1.8
 
 
-def _variable_coefficient_error(nx: int) -> float:
-    """Largest nodal error for u = exp(x + y/2) under a = 2 + sin(pi x) y,
-    with the matching source, Dirichlet data on the bottom and conormal flux
-    data on the top and sides."""
-    g = build_grid(1.0, 0.5, nx)
-    a = Coefficient(fn=lambda x, y: 2.0 + np.sin(np.pi * x) * y)
-
-    def u(x, y):
-        return np.exp(x + 0.5 * y)
-
-    # -div(a grad u) with u_x = u, u_y = u/2, a_x = pi cos(pi x) y and
-    # a_y = sin(pi x)
-    x, y = np.meshgrid(g.xs, g.ys)
-    f = Field(g, -u(x, y) * (np.pi * np.cos(np.pi * x) * y
-                             + 0.5 * np.sin(np.pi * x) + 1.25 * a(x, y)))
-    bottom = trace_from_function(g, GAMMA1, lambda x: u(x, 0.0))
-    top = trace_from_function(g, GAMMA2,
-                              lambda x: 0.5 * a(x, g.height) * u(x, g.height))
-    s = np.arange(1, g.ny) * g.hy
-    side = TraceFn(g, GAMMA3, np.concatenate([-a(0.0, s) * u(0.0, s),
-                                              a(1.0, s) * u(1.0, s)]))
-    solver = MixedSolver(g, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
-                                GAMMA3: "neumann"})
-    sol = solver.solve(dirichlet={GAMMA1: bottom},
-                       neumann={GAMMA2: top, GAMMA3: side}, f=f)
-    return float(np.abs(sol.values - u(x, y)).max())
-
-
-def test_variable_coefficient_solution_second_order():
-    order = np.log2(_variable_coefficient_error(32)
-                    / _variable_coefficient_error(64))
-    assert order >= 1.8
-
-
 def test_quadratic_solution_reproduced_exactly():
     # the 5-point stencil and the 3-point one-sided flux are exact on x^2 - y^2
     g = build_grid(1.0, 0.5, 16)
@@ -107,9 +73,7 @@ def test_neumann_trace_refuses_the_side_walls():
 
 def test_assembled_system_is_symmetric_and_conservative():
     g = build_grid(1.0, 0.5, 16)
-    a = Coefficient(fn=lambda x, y: 2.0 + np.sin(np.pi * x) * y)
-    solver = MixedSolver(g, a, {GAMMA1: "dirichlet", GAMMA2: "neumann",
-                                GAMMA3: "neumann"})
+    solver = _operator_solver(g)
     # Green's symmetry: the response at top node l to a unit load at top
     # node k equals the response at k to a load at l. A top flux e_k / seg_k
     # loads node k with exactly 1
@@ -123,24 +87,6 @@ def test_assembled_system_is_symmetric_and_conservative():
     ones = trace_from_function(g, GAMMA1, np.ones_like)
     field = solver.solve(dirichlet={GAMMA1: ones}).values
     assert np.abs(field - 1.0).max() <= 1e-12
-
-
-def test_coefficient_below_its_bound_is_rejected():
-    g = build_grid(1.0, 0.5, 8)
-    pattern = {GAMMA1: "dirichlet", GAMMA2: "neumann", GAMMA3: "neumann"}
-    with pytest.raises(ValueError, match="ellipticity"):
-        MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x), pattern)
-    # the constant coefficient 1 is held to the bound as well
-    with pytest.raises(ValueError, match="ellipticity"):
-        MixedSolver(g, Coefficient(alpha=2.0), pattern)
-    # nan passes a comparison with the bound, inf the bound itself
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            MixedSolver(g, Coefficient(fn=lambda x, y: bad + 0 * x), pattern)
-    MixedSolver(g, Coefficient(fn=lambda x, y: 0.5 + 0 * x, alpha=0.5),
-                pattern)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        Coefficient(alpha=0.0)
 
 
 def test_field_validation_rejects_bad_values():
@@ -184,7 +130,6 @@ def test_solve_rejects_misplaced_data():
     shallow = build_grid(1.0, 0.25, 16)
     bottom = trace_from_function(g, GAMMA1, np.cos)
     top = trace_from_function(g, GAMMA2, np.cos)
-    source = Field(shallow, np.ones((shallow.ny + 1, shallow.nx + 1)))
     for kwargs in (
             # a trace whose part is not its key
             {"neumann": {GAMMA2: bottom}},
@@ -194,9 +139,7 @@ def test_solve_rejects_misplaced_data():
                                                      np.cos)}},
             # a key the pattern does not carry
             {"neumann": {GAMMA1: bottom}},
-            {"dirichlet": {GAMMA2: top}},
-            # a source on another grid
-            {"f": source}):
+            {"dirichlet": {GAMMA2: top}}):
         with pytest.raises(ValueError):
             solver.solve(**kwargs)
     # None still means zero data
@@ -217,23 +160,22 @@ def test_corner_incompatible_dirichlet_still_solves():
     assert u.values.min() >= -1e-8
 
 
-def test_source_term_enters_with_correct_sign():
-    # -u'' = 2 in 1D cross-section: u = y(height - y) + linear parts; check
-    # against a manufactured polynomial with f = 2
-    g = build_grid(1.0, 0.5, 16)
-    f = Field(g, np.full((g.ny + 1, g.nx + 1), 2.0))
-    top = trace_from_function(
-        g, GAMMA2, lambda x: -np.ones_like(x) * g.height * 2 + 0.5)
-
-    # u = 0.5 y - y^2 satisfies -u'' = 2, u(x, 0) = 0, a du/dy|top = 0.5 - 2h
-    u = _operator_solver(g).solve(neumann={GAMMA2: top}, f=f)
-    x, y = np.meshgrid(g.xs, g.ys)
-    assert np.abs(u.values - (0.5 * y - y ** 2)).max() < 1e-10
-
-
 def test_block_solve_keeps_the_residual_check(monkeypatch):
     g = build_grid(1.0, 0.5, 8)
     solver = _operator_solver(g)
     monkeypatch.setattr(pde, "SOLVER_RTOL", 0.0)
     with pytest.raises(SolverError):
         solver.solve(neumann={GAMMA2: trace_from_function(g, GAMMA2, np.cos)})
+
+
+def test_non_finite_solution_raises_solver_error():
+    # near the float maximum the solve overflows; its nan residual passes a
+    # ">" comparison with the bound, so the solution itself is checked
+    g = build_grid(1.0, 0.5, 8)
+    solver = _operator_solver(g)
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.solve(neumann={GAMMA2: TraceFn(g, GAMMA2,
+                                               np.full(g.nx + 1, 1.7e308))})
+    big = solver.solve(neumann={GAMMA2: TraceFn(g, GAMMA2,
+                                                 np.full(g.nx + 1, 1e305))})
+    assert np.all(np.isfinite(big.values))
