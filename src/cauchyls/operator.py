@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import (GAMMA1, GAMMA2, BoundaryPart, Grid, TraceFn,
                    quadrature_weights)
-from .pde import Coefficient, SolverError, conormal_values
+from .pde import SolverError, conormal_values
 
 # decay_slope fits log(sigma_k) up to this 1-based position by default
 DECAY_FIT_LAST = 15
@@ -120,7 +120,7 @@ class OperatorContext:
                  / (1.0 + np.exp(-2 * ny * theta)))
         rows = np.array([[np.zeros(nx + 1), hy * ratio[0], 2.0 * hy * ratio[1]],
                          [np.ones(nx + 1), ratio[2], ratio[3]]])
-        forward, offset = conormal_values(rows, grid, Coefficient(), GAMMA1)
+        forward, offset = conormal_values(rows, grid, GAMMA1)
         self.symbols = (forward, -ratio[0], offset)
         arrays = (mu, *self.symbols, self._weights, self._norms)
         # the x-stencil 1/hx^2 overflows on a strip too narrow for its columns
@@ -253,7 +253,7 @@ def compute_offset_z(ctx: OperatorContext, g1: TraceFn) -> TraceFn:
 
 
 def apply_forward(ctx: OperatorContext, q: TraceFn) -> TraceFn:
-    """Bottom-edge flux produced by a top-edge flux q (zero data, zero source)."""
+    """Bottom-edge flux produced by a top-edge flux q (zero bottom data)."""
     check_trace(ctx.grid, q, GAMMA2, "flux")
     return TraceFn(ctx.grid, GAMMA1, ctx.forward(q.values))
 

@@ -1,9 +1,9 @@
 """Mixed Dirichlet/Neumann finite-volume solver on the strip.
 
-Discretizes -div(grad u) = 0, the unit coefficient without a source, for the
-one boundary pattern of the Cauchy problem: Dirichlet data on the bottom
-edge, Neumann data on the top edge and the sides. Each node owns its cell
-clipped to the strip (half cells on edges, quarter cells at corners) and
+Discretizes Laplace's equation -div(grad u) = 0, the paper's elliptic equation
+with the unit coefficient and no source, for the one boundary pattern of the
+Cauchy problem: Dirichlet bottom, Neumann top and sides. Each node owns its
+cell clipped to the strip (half cells on edges, quarter cells at corners) and
 exchanges a flux with each neighbour through the face between them, so the
 stiffness matrix is the weighted graph Laplacian A = Dx^T Cx Dx + Dy^T Cy Dy:
 Dx and Dy difference nodal values across the vertical and horizontal faces,
@@ -36,12 +36,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Coefficient:
-    """The unit diffusion coefficient a = 1, the only one of the paper's
-    problem. The assembly and the conormal traces multiply by its values,
-    which is exact."""
+    """Marker for the unit diffusion coefficient a = 1, the only one of the
+    paper's problem; MixedSolver and neumann_trace take no other."""
 
-    def __call__(self, x, y) -> np.ndarray:
-        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+def _check_coefficient(a) -> None:
+    if not isinstance(a, Coefficient):
+        raise TypeError(f"only the unit Coefficient() is solved, not {a!r}")
 
 
 @dataclass(frozen=True)
@@ -106,32 +107,23 @@ class MixedSolver:
 
     def __init__(self, grid: Grid, coefficient: Coefficient,
                  pattern: Mapping[BoundaryPart, str]):
+        _check_coefficient(coefficient)
         if dict(pattern) != _PATTERN:
-            kinds = set(pattern.values())
-            if set(pattern) != set(_PATTERN) \
-                    or not kinds <= {"dirichlet", "neumann"}:
-                reason = ("every boundary part needs a dirichlet or neumann "
-                          "condition")
-            elif "dirichlet" not in kinds:
-                reason = "an all-Neumann problem is singular"
-            else:
-                reason = "this pattern is not assembled"
-            raise ValueError(f"{reason}; MixedSolver solves the Cauchy "
-                             "pattern only: dirichlet on gamma1, neumann on "
-                             "gamma2 and gamma3")
+            raise ValueError("MixedSolver solves the Cauchy pattern only: "
+                             "dirichlet on gamma1, neumann on gamma2 and "
+                             "gamma3")
         self.grid = grid
-        self.coefficient = coefficient
         self._build()
 
     # -- assembly -----------------------------------------------------------
 
     def _build(self):
-        # scipy loads here, so a process that builds no MixedSolver (every
-        # CLI run) never imports it
+        # scipy, a test extra, loads here, so a process that builds no
+        # MixedSolver (every CLI run) runs without it
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
-        g, a = self.grid, self.coefficient
+        g = self.grid
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
 
         # cell sides each node owns: half cells on edges, quarter cells at
@@ -140,13 +132,10 @@ class MixedSolver:
         sy = np.full(ny + 1, hy)
         sy[0] = sy[-1] = 0.5 * hy
 
-        # face conductances, the coefficient at the face midpoint (1) times
-        # the face length over the node spacing: (ny+1, nx) vertical faces
-        # and (ny, nx+1) horizontal ones, ravelled in face order
-        xf = (np.arange(nx) + 0.5) * hx
-        yf = (np.arange(ny) + 0.5) * hy
-        cx = (a(xf[None, :], g.ys[:, None]) * sy[:, None] / hx).ravel()
-        cy = (a(g.xs[None, :], yf[:, None]) * sx[None, :] / hy).ravel()
+        # face conductances, the face length over the node spacing: (ny+1,
+        # nx) vertical faces and (ny, nx+1) horizontal ones in face order
+        cx = np.repeat(sy / hx, nx)
+        cy = np.tile(sx / hy, ny)
 
         # n x (n+1) forward differences from nodes (order j * (nx+1) + i)
         # to faces
@@ -203,16 +192,19 @@ class MixedSolver:
         # a non-finite solution can leave a nan residual, which passes ">"
         if not np.isfinite(x).all():
             raise SolverError("linear solve gave a non-finite solution")
-        res = np.linalg.norm(self._A_ff @ x - rhs)
-        if res > SOLVER_RTOL * max(np.linalg.norm(rhs), 1.0):
-            raise SolverError(f"linear solve residual {res:.3e} "
+        # both vectors scaled by s, so neither norm overflows
+        s = max(np.abs(rhs).max(), 1.0)
+        res = np.linalg.norm((self._A_ff @ x - rhs) / s)
+        if res > SOLVER_RTOL * max(np.linalg.norm(rhs / s), 1.0 / s):
+            raise SolverError(f"linear solve residual {res:.3e} x {s:.3e} "
                               "exceeds tolerance")
         return x
 
 
 def neumann_trace(u: Field, a: Coefficient, part: BoundaryPart) -> TraceFn:
-    """Outward conormal derivative a*du/dnu on the bottom (GAMMA1) or top
-    (GAMMA2) edge, one-sided 3-point formula.
+    """Outward normal derivative du/dnu, the conormal derivative of the unit
+    coefficient, on the bottom (GAMMA1) or top (GAMMA2) edge, one-sided
+    3-point formula.
 
     The derivative is differenced along the inward normal and negated, so the
     result is second-order consistent at every node of the edge. Only call
@@ -220,20 +212,19 @@ def neumann_trace(u: Field, a: Coefficient, part: BoundaryPart) -> TraceFn:
     is already the exact answer. The side walls (GAMMA3) are Neumann parts
     of the Cauchy pattern, so they raise ValueError.
     """
-    return TraceFn(u.grid, part, conormal_values(u.values, u.grid, a, part))
+    _check_coefficient(a)
+    return TraceFn(u.grid, part, conormal_values(u.values, u.grid, part))
 
 
-def conormal_values(v: np.ndarray, g: Grid, a: Coefficient,
-                    part: BoundaryPart) -> np.ndarray:
-    """neumann_trace on raw nodal values of shape (..., ny+1, nx+1); leading
-    axes stack several fields and carry through to the result."""
+def conormal_values(v: np.ndarray, g: Grid, part: BoundaryPart) -> np.ndarray:
+    """du/dnu as in neumann_trace, of raw nodal values (..., ny+1, nx+1);
+    leading axes stack several fields and carry through to the result."""
     def d_in(v0, v1, v2, h):
         return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
 
     if part is GAMMA1:
-        return -a(g.xs, 0.0) * d_in(v[..., 0, :], v[..., 1, :], v[..., 2, :], g.hy)
+        return -d_in(v[..., 0, :], v[..., 1, :], v[..., 2, :], g.hy)
     if part is GAMMA2:
-        return -a(g.xs, g.height) * d_in(v[..., -1, :], v[..., -2, :],
-                                         v[..., -3, :], g.hy)
+        return -d_in(v[..., -1, :], v[..., -2, :], v[..., -3, :], g.hy)
     raise ValueError(f"no conormal trace on {part.value}: the side walls "
                      "carry Neumann data, which is already the trace")

@@ -154,7 +154,7 @@ def _sweep_symbols(grid):
     y2 = y1 / (hy * g2)
     rows = np.array([[np.zeros_like(x1), x1, x2],
                      [np.ones_like(y1), y1, y2]])
-    forward, offset = conormal_values(rows, grid, Coefficient(), GAMMA1)
+    forward, offset = conormal_values(rows, grid, GAMMA1)
     return forward, -x1 / hy, offset
 
 

@@ -9,6 +9,9 @@ from cauchyls import (GAMMA1, GAMMA2, GAMMA3, Coefficient, Field,
                       zero_trace)
 from cauchyls import pde
 
+# an overflow inside the oracle fails the test instead of passing with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _operator_solver(g):
     """Dirichlet bottom, Neumann top and sides: the forward map's pattern."""
@@ -97,20 +100,42 @@ def test_field_validation_rejects_bad_values():
         Field(g, np.full((g.ny + 1, g.nx + 1), np.inf))
 
 
-def test_spec_requires_every_part():
-    g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError, match="every boundary part"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet"})
-    with pytest.raises(ValueError, match="every boundary part"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "dirichlet",
-                                       GAMMA2: "robin", GAMMA3: "neumann"})
+@pytest.mark.parametrize("height", [0.5, 1.0])
+def test_assembly_matches_face_by_face_conductances(height):
+    # each face conducts the side length its node owns over the node spacing
+    g = build_grid(1.0, height, 8)
+    nx, ny = g.nx, g.ny
+    sx = quadrature_weights(g, GAMMA2)
+    sy = np.full(ny + 1, g.hy)
+    sy[0] = sy[-1] = 0.5 * g.hy
+    n = (nx + 1) * (ny + 1)
+    ax, ay = np.zeros((n, n)), np.zeros((n, n))
+    x_faces = [(ax, j * (nx + 1) + i, 1, sy[j] / g.hx)
+               for j in range(ny + 1) for i in range(nx)]
+    y_faces = [(ay, j * (nx + 1) + i, nx + 1, sx[i] / g.hy)
+               for j in range(ny) for i in range(nx + 1)]
+    for m, p, step, c in x_faces + y_faces:
+        q = p + step
+        m[p, p] += c
+        m[q, q] += c
+        m[p, q] -= c
+        m[q, p] -= c
+    a = ax + ay
+    solver = _operator_solver(g)
+    assert np.array_equal(solver._A_ff.toarray(), a[nx + 1:, nx + 1:])
+    assert np.array_equal(solver._A_fd.toarray(), a[nx + 1:, :nx + 1])
 
 
-def test_all_neumann_problem_rejected():
+def test_only_the_unit_coefficient_is_accepted():
     g = build_grid(1.0, 0.5, 8)
-    with pytest.raises(ValueError, match="all-Neumann"):
-        MixedSolver(g, Coefficient(), {GAMMA1: "neumann", GAMMA2: "neumann",
-                                       GAMMA3: "neumann"})
+    u = Field(g, np.meshgrid(g.xs, g.ys)[1])
+    # callables that a coefficient-reading assembly would take as a = 2
+    for c in (lambda x, y: 2.0 + 0.0 * x, lambda x, y: 2.0 + 0.0 * (x + y)):
+        with pytest.raises(TypeError, match="Coefficient"):
+            MixedSolver(g, c, {GAMMA1: "dirichlet", GAMMA2: "neumann",
+                               GAMMA3: "neumann"})
+        with pytest.raises(TypeError, match="Coefficient"):
+            neumann_trace(u, c, GAMMA1)
 
 
 def test_only_the_cauchy_pattern_is_accepted():
@@ -179,3 +204,14 @@ def test_non_finite_solution_raises_solver_error():
     big = solver.solve(neumann={GAMMA2: TraceFn(g, GAMMA2,
                                                  np.full(g.nx + 1, 1e305))})
     assert np.all(np.isfinite(big.values))
+
+
+def test_residual_check_holds_for_huge_data(monkeypatch):
+    # the norm of a right-hand side with entries near 1e300 overflows; the
+    # check scales it first, so a zero tolerance still rejects the solve
+    g = build_grid(1.0, 0.5, 8)
+    solver = _operator_solver(g)
+    monkeypatch.setattr(pde, "SOLVER_RTOL", 0.0)
+    with pytest.raises(SolverError, match="residual"):
+        solver.solve(neumann={GAMMA2: TraceFn(g, GAMMA2,
+                                               np.full(g.nx + 1, 1e300))})
