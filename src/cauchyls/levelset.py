@@ -4,11 +4,11 @@ A scalar profile phi encodes the flux q through a piecewise-linear smoothed
 Heaviside: q = H_eps(phi) ramps from 0 to 1 as phi crosses the band
 [-eps, 0]. The helpers here evaluate the ramp, its derivative and band, the
 normalized slope inside the total-variation curvature source, the
-screened-Poisson smoothing used by the gradient flow (one matvec by the
-context's cached cosine-diagonal inverse, or a dense solve on its cached
-Neumann matrix when a coupling is added), interval membership, the
-signed distance to a set of fronts (interval ends for initialization,
-1/2-crossings for redistancing) and connected-component counts.
+screened-Poisson smoothing of a top-edge trace (one matvec by its grid
+context's cached cosine-diagonal inverse; the flow's coupled solve is
+OperatorContext.neumann_solve), interval membership, the signed distance
+to a set of fronts (interval ends for initialization, 1/2-crossings for
+redistancing) and connected-component counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GAMMA2, Grid, TraceFn
-from .operator import OperatorContext, operator_context
+from .operator import operator_context
 
 
 def smoothed_heaviside(t: np.ndarray, eps: float,
@@ -68,23 +68,11 @@ def curvature_term(ramp: np.ndarray, derivative: np.ndarray, eta: float,
     return np.divide(g, np.hypot(g, eta), out=out)
 
 
-def helmholtz_solve(ctx: OperatorContext, rhs: np.ndarray,
-                    coupling: np.ndarray | None = None) -> np.ndarray:
-    """w with (I - d2/dx2 + coupling) w = rhs and zero-flux ends on the top
-    edge of the context's grid. Uncoupled, one matvec by ctx.smoothing;
-    with a dense nodal coupling, np.linalg.solve on ctx.neumann plus the
-    coupling, rhs and the coupling's rows scaled by neumann's end weights."""
-    if coupling is None:
-        return np.dot(ctx.smoothing, rhs)
-    w = ctx._weights
-    return np.linalg.solve(ctx.neumann + coupling * w[:, None], rhs * w)
-
-
-def solve_helmholtz_neumann(rhs: TraceFn,
-                            coupling: np.ndarray | None = None) -> TraceFn:
-    """helmholtz_solve on the top edge of rhs's grid."""
-    return rhs.with_values(
-        helmholtz_solve(operator_context(rhs.grid), rhs.values, coupling))
+def solve_helmholtz_neumann(rhs: TraceFn) -> TraceFn:
+    """w with (I - d2/dx2) w = rhs and zero-flux ends on the top edge of
+    rhs's grid: one matvec by the grid context's smoothing matrix."""
+    smoothing = operator_context(rhs.grid).smoothing
+    return rhs.with_values(np.dot(smoothing, rhs.values))
 
 
 def interval_mask(x: np.ndarray, intervals) -> np.ndarray:

@@ -168,7 +168,7 @@ class OperatorContext:
         """S = C diag(1 / (1 + mu_k)) C^-1 on the top-edge nodes.
 
         S is the inverse of I - d2/dx2 with zero-flux ends (neumann before
-        its end rows are halved), the uncoupled levelset.helmholtz_solve:
+        its end rows are halved), the explicit Tikhonov step's smoothing:
         the DCT-I diagonalizes the Neumann second difference (Strang, SIAM
         Review 41, 1999), with the x-stencil eigenvalue mu_k.
         """
@@ -178,7 +178,7 @@ class OperatorContext:
     def neumann(self) -> np.ndarray:
         """I - d2/dx2 with zero-flux ends on the top-edge nodes, its end rows
         halved (a half end cell keeps it symmetric positive definite). Only
-        the implicit Tikhonov step reads it."""
+        neumann_solve, and so only the implicit Tikhonov step, reads it."""
         n, inv_h2 = self.grid.nx + 1, 1.0 / (self.grid.hx * self.grid.hx)
         off = np.full(n - 1, -inv_h2)
         neumann = np.diag(np.full(n, 1.0 + 2.0 * inv_h2)) \
@@ -186,6 +186,14 @@ class OperatorContext:
         neumann[[0, -1], [0, -1]] = 0.5 + inv_h2
         neumann.setflags(write=False)
         return neumann
+
+    def neumann_solve(self, rhs: np.ndarray, coupling: np.ndarray
+                      ) -> np.ndarray:
+        """w with (I - d2/dx2 + coupling) w = rhs and zero-flux ends, for a
+        dense nodal coupling: np.linalg.solve on neumann plus the coupling,
+        rhs and the coupling's rows scaled by neumann's end weights."""
+        w = self._weights
+        return np.linalg.solve(self.neumann + coupling * w[:, None], rhs * w)
 
     @cached_property
     def derivative(self) -> np.ndarray:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TraceFn
-from .levelset import (curvature_term, helmholtz_solve, redistance,
-                       smoothed_heaviside)
+from .levelset import curvature_term, redistance, smoothed_heaviside
 from .operator import CauchyData, OperatorContext
 from .record import (STAGNATION_STEPS, STAGNATION_TOL, STOP_EMPTY_BAND,
                      STOP_STAGNATION, RunRecord, check_stop_rules, run_flow)
@@ -130,8 +129,8 @@ def tikhonov_step(phi: np.ndarray, drive: np.ndarray, band: np.ndarray,
     band / eps, so with 1/eps in the scale 1 / (alpha eps) the drive is
     gated by the band alone: the explicit step is one matvec by smooth =
     ctx.smoothing / (alpha eps). The implicit step ignores smooth: it takes
-    helmholtz_solve with the gate in the coupling, divides by alpha eps and
-    caps the step at MAX_STEP_CELLS grid cells. Nothing is checked here.
+    ctx.neumann_solve with the gate in the coupling, divides by alpha eps
+    and caps the step at MAX_STEP_CELLS grid cells. Nothing is checked here.
     """
     # drive serves every step until the next evaluation, so it stays as is
     gated = drive * band
@@ -140,7 +139,7 @@ def tikhonov_step(phi: np.ndarray, drive: np.ndarray, band: np.ndarray,
     else:
         gate = band / eps
         coupling = gate[:, None] * ctx.normal * (gate / params.alpha)
-        dphi = helmholtz_solve(ctx, gated, coupling) / (params.alpha * eps)
+        dphi = ctx.neumann_solve(gated, coupling) / (params.alpha * eps)
         cap = MAX_STEP_CELLS * ctx.grid.hx
         largest = float(abs(dphi).max())
         if largest > cap:
@@ -153,9 +152,9 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
                  snapshot_iters=()) -> RunRecord:
     """Iterate to stagnation, empty_band, discrepancy, target error or cap.
 
-    The last three are record.run_flow's stops. Stagnation is this flow's,
-    on the smoothing output alpha * max|dphi|, and so is empty_band, a step
-    gated by a band that holds no node, so no step moves phi again. With
+    The last three are record.run_flow's stops. This flow's are empty_band,
+    a step gated by an empty band, and stagnation, on alpha * max|dphi|
+    (explicit) or on max|dphi| in cells (implicit, whose step is capped). With
     params.eps_min set, the band narrows instead while it can (see
     TikhonovParams), which restarts the stall count. record.rows gets
     final_eps, the band width at the stop, final_band_nodes, its node count,
@@ -179,7 +178,7 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
     # sqrt(2 n) times the larger stall threshold is neither a stall nor a
     # narrowing; the factor 2 covers the rounding of the norm
     moving = math.sqrt(2 * n) * max(
-        STAGNATION_TOL / params.alpha,
+        STAGNATION_TOL / params.alpha if explicit else NARROW_TOL_CELLS * h,
         0.0 if params.eps_min is None else NARROW_TOL_CELLS * h)
 
     def indicator(phi: np.ndarray) -> np.ndarray:
@@ -207,7 +206,9 @@ def run_tikhonov(phi0: TraceFn, data: CauchyData, ctx: OperatorContext,
             return redistance(ramp, ctx.grid.xs, h, eps), None
         if not band.any():
             return new, STOP_EMPTY_BAND
-        stalls = stalls + 1 if params.alpha * dphi_inf <= STAGNATION_TOL else 0
+        stalled = (params.alpha * dphi_inf <= STAGNATION_TOL if explicit
+                   else dphi_inf <= NARROW_TOL_CELLS * h)
+        stalls = stalls + 1 if stalled else 0
         return new, STOP_STAGNATION if stalls >= STAGNATION_STEPS else None
 
     out = run_flow(phi0, data, ctx, params, indicator, direction, step,

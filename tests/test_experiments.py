@@ -21,6 +21,7 @@ from cauchyls.experiments import (EXP2_REL_RESIDUAL, exact_problem,
 from cauchyls.operator import GRID_CACHE_SIZE
 from cauchyls.pde import SolverError
 from cauchyls.record import RunRecord
+from output_hashes import output_digest
 
 
 def _tiny(**kw) -> RunConfig:
@@ -372,6 +373,25 @@ def test_builtin_run_outcomes(cfg, stop, residual, error):
     assert abs(record.residuals[-1] - residual) <= 1e-10 * residual
     assert abs(record.errors[-1] - error) <= 1e-10 * error
 
+
+
+def test_output_digest_skips_timing_rows_and_sees_history(tmp_path):
+    """tests/output_hashes.py's digest: two runs of one config hash the
+    same though their timing rows differ, and one history value moved by
+    one ulp changes the digest."""
+    digests, summaries = [], []
+    for k in range(2):
+        setup = prepare(exp3_config())
+        record = execute(setup)
+        record.wall_time += k
+        out = write_run_outputs(record, setup, tmp_path / str(k))
+        digests.append(output_digest(out))
+        summaries.append((out / "summary.txt").read_text())
+    assert summaries[0] != summaries[1]
+    assert digests[0] == digests[1]
+    record.residuals[3] = np.nextafter(record.residuals[3], np.inf)
+    out = write_run_outputs(record, setup, tmp_path / "moved")
+    assert output_digest(out) != digests[0]
 
 # -- the per-process cache of the noise-free problem --------------------------
 

@@ -13,9 +13,9 @@ from cauchyls import (GAMMA1, GAMMA2, OperatorContext, TikhonovParams,
                       tikhonov_step, with_noise, zero_trace,
                       trace_from_function)
 from cauchyls.experiments import execute, exp1_config, exp2_config, prepare
-from cauchyls.levelset import helmholtz_solve
 from cauchyls.record import STAGNATION_STEPS
-from cauchyls.tikhonov import lift_matrix, tikhonov_direction
+from cauchyls.tikhonov import (NARROW_TOL_CELLS, lift_matrix,
+                               tikhonov_direction)
 
 
 def _problem(ctx, grid, noise=0.0, seed=3):
@@ -246,12 +246,13 @@ def test_implicit_runs_on_one_grid_share_one_gauss_newton_matrix(
     # every step is short enough to narrow, so the band halves from 4 cells
     # to its floor of 1/4 cell in the first four steps.
     solved = []
+    neumann_solve = OperatorContext.neumann_solve
 
-    def solve(ctx, rhs, coupling=None):
+    def solve(ctx, rhs, coupling):
         solved.append((ctx.normal, ctx.neumann))
-        return helmholtz_solve(ctx, rhs, coupling)
+        return neumann_solve(ctx, rhs, coupling)
 
-    monkeypatch.setattr(tikhonov, "helmholtz_solve", solve)
+    monkeypatch.setattr(OperatorContext, "neumann_solve", solve)
     cfg = replace(exp1_config(), alpha=1e12, max_iters=6)
     normals = []
     for setup in (prepare(cfg), prepare(cfg)):
@@ -287,6 +288,18 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
     assert (rec.stop_reason, rec.stop_iteration) == \
         ("stagnation", 10 + STAGNATION_STEPS)
 
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-30])
+def test_implicit_stall_is_measured_in_cells(alpha):
+    """The implicit step is capped at MAX_STEP_CELLS, so alpha * max|dphi|
+    vanishes with alpha while phi still moves half a cell per step. A
+    small-alpha implicit run that names stagnation has stopped moving."""
+    cfg = replace(exp1_config(), alpha=alpha, eps_min_cells=None,
+                  target_error=None, max_iters=200)
+    rec = execute(prepare(cfg))
+    if rec.stop_reason == "stagnation":
+        assert rec.rows["final_step_cells"] <= NARROW_TOL_CELLS
 
 def test_run_uses_the_context_it_is_given():
     """A run on an uncached context reads every matrix from that context:
