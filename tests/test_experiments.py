@@ -374,7 +374,6 @@ def test_builtin_run_outcomes(cfg, stop, residual, error):
     assert abs(record.errors[-1] - error) <= 1e-10 * error
 
 
-
 def test_output_digest_skips_timing_rows_and_sees_history(tmp_path):
     """tests/output_hashes.py's digest: two runs of one config hash the
     same though their timing rows differ, and one history value moved by
@@ -392,6 +391,7 @@ def test_output_digest_skips_timing_rows_and_sees_history(tmp_path):
     record.residuals[3] = np.nextafter(record.residuals[3], np.inf)
     out = write_run_outputs(record, setup, tmp_path / "moved")
     assert output_digest(out) != digests[0]
+
 
 # -- the per-process cache of the noise-free problem --------------------------
 

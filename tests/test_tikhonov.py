@@ -289,7 +289,6 @@ def test_band_narrowing_restarts_the_stall_count(monkeypatch):
         ("stagnation", 10 + STAGNATION_STEPS)
 
 
-
 @pytest.mark.parametrize("alpha", [1e-13, 1e-30])
 def test_implicit_stall_is_measured_in_cells(alpha):
     """The implicit step is capped at MAX_STEP_CELLS, so alpha * max|dphi|
